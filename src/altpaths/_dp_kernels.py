@@ -1,148 +1,97 @@
-"""Subset-DP kernels for the exact longest-alternating-path oracle.
+"""Subset-DP kernel for the exact longest-alternating-path oracle.
 
 State encoding: for a vertex subset `mask`, reach[mask] is a bitset over
 (endpoint, role) pairs at bit 2*v + role.  role 1 means the endpoint's
 single path edge leaves it (so the next edge must leave it too); role 0
 means it enters.  Order-1 seeds carry both roles.
 
-Compiled with numba when available; the pure-Python twin is kept in sync
-and used as a fallback.
+One numpy kernel runs a batch of graphs of the same order together.  It
+fills the subsets popcount layer by layer: layer c+1 is complete once
+every step out of layer c has run, because each subset's predecessors are
+its one-smaller subsets.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-try:
-    from numba import njit
+# Batches are cut so that B * 2^n stays near this many reach cells (8 MB of
+# int64), whatever the order; a single graph always runs.
+BATCH_CELLS = 1 << 20
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is normally installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# 2*v + role must fit below the sign bit of an int64 state word.
+MAX_DP_ORDER = 31
 
 
-@njit(cache=True)
-def alt_path_dp(out_masks, in_masks, reach, want_k):
-    """Fill `reach` (len 2^n, zeroed int64) and return (best, best_mask, best_state).
+@lru_cache(maxsize=None)
+def _layers(n: int) -> tuple[np.ndarray, ...]:
+    """Masks of each popcount 0..n, ascending within a layer."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    popcount = np.zeros(1 << n, dtype=np.int64)
+    for v in range(n):
+        popcount += (masks >> v) & 1
+    order = np.argsort(popcount, kind="stable")
+    bounds = np.searchsorted(popcount[order], np.arange(n + 2))
+    return tuple(order[bounds[c]:bounds[c + 1]] for c in range(n + 1))
 
-    best is the maximum path order; best_state encodes 2*last+role at
-    best_mask.  If want_k > 0, returns as soon as best >= want_k (reach is
-    then only partially filled).
+
+def _predecessor_states(out_masks: np.ndarray, in_masks: np.ndarray) -> np.ndarray:
+    """P[w, r, b]: the states of role r in graph b from which w can be appended.
+
+    A role-1 endpoint `last` needs the edge last -> w (last in in(w)); a
+    role-0 endpoint needs w -> last (last in out(w)).
     """
-    n = out_masks.shape[0]
-    size = 1 << n
+    batch, n = out_masks.shape
+    pred = np.zeros((n, 2, batch), dtype=np.int64)
+    for last in range(n):
+        pred[:, 0] |= ((out_masks.T >> last) & 1) << (2 * last)
+        pred[:, 1] |= ((in_masks.T >> last) & 1) << (2 * last + 1)
+    return pred
+
+
+def run_dp(out_masks, in_masks, n: int, want_k: int = 0):
+    """Subset DP over a batch of order-n graphs given as (B, n) mask arrays.
+
+    Returns (best, best_mask, best_state, reach), the first three as (B,)
+    int64 arrays and reach as a (B, 2^n) int64 array.  best is the maximum
+    path order; best_mask is the smallest mask of that order holding a
+    state, and best_state its lowest state bit, 2*last + role.  With
+    want_k > 0 the layers stop at the first one >= want_k that holds a
+    state, so best is then min(L, want_k) and reach is filled only up to it.
+    """
+    out_masks = np.asarray(out_masks, dtype=np.int64)
+    in_masks = np.asarray(in_masks, dtype=np.int64)
+    batch = out_masks.shape[0]
+    reach = np.zeros((1 << n, batch), dtype=np.int64)  # row per mask: gathers stay contiguous
+    best = np.zeros(batch, dtype=np.int64)
+    best_mask = np.zeros(batch, dtype=np.int64)
+    best_state = np.zeros(batch, dtype=np.int64)
+    if n == 0:
+        return best, best_mask, best_state, reach.T
+    layers = _layers(n)
+    pred = _predecessor_states(out_masks, in_masks)
     for v in range(n):
         reach[1 << v] = 3 << (2 * v)
-    best = 1
-    best_mask = 1
-    best_state = 0
-    full = size - 1
-    if want_k > 0 and best >= want_k:
-        return best, best_mask, best_state
-    for mask in range(1, size):
-        s = reach[mask]
-        if s == 0:
-            continue
-        pc = 0
-        mm = mask
-        while mm:
-            mm &= mm - 1
-            pc += 1
-        if pc > best:
-            best = pc
-            best_mask = mask
-            t = s & -s
-            bi = -1
-            while t:
-                t >>= 1
-                bi += 1
-            best_state = bi
-            if want_k > 0 and best >= want_k:
-                return best, best_mask, best_state
-        free = full & ~mask
-        if free == 0:
-            continue
-        st = s
-        while st:
-            b = st & -st
-            st ^= b
-            idx = -1
-            bb = b
-            while bb:
-                bb >>= 1
-                idx += 1
-            last = idx >> 1
-            role = idx & 1
-            if role == 1:
-                cand = out_masks[last] & free
-            else:
-                cand = in_masks[last] & free
-            while cand:
-                wb = cand & -cand
-                cand ^= wb
-                w = -1
-                ww = wb
-                while ww:
-                    ww >>= 1
-                    w += 1
-                reach[mask | wb] |= 1 << (2 * w + (1 - role))
-    return best, best_mask, best_state
-
-
-def alt_path_dp_py(out_masks, in_masks, reach, want_k):
-    """Pure-Python twin of alt_path_dp (same contract, plain int lists)."""
-    n = len(out_masks)
-    size = 1 << n
-    for v in range(n):
-        reach[1 << v] = 3 << (2 * v)
-    best, best_mask, best_state = 1, 1, 0
-    if want_k > 0 and best >= want_k:
-        return best, best_mask, best_state
-    full = size - 1
-    for mask in range(1, size):
-        s = reach[mask]
-        if not s:
-            continue
-        pc = mask.bit_count()
-        if pc > best:
-            best, best_mask = pc, mask
-            best_state = (s & -s).bit_length() - 1
-            if want_k > 0 and best >= want_k:
-                return best, best_mask, best_state
-        free = full & ~mask
-        if not free:
-            continue
-        st = s
-        while st:
-            b = st & -st
-            st ^= b
-            idx = b.bit_length() - 1
-            last, role = idx >> 1, idx & 1
-            cand = (out_masks[last] if role == 1 else in_masks[last]) & free
-            while cand:
-                wb = cand & -cand
-                cand ^= wb
-                w = wb.bit_length() - 1
-                reach[mask | wb] |= 1 << (2 * w + (1 - role))
-    return best, best_mask, best_state
-
-
-def run_dp(out_masks, in_masks, n, want_k=0):
-    """Dispatch to the compiled kernel when usable; returns (best, mask, state, reach)."""
-    size = 1 << n
-    if HAVE_NUMBA and 2 * n <= 62:
-        reach = np.zeros(size, dtype=np.int64)
-        om = np.asarray(out_masks, dtype=np.int64)
-        im = np.asarray(in_masks, dtype=np.int64)
-        best, bm, bs = alt_path_dp(om, im, reach, want_k)
-        return int(best), int(bm), int(bs), reach
-    reach = [0] * size
-    best, bm, bs = alt_path_dp_py(list(out_masks), list(in_masks), reach, want_k)
-    return best, bm, bs, reach
+    best[:] = 1
+    best_mask[:] = 1
+    for c in range(1, n):
+        if 0 < want_k <= c:
+            break
+        layer = layers[c]
+        for w in range(n):
+            bit = 1 << w
+            src = layer[(layer & bit) == 0]
+            states = reach[src]
+            step = ((states & pred[w, 0]) != 0).astype(np.int64) << (2 * w + 1)
+            step |= ((states & pred[w, 1]) != 0).astype(np.int64) << (2 * w)
+            reach[src | bit] |= step
+        held = reach[layers[c + 1]] != 0  # (|layer|, B)
+        has = held.any(axis=0)
+        if not has.any():
+            break
+        best[has] = c + 1
+        best_mask[has] = layers[c + 1][held[:, has].argmax(axis=0)]
+    lowest = reach[best_mask, np.arange(batch)]
+    best_state[:] = np.frexp((lowest & -lowest).astype(np.float64))[1] - 1
+    return best, best_mask, best_state, reach.T

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OddOrder, TooShort
-from .graph_core import OrientedGraph, bits
+from .graph_core import OrientedGraph
 
 
 @dataclass(frozen=True)
@@ -98,19 +98,6 @@ def endpoint_is_source(g: OrientedGraph, verts, at_tail: bool) -> bool:
     return g.has_edge(verts[0], verts[1])
 
 
-def _extend_candidates(g: OrientedGraph, verts, used: int, at_tail: bool) -> list[int]:
-    """New vertices attachable at the given end, preserving alternation."""
-    end = verts[-1] if at_tail else verts[0]
-    if len(verts) == 1:
-        cand = (g.out_masks[end] | g.in_masks[end]) & ~used
-    elif endpoint_is_source(g, verts, at_tail):
-        # the endpoint's edge leaves it, so the new edge must leave it too
-        cand = g.out_masks[end] & ~used
-    else:
-        cand = g.in_masks[end] & ~used
-    return list(bits(cand))
-
-
 def greedy_extend(g: OrientedGraph, p: AlternatingPath) -> AlternatingPath:
     """Extend at either end until stuck.  Tail first, then head, smallest vertex."""
     verts = list(p.verts)
@@ -122,10 +109,17 @@ def greedy_extend(g: OrientedGraph, p: AlternatingPath) -> AlternatingPath:
         for at_tail in (True, False):
             if len(verts) == 1 and not at_tail:
                 continue  # order 1 has a single end
-            cand = _extend_candidates(g, verts, used, at_tail)
+            end = verts[-1] if at_tail else verts[0]
+            if len(verts) == 1:
+                cand = (g.out_masks[end] | g.in_masks[end]) & ~used
+            elif endpoint_is_source(g, verts, at_tail):
+                # the endpoint's edge leaves it, so the new edge must leave it too
+                cand = g.out_masks[end] & ~used
+            else:
+                cand = g.in_masks[end] & ~used
             if not cand:
                 continue
-            w = min(cand)
+            w = (cand & -cand).bit_length() - 1
             if at_tail:
                 verts.append(w)
             else:

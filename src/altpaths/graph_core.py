@@ -293,8 +293,11 @@ def parse_digraph6_stream(text: str) -> list[OrientedGraph]:
 
 
 def load_graph(path: str, fmt: str = "edgelist") -> OrientedGraph:
-    with open(path, "r", encoding="ascii") as f:
-        text = f.read()
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: non-ASCII byte at offset {exc.start}") from exc
     if fmt == "edgelist":
         return parse_edgelist(text)
     if fmt == "digraph6":

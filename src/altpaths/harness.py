@@ -27,7 +27,7 @@ from .graph_core import (
     num_oriented,
     random_oriented,
 )
-from .oracle import OracleBudget, longest_alt_path_exact
+from .oracle import OracleBudget, longest_alt_path_lengths
 from .rotation_engine import EngineBudget, find_alternating_path
 
 CSV_COLUMNS = [
@@ -140,62 +140,89 @@ def _base_record(graph_id: str, g: OrientedGraph) -> dict:
     }
 
 
-def _theorem_instance(cfg: SweepConfig, graph_id: str, g: OrientedGraph, agg: dict) -> dict:
-    t0 = _now_micros()
-    rec = _base_record(graph_id, g)
-    agg["instances"] += 1
-    budget = OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp)
-    if g.n > budget.max_n_subset_dp:
-        rec["violation"] = "skipped:TooLarge"
-        agg["skipped"] += 1
-        return rec
-    length, _ = longest_alt_path_exact(g, budget)
-    rec["oracle_L"] = length
-    pseudo = rec["min_pseudo_semidegree"]
-    _agg_add_frontier(agg, pseudo, length)
-    kmax = max_k_for(pseudo)
-    if kmax >= 1 and length < kmax:
+def _too_large(cfg: SweepConfig, g: OrientedGraph) -> str | None:
+    return "TooLarge" if g.n > cfg.max_n_subset_dp else None
+
+
+def _edge_bound_not_met(cfg: SweepConfig, g: OrientedGraph) -> str | None:
+    return "edge-bound-not-met" if g.edge_count <= (5 * cfg.k + 4) * g.n / 4 else None
+
+
+def _check_theorem(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, agg: dict) -> None:
+    kmax = max_k_for(rec["min_pseudo_semidegree"])
+    if kmax < 1:
+        return
+    if length < kmax:
         rec["violation"] = f"counterexample:L={length}<k={kmax}"
         agg["counterexamples"] += 1
-    if kmax >= 1:
-        out = find_alternating_path(
-            g, kmax, EngineBudget(oracle=budget, debug=cfg.debug)
-        )
-        rec["finder_outcome"] = out.outcome
-        rec["rounds"] = out.rounds
-        ok = (
-            out.outcome == "found"
-            and out.path is not None
-            and out.path.order == kmax
-            and (kmax < 2 or validate(g, out.path))
-        )
-        if not ok:
-            rec["violation"] = (rec["violation"] or "") + f"|finder:{out.outcome}"
-            agg["finder_failures"] += 1
-    if not cfg.stable:
-        rec["micros"] = _now_micros() - t0
-    return rec
-
-
-def _oddcase_instance(cfg: SweepConfig, graph_id: str, g: OrientedGraph, agg: dict) -> dict:
-    t0 = _now_micros()
-    rec = _base_record(graph_id, g)
-    agg["instances"] += 1
     budget = OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp)
-    if g.n > budget.max_n_subset_dp:
-        rec["violation"] = "skipped:TooLarge"
-        agg["skipped"] += 1
-        return rec
-    length, _ = longest_alt_path_exact(g, budget)
-    rec["oracle_L"] = length
+    out = find_alternating_path(g, kmax, EngineBudget(oracle=budget, debug=cfg.debug))
+    rec["finder_outcome"] = out.outcome
+    rec["rounds"] = out.rounds
+    ok = (
+        out.outcome == "found"
+        and out.path is not None
+        and out.path.order == kmax
+        and (kmax < 2 or validate(g, out.path))
+    )
+    if not ok:
+        rec["violation"] = (rec["violation"] or "") + f"|finder:{out.outcome}"
+        agg["finder_failures"] += 1
+
+
+def _check_oddcase(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, agg: dict) -> None:
     pseudo = rec["min_pseudo_semidegree"]
-    _agg_add_frontier(agg, pseudo, length)
     if pseudo is not None and length % 2 == 1 and length < 2 * pseudo - 1:
         rec["violation"] = f"oddcase:L={length}<2*{pseudo}-1"
         agg["violations"] += 1
-    if not cfg.stable:
-        rec["micros"] = _now_micros() - t0
-    return rec
+
+
+def _check_corollary(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, agg: dict) -> None:
+    if length < cfg.k:
+        rec["violation"] = f"corollary:L={length}<k={cfg.k}"
+        agg["violations"] += 1
+
+
+# instance kind -> (reason to skip an instance before the oracle, check given L)
+_KINDS = {
+    "theorem": (_too_large, _check_theorem),
+    "oddcase": (_too_large, _check_oddcase),
+    "corollary": (_edge_bound_not_met, _check_corollary),
+}
+
+
+def _run_instances(cfg: SweepConfig, instances, skip, check) -> tuple[list[dict], dict]:
+    """Records and aggregates for (graph_id, graph) pairs.
+
+    Every oracle L comes from one batched call between building the
+    records and running the per-instance checks, so a record's `micros`
+    covers its own record and checks but not its share of the oracle.
+    """
+    agg = _new_agg()
+    records, pending = [], []
+    for graph_id, g in instances:
+        t0 = _now_micros()
+        rec = _base_record(graph_id, g)
+        agg["instances"] += 1
+        reason = skip(cfg, g)
+        if reason is not None:
+            rec["violation"] = f"skipped:{reason}"
+            agg["skipped"] += 1
+        else:
+            pending.append((rec, g, _now_micros() - t0))
+        records.append(rec)
+    budget = OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp)
+    lengths = longest_alt_path_lengths([g for _, g, _ in pending], budget)
+    for (rec, g, micros), length in zip(pending, lengths):
+        t0 = _now_micros()
+        rec["oracle_L"] = length
+        _agg_add_frontier(agg, rec["min_pseudo_semidegree"], length)
+        check(cfg, rec, g, length, agg)
+        if not cfg.stable:
+            rec["micros"] = micros + _now_micros() - t0
+    if cfg.aggregate_only:
+        records = [rec for rec in records if rec["violation"]]
+    return records, agg
 
 
 def _random_graph(cfg: SweepConfig, idx: int) -> OrientedGraph:
@@ -206,31 +233,30 @@ def _random_graph(cfg: SweepConfig, idx: int) -> OrientedGraph:
     return random_oriented(n, cfg.p, inst_seed + 1)
 
 
+# chunk workers: each builds its slice of instances and hands it to _run_instances
+
+
 def _exhaustive_chunk(args) -> tuple[int, list[dict], dict]:
-    cfg, lo, hi, instance_kind = args
-    n = cfg.n
-    agg = _new_agg()
-    records = []
-    handler = _theorem_instance if instance_kind == "theorem" else _oddcase_instance
-    for code in range(lo, hi):
-        g = graph_from_code(n, code)
-        rec = handler(cfg, f"exh{n}-{code}", g, agg)
-        if not cfg.aggregate_only or rec["violation"]:
-            records.append(rec)
-    return lo, records, agg
+    cfg, lo, hi, kind = args
+    instances = [(f"exh{cfg.n}-{code}", graph_from_code(cfg.n, code)) for code in range(lo, hi)]
+    return lo, *_run_instances(cfg, instances, *_KINDS[kind])
 
 
 def _random_chunk(args) -> tuple[int, list[dict], dict]:
-    cfg, lo, hi, instance_kind = args
-    agg = _new_agg()
-    records = []
-    handler = _theorem_instance if instance_kind == "theorem" else _oddcase_instance
-    for idx in range(lo, hi):
-        g = _random_graph(cfg, idx)
-        rec = handler(cfg, f"rnd-{idx}", g, agg)
-        if not cfg.aggregate_only or rec["violation"]:
-            records.append(rec)
-    return lo, records, agg
+    cfg, lo, hi, kind = args
+    instances = [(f"rnd-{idx}", _random_graph(cfg, idx)) for idx in range(lo, hi)]
+    return lo, *_run_instances(cfg, instances, *_KINDS[kind])
+
+
+def _corollary_chunk(args) -> tuple[int, list[dict], dict]:
+    cfg, lo, hi, kind = args
+    ns = cfg.ns()
+    instances = [
+        # tournaments are the densest case
+        (f"crl-{idx}", random_oriented(ns[idx % len(ns)], 1.0, _mix_seed(cfg.seed, idx)))
+        for idx in range(lo, hi)
+    ]
+    return lo, *_run_instances(cfg, instances, *_KINDS[kind])
 
 
 def _config_dict(cfg: SweepConfig) -> dict:
@@ -293,63 +319,22 @@ def run_blowup_suite(
     max_n_subset_dp: int = 22,
 ) -> SweepReport:
     """Tightness construction: class size b forces semidegree b and maximum order 2b."""
-    cfg = SweepConfig(mode="blowup", t_range=t_range, b_range=b_range, stable=stable)
-    agg = _new_agg()
-    records = []
-    budget = OracleBudget(max_n_subset_dp=max_n_subset_dp)
-    for t in range(t_range[0], t_range[1] + 1):
-        for b in range(b_range[0], b_range[1] + 1):
-            t0 = _now_micros()
-            g = blowup_directed_cycle(t, b)
-            rec = _base_record(f"blowup-{t}x{b}", g)
-            agg["instances"] += 1
-            if g.n > budget.max_n_subset_dp:
-                rec["violation"] = "skipped:TooLarge"
-                agg["skipped"] += 1
-                records.append(rec)
-                continue
-            length, _ = longest_alt_path_exact(g, budget)
-            rec["oracle_L"] = length
-            _agg_add_frontier(agg, rec["min_pseudo_semidegree"], length)
-            if min_semidegree(g) != b or length != 2 * b:
-                rec["violation"] = f"blowup:semideg={min_semidegree(g)},L={length},b={b}"
-                agg["violations"] += 1
-            if not stable:
-                rec["micros"] = _now_micros() - t0
-            records.append(rec)
-    return SweepReport(_config_dict(cfg), records, agg)
+    cfg = SweepConfig(mode="blowup", t_range=t_range, b_range=b_range, stable=stable,
+                      max_n_subset_dp=max_n_subset_dp)
+    params = [
+        (t, b) for t in range(t_range[0], t_range[1] + 1) for b in range(b_range[0], b_range[1] + 1)
+    ]
+    sizes = {f"blowup-{t}x{b}": b for t, b in params}
 
-
-def _corollary_chunk(args) -> tuple[int, list[dict], dict]:
-    cfg, lo, hi, _kind = args
-    agg = _new_agg()
-    records = []
-    k = cfg.k
-    ns = cfg.ns()
-    budget = OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp)
-    for idx in range(lo, hi):
-        t0 = _now_micros()
-        inst_seed = _mix_seed(cfg.seed, idx)
-        n = ns[idx % len(ns)]
-        g = random_oriented(n, 1.0, inst_seed)  # tournaments are the densest case
-        rec = _base_record(f"crl-{idx}", g)
-        agg["instances"] += 1
-        needed = (5 * k + 4) * n / 4
-        if g.edge_count <= needed:
-            rec["violation"] = "skipped:edge-bound-not-met"
-            agg["skipped"] += 1
-            records.append(rec)
-            continue
-        length, _ = longest_alt_path_exact(g, budget)
-        rec["oracle_L"] = length
-        _agg_add_frontier(agg, rec["min_pseudo_semidegree"], length)
-        if length < k:
-            rec["violation"] = f"corollary:L={length}<k={k}"
+    def check(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, agg: dict) -> None:
+        b = sizes[rec["graph_id"]]
+        if rec["min_semidegree"] != b or length != 2 * b:
+            rec["violation"] = f"blowup:semideg={rec['min_semidegree']},L={length},b={b}"
             agg["violations"] += 1
-        if not cfg.stable:
-            rec["micros"] = _now_micros() - t0
-        records.append(rec)
-    return lo, records, agg
+
+    instances = [(f"blowup-{t}x{b}", blowup_directed_cycle(t, b)) for t, b in params]
+    records, agg = _run_instances(cfg, instances, _too_large, check)
+    return SweepReport(_config_dict(cfg), records, agg)
 
 
 def run_corollary_sweep(cfg: SweepConfig) -> SweepReport:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._dp_kernels import run_dp
+from ._dp_kernels import BATCH_CELLS, MAX_DP_ORDER, run_dp
 from .altpath import AlternatingPath, ParityFrame, path_from_verts
 from .errors import BadParams, BadParts, NoRespectablePath, TooLarge
 from .graph_core import OrientedGraph, bits
@@ -23,6 +23,8 @@ class OracleBudget:
     def __post_init__(self):
         if self.max_n_subset_dp <= 0 or self.max_n_enumeration <= 0:
             raise BadParams("oracle bounds must be positive")
+        if self.max_n_subset_dp > MAX_DP_ORDER:
+            raise BadParams(f"subset-DP bound above {MAX_DP_ORDER} does not fit its state words")
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -50,30 +52,57 @@ def _reconstruct(g: OrientedGraph, reach, mask: int, state: int) -> list[int]:
     return seq
 
 
+def _check_budget(g: OrientedGraph, budget: OracleBudget) -> None:
+    if g.n > budget.max_n_subset_dp:
+        raise TooLarge(f"n={g.n} exceeds subset-DP budget {budget.max_n_subset_dp}")
+
+
 def longest_alt_path_exact(
     g: OrientedGraph, budget: OracleBudget = DEFAULT_BUDGET
 ) -> tuple[int, AlternatingPath]:
     """Maximum alternating-path order and one witness."""
-    if g.n > budget.max_n_subset_dp:
-        raise TooLarge(f"n={g.n} exceeds subset-DP budget {budget.max_n_subset_dp}")
+    _check_budget(g, budget)
     if g.n == 0:
         return 0, AlternatingPath((), None)
-    best, bm, bs, reach = run_dp(g.out_masks, g.in_masks, g.n)
-    seq = _reconstruct(g, reach, bm, bs)
+    best, bm, bs, reach = run_dp([g.out_masks], [g.in_masks], g.n)
+    seq = _reconstruct(g, reach[0], int(bm[0]), int(bs[0]))
+    best = int(best[0])
     return best, path_from_verts(g, seq) if best >= 2 else AlternatingPath(tuple(seq), None)
 
 
+def longest_alt_path_lengths(
+    graphs: Sequence[OrientedGraph], budget: OracleBudget = DEFAULT_BUDGET
+) -> list[int]:
+    """Maximum alternating-path order of each graph, without witnesses.
+
+    Graphs of one order share kernel calls, in batches of about
+    BATCH_CELLS reach cells.
+    """
+    by_n: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        _check_budget(g, budget)
+        by_n.setdefault(g.n, []).append(i)
+    lengths = [0] * len(graphs)
+    for n, idxs in by_n.items():
+        size = max(1, BATCH_CELLS >> n)
+        for lo in range(0, len(idxs), size):
+            part = idxs[lo:lo + size]
+            best, _, _, _ = run_dp(
+                [graphs[i].out_masks for i in part], [graphs[i].in_masks for i in part], n
+            )
+            for i, length in zip(part, best.tolist()):
+                lengths[i] = length
+    return lengths
+
+
 def has_alt_path_k(g: OrientedGraph, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
-    if g.n > budget.max_n_subset_dp:
-        raise TooLarge(f"n={g.n} exceeds subset-DP budget {budget.max_n_subset_dp}")
+    _check_budget(g, budget)
     if k <= 0:
         return True
     if k > g.n:
         return False
-    if g.n == 0:
-        return False
-    best, _, _, _ = run_dp(g.out_masks, g.in_masks, g.n, want_k=k)
-    return best >= k
+    best, _, _, _ = run_dp([g.out_masks], [g.in_masks], g.n, want_k=k)
+    return int(best[0]) >= k
 
 
 def enumerate_respectable_endpoints(

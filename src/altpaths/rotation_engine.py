@@ -71,6 +71,7 @@ class Certificate:
             "degree": self.degree,
             "bound": self.bound,
             "stage": self.stage,
+            "scope": None if self.scope is None else list(self.scope),
         }
 
 

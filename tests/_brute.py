@@ -1,7 +1,9 @@
 """Independent brute-force referees for the test suite.
 
-Deliberately naive: plain DFS over vertex sequences, no bitmask DP, no
-memoization shared with the library code under test.
+Deliberately naive: plain DFS over vertex sequences, no memoization
+shared with the library code under test.  The one exception is
+alt_path_dp_py, the plain-int subset DP that the numpy kernel must
+reproduce exactly, reach table included.
 """
 from __future__ import annotations
 
@@ -91,3 +93,45 @@ def brute_bipartite_ham_cycle_exists(adj_x, adj_y) -> bool:
             if ok:
                 return True
     return False
+
+
+def alt_path_dp_py(out_masks, in_masks, reach, want_k):
+    """Reference subset DP in mask-index order over plain int lists.
+
+    Fills `reach` (length 2^n, zeroed) and returns (best, best_mask,
+    best_state); with want_k > 0 it returns once best >= want_k.
+    """
+    n = len(out_masks)
+    size = 1 << n
+    for v in range(n):
+        reach[1 << v] = 3 << (2 * v)
+    best, best_mask, best_state = 1, 1, 0
+    if want_k > 0 and best >= want_k:
+        return best, best_mask, best_state
+    full = size - 1
+    for mask in range(1, size):
+        s = reach[mask]
+        if not s:
+            continue
+        pc = mask.bit_count()
+        if pc > best:
+            best, best_mask = pc, mask
+            best_state = (s & -s).bit_length() - 1
+            if want_k > 0 and best >= want_k:
+                return best, best_mask, best_state
+        free = full & ~mask
+        if not free:
+            continue
+        st = s
+        while st:
+            b = st & -st
+            st ^= b
+            idx = b.bit_length() - 1
+            last, role = idx >> 1, idx & 1
+            cand = (out_masks[last] if role == 1 else in_masks[last]) & free
+            while cand:
+                wb = cand & -cand
+                cand ^= wb
+                w = wb.bit_length() - 1
+                reach[mask | wb] |= 1 << (2 * w + (1 - role))
+    return best, best_mask, best_state

@@ -160,6 +160,13 @@ class TestCli:
         assert "n=6" in out and "oracle_L=4" in out
         assert "min_pseudo_semidegree=2" in out
 
+    def test_check_non_ascii_is_format_error(self, tmp_path, capsys):
+        f = tmp_path / "g.el"
+        f.write_bytes("n=3\n0 1 # café\n1 2\n".encode("utf-8"))
+        assert main(["check", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert str(f) in err and "non-ASCII" in err
+
     def test_find(self, tmp_path, capsys):
         f = tmp_path / "g.el"
         f.write_text(to_edgelist(blowup_directed_cycle(3, 2)))

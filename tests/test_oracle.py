@@ -16,9 +16,12 @@ from altpaths.oracle import (
     hamilton_cycle_bipartite_exact,
     has_alt_path_k,
     longest_alt_path_exact,
+    longest_alt_path_lengths,
+    run_dp,
 )
 from conftest import oriented_graphs
 from _brute import (
+    alt_path_dp_py,
     brute_bipartite_ham_cycle_exists,
     brute_longest_alt_path,
     brute_respectable_endpoints,
@@ -178,26 +181,70 @@ class TestBipartiteHamCycle:
 
 
 class TestKernelTwins:
-    def test_python_twin_matches_compiled(self):
-        from altpaths._dp_kernels import alt_path_dp_py, run_dp
+    """The numpy kernel against the plain-int reference DP in _brute."""
 
-        for seed in range(20):
-            g = random_oriented(8, 0.5, 900 + seed)
-            best, bm, bs, reach = run_dp(g.out_masks, g.in_masks, g.n)
-            py_reach = [0] * (1 << g.n)
-            py_best, py_bm, py_bs = alt_path_dp_py(
-                list(g.out_masks), list(g.in_masks), py_reach, 0
-            )
-            assert best == py_best
-            assert list(reach) == py_reach
+    @staticmethod
+    def _graphs():
+        for n in range(0, 11):
+            for seed in range(6):
+                yield random_oriented(n, 0.2 + 0.15 * seed, 900 + 10 * n + seed)
+
+    @staticmethod
+    def _reference(g, want_k=0):
+        reach = [0] * (1 << g.n)
+        best, bm, bs = alt_path_dp_py(list(g.out_masks), list(g.in_masks), reach, want_k)
+        return best, bm, bs, reach
+
+    def test_matches_reference(self):
+        for g in self._graphs():
+            best, bm, bs, reach = run_dp([g.out_masks], [g.in_masks], g.n)
+            ref_best, ref_bm, ref_bs, ref_reach = self._reference(g)
+            assert reach.shape == (1, 1 << g.n)
+            assert reach[0].tolist() == ref_reach
+            if g.n == 0:
+                # the reference seeds best = 1 even with no vertex
+                assert (best[0], bm[0], bs[0]) == (0, 0, 0)
+            else:
+                assert (best[0], bm[0], bs[0]) == (ref_best, ref_bm, ref_bs)
+
+    def test_mixed_batch_matches_single_calls(self):
+        # densities 0 to 0.9, so the batch holds graphs whose layers stop early
+        graphs = [random_oriented(7, 0.1 * (i % 10), 40 + i) for i in range(30)]
+        best, bm, bs, reach = run_dp(
+            [g.out_masks for g in graphs], [g.in_masks for g in graphs], 7
+        )
+        for i, g in enumerate(graphs):
+            one = run_dp([g.out_masks], [g.in_masks], 7)
+            assert (best[i], bm[i], bs[i]) == (one[0][0], one[1][0], one[2][0])
+            assert reach[i].tolist() == one[3][0].tolist()
+        assert longest_alt_path_lengths(graphs) == [int(b) for b in best]
+
+    def test_lengths_group_by_order(self):
+        graphs = [random_oriented(n, 0.5, 70 + n) for n in (6, 0, 9, 6, 1, 9, 12)]
+        expected = [longest_alt_path_exact(g)[0] for g in graphs]
+        assert longest_alt_path_lengths(graphs) == expected
+        with pytest.raises(errors.TooLarge):
+            longest_alt_path_lengths(graphs, OracleBudget(max_n_subset_dp=8))
 
     def test_early_exit_agrees(self):
-        from altpaths._dp_kernels import run_dp
-
-        g = blowup_directed_cycle(4, 2)
-        full_best, _, _, _ = run_dp(g.out_masks, g.in_masks, g.n)
-        want_best, _, _, _ = run_dp(g.out_masks, g.in_masks, g.n, want_k=3)
-        assert full_best == 4 and want_best >= 3
+        for g in self._graphs():
+            if g.n == 0:
+                continue
+            full_best, full_bm, full_bs, full_reach = run_dp([g.out_masks], [g.in_masks], g.n)
+            length = int(full_best[0])
+            for want_k in range(1, g.n + 2):
+                best, bm, bs, reach = run_dp([g.out_masks], [g.in_masks], g.n, want_k=want_k)
+                assert best[0] == min(length, want_k)
+                assert (best[0] >= want_k) == (self._reference(g, want_k)[0] >= want_k)
+                if length <= want_k:
+                    assert (bm[0], bs[0]) == (full_bm[0], full_bs[0])
+                    assert reach[0].tolist() == full_reach[0].tolist()
+                else:
+                    # the layers up to want_k are complete, and nothing beyond
+                    low = [m for m in range(1 << g.n) if m.bit_count() <= want_k]
+                    high = [m for m in range(1 << g.n) if m.bit_count() > want_k]
+                    assert reach[0][low].tolist() == full_reach[0][low].tolist()
+                    assert not reach[0][high].any()
 
 
 class TestDegreeBoundSmallCases:

@@ -7,6 +7,7 @@ from altpaths.altpath import ParityFrame, frame_of, path_from_verts, validate
 from altpaths.graph_core import (
     blowup_directed_cycle,
     from_edge_list,
+    min_pseudo_semidegree,
     random_oriented,
 )
 from altpaths.oracle import longest_alt_path_exact
@@ -314,4 +315,22 @@ class TestFinder:
             from_edge_list([(o, e) for o in (0, 1, 2) for e in (3, 4, 5)], 6), FRAME3
         )
         doc = Certificate.to_json(cert)
-        assert set(doc) == {"vertex", "side", "degree", "bound", "stage"}
+        assert set(doc) == {"vertex", "side", "degree", "bound", "stage", "scope"}
+
+    def test_certificates_reverify_from_json(self):
+        # finds above kmax end in diagnostics; each emitted certificate must
+        # recount correctly from its JSON form alone
+        checked = 0
+        for n in range(10, 15):
+            for seed in range(12):
+                g = random_oriented(n, 0.5, 3000 + 100 * n + seed)
+                pseudo = min_pseudo_semidegree(g)
+                kmax = 0 if pseudo is None else (8 * pseudo - 1) // 5
+                for k in range(kmax + 1, n + 1):
+                    out = find_alternating_path(g, k)
+                    if out.outcome != "diagnostic":
+                        continue
+                    doc = json.loads(json.dumps(out.to_json()))
+                    assert certificate_is_sound(g, Certificate(**doc["certificate"]))
+                    checked += 1
+        assert checked > 0
