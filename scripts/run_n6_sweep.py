@@ -8,6 +8,7 @@ machine (Python 3.11, numpy 2.4) the whole sweep took 167 s.
 """
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -21,7 +22,7 @@ from altpaths.harness import (
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--workers", type=int, default=8)
+    ap.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
     ap.add_argument("--chunk-size", type=int, default=50000)
     ap.add_argument("--out", default=None, help="optional JSON report path")
     args = ap.parse_args()

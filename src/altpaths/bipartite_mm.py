@@ -12,6 +12,8 @@ from .altpath import ParityFrame
 from .errors import BadParams, BudgetExceeded, NotOnCycle
 from .graph_core import OrientedGraph, bits
 
+MAX_EXACT_M = 16  # largest part size handed to the exact Hamilton backtracker
+
 
 @dataclass(frozen=True)
 class BipartiteView:
@@ -73,6 +75,19 @@ def drop_vertices(h: BipartiteView, drop_x: int | None, drop_y: int | None) -> B
     )
 
 
+def _low_degree_class(h: BipartiteView, slack: int) -> tuple[int, list[int]] | None:
+    """Smallest l in 1..m/2 where some part has >= l vertices of degree <= l + slack.
+
+    Returns (l, those vertices of the first such part, X before Y), or None.
+    """
+    for ell in range(1, h.m // 2 + 1):
+        for verts, adj in ((h.xs, h.adj_x), (h.ys, h.adj_y)):
+            low = [v for v, mask in zip(verts, adj) if mask.bit_count() <= ell + slack]
+            if len(low) >= ell:
+                return ell, low
+    return None
+
+
 def moon_moser_check(h: BipartiteView) -> tuple[int, list[int]] | None:
     """None on pass; else (smallest failing l, offending global vertices).
 
@@ -81,14 +96,7 @@ def moon_moser_check(h: BipartiteView) -> tuple[int, list[int]] | None:
     """
     if h.m < 2:
         raise BadParams("Moon-Moser condition needs m >= 2")
-    for ell in range(1, h.m // 2 + 1):
-        low_x = [h.xs[i] for i in range(h.m) if h.deg_x(i) <= ell]
-        if len(low_x) >= ell:
-            return ell, low_x
-        low_y = [h.ys[j] for j in range(h.m) if h.deg_y(j) <= ell]
-        if len(low_y) >= ell:
-            return ell, low_y
-    return None
+    return _low_degree_class(h, 0)
 
 
 def _normalize_cycle(cycle: list[int]) -> list[int]:
@@ -166,7 +174,7 @@ def _posa_cycle(h: BipartiteView, max_steps: int) -> list[int] | None:
     return None
 
 
-def mm_hamilton_cycle(h: BipartiteView, max_exact_m: int = 16) -> list[int] | None:
+def mm_hamilton_cycle(h: BipartiteView) -> list[int] | None:
     """Spanning X/Y-alternating cycle as global vertex ids, or None.
 
     Constructive rotation-extension first; exact backtracking second.
@@ -176,8 +184,8 @@ def mm_hamilton_cycle(h: BipartiteView, max_exact_m: int = 16) -> list[int] | No
     cyc = _posa_cycle(h, max_steps=40 * h.m * h.m)
     if cyc is not None and cycle_is_valid(h, cyc):
         return cyc
-    if h.m > max_exact_m:
-        raise BudgetExceeded(f"m={h.m} beyond exact search budget {max_exact_m}")
+    if h.m > MAX_EXACT_M:
+        raise BudgetExceeded(f"m={h.m} beyond exact search budget {MAX_EXACT_M}")
     found = oracle.hamilton_cycle_bipartite_exact(h.adj_x, h.adj_y)
     if found is None:
         return None

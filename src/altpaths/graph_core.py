@@ -288,10 +288,6 @@ def parse_digraph6(line: str) -> OrientedGraph:
     return from_edge_list(edges, n)
 
 
-def parse_digraph6_stream(text: str) -> list[OrientedGraph]:
-    return [parse_digraph6(line) for line in text.splitlines() if line.strip()]
-
-
 def load_graph(path: str, fmt: str = "edgelist") -> OrientedGraph:
     try:
         with open(path, "r", encoding="ascii") as f:

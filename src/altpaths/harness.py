@@ -288,14 +288,22 @@ def _run_chunked(cfg: SweepConfig, total: int, worker, instance_kind: str) -> Sw
     return SweepReport(_config_dict(cfg), records, agg)
 
 
+def _run_exhaustive(cfg: SweepConfig, instance_kind: str) -> SweepReport:
+    """Every labeled oriented graph of the one order the config names."""
+    ns = cfg.ns()
+    if len(ns) != 1:
+        raise BadParams(f"an exhaustive sweep takes one order, got n = {ns[0]}..{ns[-1]}")
+    n = ns[0]
+    if n > cfg.max_n_exhaustive:
+        raise TooLarge(f"exhaustive n={n} above bound {cfg.max_n_exhaustive}")
+    cfg = dataclasses.replace(cfg, n=n)
+    return _run_chunked(cfg, num_oriented(n), _exhaustive_chunk, instance_kind)
+
+
 def run_theorem_sweep(cfg: SweepConfig) -> SweepReport:
     """Oracle plus constructive finder over an exhaustive or random family."""
     if cfg.mode == "exhaustive":
-        n = cfg.ns()[0]
-        if n > cfg.max_n_exhaustive:
-            raise TooLarge(f"exhaustive n={n} above bound {cfg.max_n_exhaustive}")
-        cfg.n = n
-        return _run_chunked(cfg, num_oriented(n), _exhaustive_chunk, "theorem")
+        return _run_exhaustive(cfg, "theorem")
     if cfg.mode == "random":
         return _run_chunked(cfg, cfg.samples, _random_chunk, "theorem")
     raise BadParams(f"theorem sweep does not support mode {cfg.mode!r}")
@@ -304,11 +312,7 @@ def run_theorem_sweep(cfg: SweepConfig) -> SweepReport:
 def run_oddcase_sweep(cfg: SweepConfig) -> SweepReport:
     """Check odd-length maxima against twice the pseudo-semidegree minus one."""
     if cfg.mode == "exhaustive":
-        n = cfg.ns()[0]
-        if n > cfg.max_n_exhaustive:
-            raise TooLarge(f"exhaustive n={n} above bound {cfg.max_n_exhaustive}")
-        cfg.n = n
-        return _run_chunked(cfg, num_oriented(n), _exhaustive_chunk, "oddcase")
+        return _run_exhaustive(cfg, "oddcase")
     return _run_chunked(cfg, cfg.samples, _random_chunk, "oddcase")
 
 
@@ -316,11 +320,9 @@ def run_blowup_suite(
     t_range: tuple[int, int] = (3, 5),
     b_range: tuple[int, int] = (1, 3),
     stable: bool = False,
-    max_n_subset_dp: int = 22,
 ) -> SweepReport:
     """Tightness construction: class size b forces semidegree b and maximum order 2b."""
-    cfg = SweepConfig(mode="blowup", t_range=t_range, b_range=b_range, stable=stable,
-                      max_n_subset_dp=max_n_subset_dp)
+    cfg = SweepConfig(mode="blowup", t_range=t_range, b_range=b_range, stable=stable)
     params = [
         (t, b) for t in range(t_range[0], t_range[1] + 1) for b in range(b_range[0], b_range[1] + 1)
     ]

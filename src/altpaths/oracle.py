@@ -67,7 +67,7 @@ def longest_alt_path_exact(
     best, bm, bs, reach = run_dp([g.out_masks], [g.in_masks], g.n)
     seq = _reconstruct(g, reach[0], int(bm[0]), int(bs[0]))
     best = int(best[0])
-    return best, path_from_verts(g, seq) if best >= 2 else AlternatingPath(tuple(seq), None)
+    return best, path_from_verts(g, seq)
 
 
 def longest_alt_path_lengths(

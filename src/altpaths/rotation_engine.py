@@ -22,7 +22,15 @@ from .altpath import (
     trim,
     validate,
 )
-from .bipartite_mm import build_H, cut_cycle_at, drop_vertices, mm_hamilton_cycle, moon_moser_check
+from .bipartite_mm import (
+    BipartiteView,
+    _low_degree_class,
+    build_H,
+    cut_cycle_at,
+    drop_vertices,
+    mm_hamilton_cycle,
+    moon_moser_check,
+)
 from .errors import BadParams, BadPivot, BudgetExceeded, DebugCheckFailure
 from .graph_core import OrientedGraph, bits, min_pseudo_semidegree
 from .oracle import OracleBudget, longest_alt_path_exact
@@ -98,19 +106,8 @@ class AltSpanningCycle:
 
 
 def cycle_is_valid(g: OrientedGraph, frame: ParityFrame, cyc: AltSpanningCycle) -> bool:
-    vs = cyc.verts
-    if len(vs) != 2 * frame.m or set(vs) != set(frame.all_verts):
-        return False
-    for a, b in zip(vs, vs[1:] + vs[:1]):
-        if a in frame.sources and b in frame.sinks:
-            if not g.has_edge(a, b):
-                return False
-        elif a in frame.sinks and b in frame.sources:
-            if not g.has_edge(b, a):
-                return False
-        else:
-            return False
-    return True
+    """The spanning-cycle check of the frame's source->sink bipartite view."""
+    return bipartite_mm.cycle_is_valid(build_H(g, frame), list(cyc.verts))
 
 
 Extension = tuple[tuple[int, ...], int, bool]  # (extended path, outside vertex, at_start)
@@ -263,18 +260,16 @@ def start_closure(
         path = queue.popleft()
         pos = {v: i for i, v in enumerate(path)}
         candidates: list[tuple[int, ...]] = []
-        u = path[0]
-        for v in bits(g.out_masks[u] & sink_mask):
+        for v in bits(g.out_masks[path[0]] & sink_mask):
             j = pos[v]
             if j == 1:
                 continue  # degenerate rotation along the first edge
-            candidates.append(tuple(reversed(path[:j])) + path[j:])
-        t = path[-1]
-        for v in bits(g.in_masks[t] & source_mask):
+            candidates.append(rotate_at_start(g, frame, path, j))
+        for v in bits(g.in_masks[path[-1]] & source_mask):
             j = pos[v]
             if j == len(path) - 2:
                 continue
-            candidates.append(path[: j + 1] + tuple(reversed(path[j + 1 :])))
+            candidates.append(rotate_at_end(g, frame, path, j))
         for new in candidates:
             key = (new[0], new[-1])
             if key in seen:
@@ -313,7 +308,7 @@ def _end_closure_from(
             j = pos[v]
             if j == len(path) - 2:
                 continue
-            new = path[: j + 1] + tuple(reversed(path[j + 1 :]))
+            new = rotate_at_end(g, frame, path, j)
             if new[-1] not in found:
                 if debug:
                     _check_rotation(g, frame, new)
@@ -372,7 +367,7 @@ def evenham_cycle(
             and rb[j + 1] in frame.sinks
             and g.has_edge(a, rb[j + 1])
         ):
-            cyc = AltSpanningCycle(rb[: j + 1] + tuple(reversed(rb[j + 1 :])))
+            cyc = AltSpanningCycle(rotate_at_end(g, frame, rb, j))
             if debug:
                 debug_stats.cycles_checked += 1
                 if not cycle_is_valid(g, frame, cyc):
@@ -404,37 +399,34 @@ def extension_scan_on_cycle(
     return None
 
 
+def _undirected_certificate(h: BipartiteView, v: int, bound: float, stage: str) -> Certificate:
+    """Certificate for v's degree in h, counted within the opposite part."""
+    if v in h.xs:
+        return Certificate(v, "undirected", h.deg_x(h.xs.index(v)), bound, stage, h.ys)
+    return Certificate(v, "undirected", h.deg_y(h.ys.index(v)), bound, stage, h.xs)
+
+
 def lemma_forgotten_check(
     g: OrientedGraph, frame: ParityFrame, k: int, debug: bool = False
 ) -> Certificate | None:
     """Per-class count of low bipartite degrees; None on pass.
 
-    Fails (with the smallest offending threshold) when some class has at
-    least l vertices of undirected source->sink degree at most l+1.
+    The Moon-Moser count with every threshold raised by one: fails (with
+    the smallest offending l) when some class has at least l vertices of
+    undirected source->sink degree at most l+1.  k is not used.
     """
     h = build_H(g, frame)
-    m = frame.m
-    for ell in range(1, m // 2 + 1):
-        low_x = [h.xs[i] for i in range(m) if h.deg_x(i) <= ell + 1]
-        if len(low_x) >= ell:
-            v = min(low_x)
-            deg = h.deg_x(h.xs.index(v))
-            return Certificate(v, "undirected", deg, ell + 1, "lemma-count", h.ys)
-        low_y = [h.ys[j] for j in range(m) if h.deg_y(j) <= ell + 1]
-        if len(low_y) >= ell:
-            v = min(low_y)
-            deg = h.deg_y(h.ys.index(v))
-            return Certificate(v, "undirected", deg, ell + 1, "lemma-count", h.xs)
+    low = _low_degree_class(h, 1)
+    if low is not None:
+        ell, verts = low
+        return _undirected_certificate(h, min(verts), ell + 1, "lemma-count")
     if debug:
         debug_stats.lemmas_checked += 1
     return None
 
 
 def build_Q(
-    g: OrientedGraph,
-    frame: ParityFrame,
-    cyc: AltSpanningCycle | None = None,
-    debug: bool = False,
+    g: OrientedGraph, frame: ParityFrame, debug: bool = False
 ) -> tuple[AlternatingPath, ParityFrame] | Certificate:
     """Rebuild the path so it starts with an outside vertex.
 
@@ -483,30 +475,17 @@ def build_Q(
         e = min(frame.sinks)
         h2 = drop_vertices(h, q2, e)
         if h2.m == 1:
-            v = h2.xs[0]
-            return Certificate(v, "undirected", h2.adj_x[0].bit_count(), 1.0, "MM-fail", h2.ys)
+            return _undirected_certificate(h2, h2.xs[0], 1.0, "MM-fail")
         fail_ell, witnesses = moon_moser_check(h2)  # type: ignore[misc]
-        v = min(witnesses)
-        if v in h2.xs:
-            deg, scope = h2.adj_x[h2.xs.index(v)].bit_count(), h2.ys
-        else:
-            deg, scope = h2.adj_y[h2.ys.index(v)].bit_count(), h2.xs
-        return Certificate(v, "undirected", deg, float(fail_ell), "MM-fail", scope)
+        return _undirected_certificate(h2, min(witnesses), float(fail_ell), "MM-fail")
 
     if hprime.m == 1:
         ham_path = [hprime.xs[0], hprime.ys[0]]
     else:
         cycle = mm_hamilton_cycle(hprime)
         if cycle is None:
-            i_min = min(range(hprime.m), key=lambda i: hprime.adj_x[i].bit_count())
-            return Certificate(
-                hprime.xs[i_min],
-                "undirected",
-                hprime.adj_x[i_min].bit_count(),
-                float(hprime.m),
-                "ham-fail",
-                hprime.ys,
-            )
+            i_min = min(range(hprime.m), key=hprime.deg_x)
+            return _undirected_certificate(hprime, hprime.xs[i_min], float(hprime.m), "ham-fail")
         ham_path = cut_cycle_at(cycle, q3)
     qverts = (q1, q2) + tuple(ham_path)
     qpath = path_from_verts(g, qverts)
@@ -519,10 +498,7 @@ def build_Q(
 
 
 def two_sided_closure_extension(
-    g: OrientedGraph,
-    verts: tuple[int, ...],
-    max_states: int = 0,
-    debug: bool = False,
+    g: OrientedGraph, verts: tuple[int, ...], debug: bool = False
 ) -> tuple[int, ...] | None:
     """Rotation closure of an arbitrary stuck alternating path.
 
@@ -533,8 +509,7 @@ def two_sided_closure_extension(
     verts = tuple(verts)
     if len(verts) < 2:
         return None
-    if max_states <= 0:
-        max_states = max(4 * len(verts) * len(verts), 64)
+    max_states = max(4 * len(verts) * len(verts), 64)
     used_mask = _mask_of(verts)
     outside_mask = ((1 << g.n) - 1) & ~used_mask
 
@@ -595,7 +570,6 @@ def two_sided_closure_extension(
 @dataclass
 class EngineBudget:
     rounds: int | None = None  # default 4*k
-    closure_state_factor: int = 4  # state cap = factor * m^2
     oracle: OracleBudget = field(default_factory=OracleBudget)
     debug: bool = False
 
@@ -616,12 +590,10 @@ def find_alternating_path(
     rounds = 0
 
     def found(vs) -> FinderOutcome:
-        p = trim(path_from_verts(g, vs) if len(vs) >= 2 else AlternatingPath(tuple(vs), None), k)
-        return FinderOutcome("found", p, None, None, rounds, cond)
+        return FinderOutcome("found", trim(path_from_verts(g, vs), k), None, None, rounds, cond)
 
     def gave_up(reason: str, vs) -> FinderOutcome:
-        best = path_from_verts(g, vs) if len(vs) >= 2 else AlternatingPath(tuple(vs), None)
-        return FinderOutcome("gave_up", best, None, reason, rounds, cond)
+        return FinderOutcome("gave_up", path_from_verts(g, vs), None, reason, rounds, cond)
 
     def diagnostic(cert: Certificate, m: int) -> FinderOutcome:
         if budget.debug and cond and 2 * m < k:
@@ -666,9 +638,7 @@ def find_alternating_path(
         frame = frame_of(path_from_verts(g, verts))
         m = frame.m
         try:
-            closure = start_closure(
-                g, frame, verts, budget.closure_state_factor * m * m, budget.debug
-            )
+            closure = start_closure(g, frame, verts, debug=budget.debug)
         except BudgetExceeded:
             return gave_up("BudgetExceeded", verts)
         if closure.extension is not None:
@@ -686,7 +656,7 @@ def find_alternating_path(
         lem = lemma_forgotten_check(g, frame, k, budget.debug)
         if lem is not None:
             return diagnostic(lem, m)
-        q = build_Q(g, frame, cyc, budget.debug)
+        q = build_Q(g, frame, budget.debug)
         if isinstance(q, Certificate):
             return diagnostic(q, m)
         qpath, _ = q

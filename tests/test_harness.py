@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -45,6 +46,14 @@ class TestTheoremSweep:
         assert agg["counterexamples"] == 0
         assert agg["finder_failures"] == 0
         assert not sweep_failed(report)
+
+    def test_exhaustive_leaves_config_unchanged(self):
+        for run in (run_theorem_sweep, run_oddcase_sweep):
+            cfg = SweepConfig(mode="exhaustive", n_range=(3, 3), stable=True)
+            before = dataclasses.asdict(cfg)
+            report = run(cfg)
+            assert dataclasses.asdict(cfg) == before
+            assert report.config["n"] == 3 and report.aggregates["instances"] == 27
 
     def test_exhaustive_too_large(self):
         with pytest.raises(errors.TooLarge):
@@ -200,6 +209,11 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--mode", "nope"])
         assert exc.value.code == 2
+
+    def test_sweep_exhaustive_range_is_usage_error(self, capsys):
+        # an exhaustive sweep covers one order; a range must not be cut to its first
+        assert main(["sweep", "--mode", "exhaustive", "--n-range", "3..4"]) == 2
+        assert "one order" in capsys.readouterr().err
 
     def test_sweep_vacuous_is_usage_error(self, capsys):
         rc = main(["sweep", "--mode", "corollary", "--k", "4", "--n", "8"])

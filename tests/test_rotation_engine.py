@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -300,6 +301,26 @@ class TestFinder:
                     assert out.outcome == "found"
                 if out.outcome == "found":
                     assert out.path.order == k and validate(g, out.path)
+
+    def test_outcomes_beyond_kmax_pinned(self):
+        # above the threshold the finder runs its closures, spanning cycles,
+        # lemma count and oracle fallback; pin every outcome byte for byte
+        digest = hashlib.sha256()
+        finds = 0
+        for n in range(8, 15):
+            for seed in range(6):
+                for p in (0.3, 0.5, 0.8):
+                    g = random_oriented(n, p, 4000 + 100 * n + 10 * seed + int(10 * p))
+                    pseudo = min_pseudo_semidegree(g)
+                    kmax = 0 if pseudo is None else (8 * pseudo - 1) // 5
+                    for k in range(max(kmax + 1, 2), n + 1):
+                        out = find_alternating_path(g, k)
+                        digest.update(json.dumps(out.to_json(), sort_keys=True).encode())
+                        finds += 1
+        assert finds == 1211
+        assert digest.hexdigest() == (
+            "f31b544c0ad1173add2e4c63fe3270f31b280770b7331a3683a8c12b37a4561c"
+        )
 
     def test_outcome_json_shape(self):
         out = find_alternating_path(KB2, 4)
