@@ -4,7 +4,8 @@
 Runs the oracle plus the constructive finder on every graph, keeping only
 violating records; prints the aggregate summary and exits 1 on any
 counterexample or finder failure.  With --workers 2 on a 2-core x86-64
-machine (Python 3.11, numpy 2.4) the whole sweep took 167 s.
+machine (Python 3.11, numpy 2.4) the whole sweep took 235-251 s in two
+runs.
 """
 import argparse
 import json

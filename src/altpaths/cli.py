@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a verification sweep")
     p_sweep.add_argument(
         "--mode",
-        choices=["exhaustive", "random", "blowup", "corollary", "oddcase"],
+        choices=["exhaustive", "random", "blowup", "corollary", "oddcase", "oddcase-exhaustive"],
         required=True,
     )
     p_sweep.add_argument("--n", type=int)
@@ -105,7 +105,8 @@ def _cmd_find(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = harness.SweepConfig(
-        mode=args.mode,
+        # the odd-case sweep enumerates every labeled graph in exhaustive mode
+        mode="exhaustive" if args.mode == "oddcase-exhaustive" else args.mode,
         n=args.n,
         n_range=args.n_range,
         k=args.k,
@@ -121,7 +122,7 @@ def _cmd_sweep(args) -> int:
     )
     if args.mode in ("exhaustive", "random"):
         report = harness.run_theorem_sweep(cfg)
-    elif args.mode == "oddcase":
+    elif args.mode in ("oddcase", "oddcase-exhaustive"):
         report = harness.run_oddcase_sweep(cfg)
     elif args.mode == "blowup":
         report = harness.run_blowup_suite(cfg.t_range, cfg.b_range, cfg.stable)

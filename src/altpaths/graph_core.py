@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -32,12 +33,43 @@ def bits(mask: int) -> Iterator[int]:
 
 
 @dataclass(frozen=True)
+class DegreeSummary:
+    """Degree minima and edge count of one graph; OrientedGraph.degree_summary caches it."""
+
+    min_semidegree: int | None
+    min_pseudo_semidegree: int | None
+    edge_count: int
+
+    @classmethod
+    def of(cls, g: OrientedGraph) -> DegreeSummary:
+        return g.degree_summary
+
+
+@dataclass(frozen=True)
 class OrientedGraph:
     """Immutable oriented graph; out_masks[v] / in_masks[v] are neighbor bitmasks."""
 
     n: int
     out_masks: tuple[int, ...]
     in_masks: tuple[int, ...]
+
+    @cached_property
+    def degree_summary(self) -> DegreeSummary:
+        """Minimum semidegree (None iff n == 0), pseudo-semidegree, edge count; one pass."""
+        edges = 0
+        semi = pseudo = self.n  # every degree is below n
+        for out_mask, in_mask in zip(self.out_masks, self.in_masks):
+            lo, hi = out_mask.bit_count(), in_mask.bit_count()
+            edges += lo
+            if lo > hi:
+                lo, hi = hi, lo
+            if lo < semi:
+                semi = lo
+            # the smaller positive side; 0 when the vertex is isolated
+            positive = lo or hi
+            if positive and positive < pseudo:
+                pseudo = positive
+        return DegreeSummary(semi if self.n else None, pseudo if edges else None, edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.out_masks[u] >> v) & 1)
@@ -56,7 +88,7 @@ class OrientedGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.out_masks)
+        return self.degree_summary.edge_count
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.out_masks[u])]
@@ -106,29 +138,12 @@ def check_invariants(g: OrientedGraph) -> None:
 def min_semidegree(g: OrientedGraph) -> int:
     if g.n == 0:
         raise EmptyGraph("semidegree undefined on the empty vertex set")
-    return min(min(g.d_out(v), g.d_in(v)) for v in range(g.n))
+    return g.degree_summary.min_semidegree
 
 
 def min_pseudo_semidegree(g: OrientedGraph) -> int | None:
     """Minimum over all strictly positive in/out degrees; None iff no edges."""
-    best: int | None = None
-    for v in range(g.n):
-        for d in (g.d_out(v), g.d_in(v)):
-            if d > 0 and (best is None or d < best):
-                best = d
-    return best
-
-
-@dataclass(frozen=True)
-class DegreeSummary:
-    min_semidegree: int | None
-    min_pseudo_semidegree: int | None
-    edge_count: int
-
-    @classmethod
-    def of(cls, g: OrientedGraph) -> "DegreeSummary":
-        semi = min_semidegree(g) if g.n else None
-        return cls(semi, min_pseudo_semidegree(g), g.edge_count)
+    return g.degree_summary.min_pseudo_semidegree
 
 
 def induced_subgraph(
@@ -193,19 +208,24 @@ def num_oriented(n: int) -> int:
     return 3 ** (n * (n - 1) // 2)
 
 
+@cache
+def _code_table(n: int) -> tuple[tuple[tuple[int, int], int, int], ...]:
+    """Per base-3 digit of an order-n code: ((1<<v, 1<<u), u, v) in pair_order."""
+    return tuple(((1 << v, 1 << u), u, v) for u, v in pair_order(n))
+
+
 def graph_from_code(n: int, code: int) -> OrientedGraph:
     """Decode a base-3 code (digit order: pair_order, values absent/forward/backward)."""
     out_masks = [0] * n
     in_masks = [0] * n
-    for u, v in pair_order(n):
-        digit = code % 3
-        code //= 3
+    for (bit_v, bit_u), u, v in _code_table(n):
+        code, digit = divmod(code, 3)
         if digit == 1:
-            out_masks[u] |= 1 << v
-            in_masks[v] |= 1 << u
+            out_masks[u] |= bit_v
+            in_masks[v] |= bit_u
         elif digit == 2:
-            out_masks[v] |= 1 << u
-            in_masks[u] |= 1 << v
+            out_masks[v] |= bit_u
+            in_masks[u] |= bit_v
     return _graph_from_masks(n, out_masks, in_masks)
 
 

@@ -15,6 +15,9 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .altpath import validate
 from .errors import BadParams, IoFailure, TooLarge, VacuousParams
@@ -126,11 +129,13 @@ def _merge_agg(into: dict, other: dict) -> None:
 
 
 def _base_record(graph_id: str, g: OrientedGraph) -> dict:
+    # the first degree query fills the graph's cached summary; the others read it
+    pseudo = min_pseudo_semidegree(g)
     return {
         "graph_id": graph_id,
         "n": g.n,
         "edges": g.edge_count,
-        "min_pseudo_semidegree": min_pseudo_semidegree(g),
+        "min_pseudo_semidegree": pseudo,
         "min_semidegree": min_semidegree(g) if g.n else None,
         "oracle_L": None,
         "finder_outcome": "",
@@ -148,6 +153,12 @@ def _edge_bound_not_met(cfg: SweepConfig, g: OrientedGraph) -> str | None:
     return "edge-bound-not-met" if g.edge_count <= (5 * cfg.k + 4) * g.n / 4 else None
 
 
+@cache
+def _finder_budget(max_n_subset_dp: int, debug: bool) -> EngineBudget:
+    """One shared finder budget per setting; the finder never mutates its budget."""
+    return EngineBudget(oracle=OracleBudget(max_n_subset_dp=max_n_subset_dp), debug=debug)
+
+
 def _check_theorem(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, agg: dict) -> None:
     kmax = max_k_for(rec["min_pseudo_semidegree"])
     if kmax < 1:
@@ -155,8 +166,7 @@ def _check_theorem(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, a
     if length < kmax:
         rec["violation"] = f"counterexample:L={length}<k={kmax}"
         agg["counterexamples"] += 1
-    budget = OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp)
-    out = find_alternating_path(g, kmax, EngineBudget(oracle=budget, debug=cfg.debug))
+    out = find_alternating_path(g, kmax, _finder_budget(cfg.max_n_subset_dp, cfg.debug))
     rec["finder_outcome"] = out.outcome
     rec["rounds"] = out.rounds
     ok = (
@@ -357,13 +367,48 @@ def run_corollary_sweep(cfg: SweepConfig) -> SweepReport:
 # --- report emission -------------------------------------------------------
 
 
+# the JSON text of a record value, by its exact type
+_JSON_SCALARS = {
+    type(None): {None: "null"}.__getitem__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+}
+
+
+def _records_json(records: list[dict]) -> str:
+    """The records list exactly as json.dumps(sort_keys=True, indent=2) nests it in the report.
+
+    Every record must have the first record's keys (at least two) and only
+    values of the types in _JSON_SCALARS; anything else raises TypeError.
+    """
+    if not records:
+        return "[]"
+    keys = sorted(records[0])
+    if len(keys) < 2:
+        raise TypeError(f"report records need at least two keys, got {keys}")
+    template = "    {\n%s\n    }" % ",\n".join(
+        f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys
+    )
+    values = itemgetter(*keys)
+    scalars = _JSON_SCALARS
+    parts = []
+    try:
+        for rec in records:
+            if len(rec) != len(keys):
+                raise KeyError(sorted(rec))
+            parts.append(template % tuple([scalars[type(v)](v) for v in values(rec)]))
+    except KeyError as exc:
+        raise TypeError(f"record {len(parts)} does not fit the report template: {exc}") from exc
+    return "[\n%s\n  ]" % ",\n".join(parts)
+
+
 def report_to_json(report: SweepReport) -> str:
-    doc = {
-        "config": report.config,
-        "aggregates": report.aggregates,
-        "records": report.records,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    head = json.dumps(
+        {"config": report.config, "aggregates": report.aggregates}, sort_keys=True, indent=2
+    )
+    # head ends with the closing "\n}"; "records" sorts after both keys
+    return f'{head[:-2]},\n  "records": {_records_json(report.records)}\n}}\n'
 
 
 def report_to_csv(report: SweepReport) -> str:

@@ -3,7 +3,8 @@
 Deliberately naive: plain DFS over vertex sequences, no memoization
 shared with the library code under test.  The one exception is
 alt_path_dp_py, the plain-int subset DP that the numpy kernel must
-reproduce exactly, reach table included.
+reproduce exactly, reach table included.  The per-vertex degree minima
+are the references for the graph's cached one-pass degree summary.
 """
 from __future__ import annotations
 
@@ -23,6 +24,27 @@ def is_alt_sequence(g, verts) -> bool:
         else:
             return False
     return all(x != y for x, y in zip(dirs, dirs[1:]))
+
+
+def brute_min_semidegree(g):
+    """Minimum of min(out-degree, in-degree) over the vertices; None when n == 0."""
+    if g.n == 0:
+        return None
+    return min(min(g.d_out(v), g.d_in(v)) for v in range(g.n))
+
+
+def brute_min_pseudo_semidegree(g):
+    """Minimum over all strictly positive in/out degrees; None iff no edges."""
+    best = None
+    for v in range(g.n):
+        for d in (g.d_out(v), g.d_in(v)):
+            if d > 0 and (best is None or d < best):
+                best = d
+    return best
+
+
+def brute_edge_count(g) -> int:
+    return sum(m.bit_count() for m in g.out_masks)
 
 
 def brute_longest_alt_path(g) -> int:

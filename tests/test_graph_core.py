@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altpaths import errors
@@ -19,6 +19,7 @@ from altpaths.graph_core import (
     random_oriented,
     to_edgelist,
 )
+from _brute import brute_edge_count, brute_min_pseudo_semidegree, brute_min_semidegree
 from conftest import oriented_graphs
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
@@ -81,6 +82,37 @@ class TestDegrees:
         g = blowup_directed_cycle(3, 2)
         s = DegreeSummary.of(g)
         assert s == DegreeSummary(2, 2, 12)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """An enumerated graph on m <= n vertices placed among n, the rest isolated."""
+    n = draw(st.integers(0, 9))
+    m = draw(st.integers(0, min(n, 6)))
+    core = graph_from_code(m, draw(st.integers(0, num_oriented(m) - 1)))
+    place = draw(st.permutations(range(n)))
+    return from_edge_list([(place[u], place[v]) for u, v in core.edges()], n)
+
+
+class TestDegreeSummaryReference:
+    @given(st.one_of(oriented_graphs(min_n=0), graphs_with_isolated_vertices()))
+    @example(from_edge_list([], 0))
+    @example(from_edge_list([], 5))
+    @example(from_edge_list([(0, 1)], 4))
+    @settings(max_examples=400, deadline=None)
+    def test_one_pass_summary_matches_per_vertex_minima(self, g):
+        summary = g.degree_summary
+        assert summary == DegreeSummary(
+            brute_min_semidegree(g), brute_min_pseudo_semidegree(g), brute_edge_count(g)
+        )
+        assert g.degree_summary is summary and DegreeSummary.of(g) is summary
+        assert min_pseudo_semidegree(g) == summary.min_pseudo_semidegree
+        assert g.edge_count == summary.edge_count
+        if g.n:
+            assert min_semidegree(g) == summary.min_semidegree
+        else:
+            with pytest.raises(errors.EmptyGraph):
+                min_semidegree(g)
 
 
 class TestInducedSubgraph:

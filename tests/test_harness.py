@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from altpaths.cli import main
 from altpaths.graph_core import blowup_directed_cycle, to_edgelist
 from altpaths.harness import (
     SweepConfig,
+    SweepReport,
     emit_report,
     max_k_for,
     read_report_csv,
@@ -160,6 +162,69 @@ class TestReports:
             emit_report(self._report(), "json", "/nonexistent-dir/x.json")
 
 
+def _reference_json(report):
+    doc = {"config": report.config, "aggregates": report.aggregates, "records": report.records}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestReportEncoder:
+    def _assert_matches_reference(self, report):
+        assert report_to_json(report) == _reference_json(report)
+
+    def test_exhaustive_theorem(self):
+        self._assert_matches_reference(
+            run_theorem_sweep(SweepConfig(mode="exhaustive", n=3, stable=True))
+        )
+
+    def test_random_with_timings(self):
+        report = run_theorem_sweep(SweepConfig(mode="random", n_range=(6, 9), samples=40, seed=2))
+        assert any(rec["micros"] > 0 for rec in report.records)
+        self._assert_matches_reference(report)
+
+    def test_aggregate_only_without_records(self):
+        cfg = SweepConfig(mode="random", n=8, samples=20, seed=1, stable=True, aggregate_only=True)
+        report = run_theorem_sweep(cfg)
+        assert report.records == []
+        assert '"records": []' in report_to_json(report)
+        self._assert_matches_reference(report)
+
+    def test_exhaustive_oddcase(self):
+        self._assert_matches_reference(
+            run_oddcase_sweep(SweepConfig(mode="exhaustive", n=4, stable=True))
+        )
+
+    def test_corollary(self):
+        cfg = SweepConfig(mode="corollary", k=4, n=14, samples=2, seed=5, stable=True)
+        self._assert_matches_reference(run_corollary_sweep(cfg))
+
+    def test_blowup(self):
+        self._assert_matches_reference(run_blowup_suite(stable=True))
+
+    def test_string_escapes(self):
+        report = run_blowup_suite(t_range=(3, 3), b_range=(1, 1), stable=True)
+        report.records.append(dict(report.records[0], violation='a"b\\c\nd\u00e9\u2603'))
+        text = report_to_json(report)
+        assert text.isascii()
+        assert text == _reference_json(report)
+
+    def test_record_off_template_raises(self):
+        base = run_blowup_suite(t_range=(3, 3), b_range=(1, 1), stable=True)
+        rec = base.records[0]
+        extra = dict(rec, extra=1)
+        missing = {key: rec[key] for key in rec if key != "micros"}
+        renamed = dict(missing, millis=0)
+        for bad in (extra, missing, renamed, dict(rec, micros=1.5), dict(rec, violation=["x"])):
+            report = SweepReport(base.config, [rec, bad], base.aggregates)
+            with pytest.raises(TypeError):
+                report_to_json(report)
+
+    def test_exhaustive_n5_stable_pinned(self):
+        # sha256 of the stable n=5 report as the json.dumps encoder wrote it
+        report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=5, stable=True))
+        digest = hashlib.sha256(report_to_json(report).encode("ascii")).hexdigest()
+        assert digest == "a49bd2ff4f644333db63ab94ed8714b8ce3fa379ac60357cc340203d15be9e49"
+
+
 class TestCli:
     def test_check(self, tmp_path, capsys):
         f = tmp_path / "g.el"
@@ -214,6 +279,12 @@ class TestCli:
         # an exhaustive sweep covers one order; a range must not be cut to its first
         assert main(["sweep", "--mode", "exhaustive", "--n-range", "3..4"]) == 2
         assert "one order" in capsys.readouterr().err
+
+    def test_sweep_oddcase_exhaustive(self, capsys):
+        # every labeled order-4 graph, not 1,000 random draws
+        assert main(["sweep", "--mode", "oddcase-exhaustive", "--n", "4"]) == 0
+        agg = json.loads(capsys.readouterr().out)
+        assert agg["instances"] == 729 and agg["violations"] == 0
 
     def test_sweep_vacuous_is_usage_error(self, capsys):
         rc = main(["sweep", "--mode", "corollary", "--k", "4", "--n", "8"])
