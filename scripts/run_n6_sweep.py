@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Exhaustive n=6 theorem sweep (about 14.3M labeled oriented graphs).
 
-Runs the oracle plus the constructive finder on every graph, keeping only
-violating records; prints the aggregate summary and exits 1 on any
-counterexample or finder failure.  With --workers 2 on a 2-core x86-64
-machine (Python 3.11, numpy 2.4) the whole sweep took 235-251 s in two
-runs.
+Runs the oracle on every graph and the constructive finder on the graphs
+with kmax >= 2, keeping only violating records; prints the aggregate
+summary, then the elapsed time and instances per second on stderr, and
+exits 1 on any counterexample or finder failure.  With --workers 2 on a
+2-core x86-64 machine (Python 3.11, numpy 2.4) the whole sweep took
+30-33 s in four runs, 430,000-480,000 instances/s.
 """
 import argparse
 import json
@@ -40,7 +41,11 @@ def main() -> int:
     report = run_theorem_sweep(cfg)
     elapsed = time.time() - t0
     print(json.dumps(report.aggregates, sort_keys=True))
-    print(f"elapsed: {elapsed:.1f}s with {args.workers} workers", file=sys.stderr)
+    rate = report.aggregates["instances"] / elapsed
+    print(
+        f"elapsed: {elapsed:.1f}s with {args.workers} workers, {rate:,.0f} instances/s",
+        file=sys.stderr,
+    )
     if args.out:
         emit_report(report, "json", args.out)
     if sweep_failed(report):

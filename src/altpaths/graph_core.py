@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     BadParams,
@@ -22,6 +24,8 @@ from .errors import (
 )
 
 ENUM_DEFAULT_MAX_N = 6
+# codes decoded per numpy pass while enumerating
+ENUM_CHUNK = 1 << 14
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -208,33 +212,70 @@ def num_oriented(n: int) -> int:
     return 3 ** (n * (n - 1) // 2)
 
 
-@cache
-def _code_table(n: int) -> tuple[tuple[tuple[int, int], int, int], ...]:
-    """Per base-3 digit of an order-n code: ((1<<v, 1<<u), u, v) in pair_order."""
-    return tuple(((1 << v, 1 << u), u, v) for u, v in pair_order(n))
+def decode_codes(n: int, codes) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n) int64 out/in mask arrays of order-n base-3 codes.
+
+    Digit order is pair_order, digit values absent/forward/backward.  Codes
+    of orders whose code range outgrows int64 are decoded as Python ints.
+    """
+    rest = np.array(codes, dtype=np.int64 if num_oriented(n) <= 1 << 63 else object)
+    # built vertex-major, so each vertex's masks are one contiguous row
+    out_masks = np.zeros((n, rest.size), dtype=np.int64)
+    in_masks = np.zeros((n, rest.size), dtype=np.int64)
+    for u, v in pair_order(n):
+        digit = rest % 3
+        rest //= 3
+        forward = (digit == 1).astype(np.int64)
+        backward = (digit == 2).astype(np.int64)
+        out_masks[u] |= forward << v
+        in_masks[v] |= forward << u
+        out_masks[v] |= backward << u
+        in_masks[u] |= backward << v
+    return out_masks.T, in_masks.T
+
+
+def _bit_counts(masks: np.ndarray, n: int) -> np.ndarray:
+    counts = np.zeros_like(masks)
+    for v in range(n):
+        counts += (masks >> v) & 1
+    return counts
+
+
+def degree_columns(
+    out_masks: np.ndarray, in_masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """DegreeSummary of each graph in a (B, n) mask batch, as (B,) int64 columns.
+
+    Returns (min semidegree, pseudo-semidegree, edge count), with -1 where
+    the summary has None: the semidegree at n == 0, the pseudo-semidegree
+    without edges.
+    """
+    n = out_masks.shape[1]
+    d_out, d_in = _bit_counts(out_masks, n), _bit_counts(in_masks, n)
+    edges = d_out.sum(axis=1)
+    lo, hi = np.minimum(d_out, d_in), np.maximum(d_out, d_in)
+    semi = lo.min(axis=1, initial=n) if n else np.full(len(edges), -1)
+    # the smaller positive side per vertex; an isolated vertex counts as n
+    positive = np.where(lo > 0, lo, np.where(hi > 0, hi, n))
+    pseudo = np.where(edges > 0, positive.min(axis=1, initial=n), -1)
+    return semi, pseudo, edges
 
 
 def graph_from_code(n: int, code: int) -> OrientedGraph:
-    """Decode a base-3 code (digit order: pair_order, values absent/forward/backward)."""
-    out_masks = [0] * n
-    in_masks = [0] * n
-    for (bit_v, bit_u), u, v in _code_table(n):
-        code, digit = divmod(code, 3)
-        if digit == 1:
-            out_masks[u] |= bit_v
-            in_masks[v] |= bit_u
-        elif digit == 2:
-            out_masks[v] |= bit_u
-            in_masks[u] |= bit_v
-    return _graph_from_masks(n, out_masks, in_masks)
+    """Decode one base-3 code (digit order: pair_order, values absent/forward/backward)."""
+    out_masks, in_masks = decode_codes(n, [code])
+    return _graph_from_masks(n, out_masks[0].tolist(), in_masks[0].tolist())
 
 
 def enumerate_all_oriented(n: int, max_n: int = ENUM_DEFAULT_MAX_N) -> Iterator[OrientedGraph]:
     """All 3^(n(n-1)/2) labeled oriented graphs, in base-3 code order."""
     if n > max_n:
         raise TooLarge(f"n={n} above enumeration bound {max_n}")
-    for code in range(num_oriented(n)):
-        yield graph_from_code(n, code)
+    total = num_oriented(n)
+    for lo in range(0, total, ENUM_CHUNK):
+        out_masks, in_masks = decode_codes(n, np.arange(lo, min(lo + ENUM_CHUNK, total)))
+        for outs, ins in zip(out_masks.tolist(), in_masks.tolist()):
+            yield _graph_from_masks(n, outs, ins)
 
 
 # --- file formats ---------------------------------------------------------

@@ -15,22 +15,25 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+
+import numpy as np
 
 from .altpath import validate
 from .errors import BadParams, IoFailure, TooLarge, VacuousParams
 from .graph_core import (
     OrientedGraph,
     blowup_directed_cycle,
-    graph_from_code,
+    decode_codes,
+    degree_columns,
     min_pseudo_semidegree,
     min_semidegree,
     num_oriented,
     random_oriented,
 )
-from .oracle import OracleBudget, longest_alt_path_lengths
+from .oracle import OracleBudget, alt_path_lengths, longest_alt_path_lengths
 from .rotation_engine import EngineBudget, find_alternating_path
 
 CSV_COLUMNS = [
@@ -159,6 +162,18 @@ def _finder_budget(max_n_subset_dp: int, debug: bool) -> EngineBudget:
     return EngineBudget(oracle=OracleBudget(max_n_subset_dp=max_n_subset_dp), debug=debug)
 
 
+def _finder_verdict(cfg: SweepConfig, g: OrientedGraph, kmax: int) -> tuple[str, int, bool]:
+    """The finder's outcome and rounds at kmax, and whether it gave a valid order-kmax path."""
+    out = find_alternating_path(g, kmax, _finder_budget(cfg.max_n_subset_dp, cfg.debug))
+    ok = (
+        out.outcome == "found"
+        and out.path is not None
+        and out.path.order == kmax
+        and (kmax < 2 or validate(g, out.path))
+    )
+    return out.outcome, out.rounds, ok
+
+
 def _check_theorem(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, agg: dict) -> None:
     kmax = max_k_for(rec["min_pseudo_semidegree"])
     if kmax < 1:
@@ -166,17 +181,9 @@ def _check_theorem(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, a
     if length < kmax:
         rec["violation"] = f"counterexample:L={length}<k={kmax}"
         agg["counterexamples"] += 1
-    out = find_alternating_path(g, kmax, _finder_budget(cfg.max_n_subset_dp, cfg.debug))
-    rec["finder_outcome"] = out.outcome
-    rec["rounds"] = out.rounds
-    ok = (
-        out.outcome == "found"
-        and out.path is not None
-        and out.path.order == kmax
-        and (kmax < 2 or validate(g, out.path))
-    )
+    rec["finder_outcome"], rec["rounds"], ok = _finder_verdict(cfg, g, kmax)
     if not ok:
-        rec["violation"] = (rec["violation"] or "") + f"|finder:{out.outcome}"
+        rec["violation"] = (rec["violation"] or "") + f"|finder:{rec['finder_outcome']}"
         agg["finder_failures"] += 1
 
 
@@ -205,13 +212,15 @@ def _run_instances(cfg: SweepConfig, instances, skip, check) -> tuple[list[dict]
     """Records and aggregates for (graph_id, graph) pairs.
 
     Every oracle L comes from one batched call between building the
-    records and running the per-instance checks, so a record's `micros`
-    covers its own record and checks but not its share of the oracle.
+    records and running the per-instance checks, so a record's non-stable
+    `micros` covers its own record and checks but not its share of the
+    oracle.  Stable sweeps read no clock.
     """
     agg = _new_agg()
+    timed = not cfg.stable
     records, pending = [], []
     for graph_id, g in instances:
-        t0 = _now_micros()
+        t0 = _now_micros() if timed else 0
         rec = _base_record(graph_id, g)
         agg["instances"] += 1
         reason = skip(cfg, g)
@@ -219,20 +228,147 @@ def _run_instances(cfg: SweepConfig, instances, skip, check) -> tuple[list[dict]
             rec["violation"] = f"skipped:{reason}"
             agg["skipped"] += 1
         else:
-            pending.append((rec, g, _now_micros() - t0))
+            pending.append((rec, g, _now_micros() - t0 if timed else 0))
         records.append(rec)
     budget = OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp)
     lengths = longest_alt_path_lengths([g for _, g, _ in pending], budget)
     for (rec, g, micros), length in zip(pending, lengths):
-        t0 = _now_micros()
+        t0 = _now_micros() if timed else 0
         rec["oracle_L"] = length
         _agg_add_frontier(agg, rec["min_pseudo_semidegree"], length)
         check(cfg, rec, g, length, agg)
-        if not cfg.stable:
+        if timed:
             rec["micros"] = micros + _now_micros() - t0
     if cfg.aggregate_only:
         records = [rec for rec in records if rec["violation"]]
     return records, agg
+
+
+# --- exhaustive sweeps, column by column -----------------------------------
+
+
+@dataclass
+class _Columns:
+    """One exhaustive chunk as (B,) columns; -1 stands for None in the int columns."""
+
+    n: int
+    out_masks: np.ndarray
+    in_masks: np.ndarray
+    pseudo: np.ndarray
+    length: np.ndarray
+    outcome: np.ndarray  # finder_outcome strings, dtype object
+    rounds: np.ndarray
+    micros: np.ndarray
+    violation: dict[int, str]
+
+
+def _theorem_columns(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
+    """_check_theorem on every row, with the finder run only where kmax >= 2."""
+    kmax = np.where(cols.pseudo > 0, (8 * cols.pseudo - 1) // 5, 0)  # max_k_for by column
+    bad = np.flatnonzero(cols.length < kmax)
+    for i, length, k in zip(bad.tolist(), cols.length[bad].tolist(), kmax[bad].tolist()):
+        cols.violation[i] = f"counterexample:L={length}<k={k}"
+    agg["counterexamples"] += bad.size
+    # find_alternating_path at k = 1 returns a one-vertex path after 0 rounds
+    cols.outcome[kmax == 1] = "found"
+    timed = not cfg.stable
+    rows = np.flatnonzero(kmax >= 2)
+    outs, ins = cols.out_masks[rows].tolist(), cols.in_masks[rows].tolist()
+    for i, out_masks, in_masks, k in zip(rows.tolist(), outs, ins, kmax[rows].tolist()):
+        g = OrientedGraph(cols.n, tuple(out_masks), tuple(in_masks))
+        t0 = _now_micros() if timed else 0
+        outcome, rounds, ok = _finder_verdict(cfg, g, k)
+        if timed:
+            cols.micros[i] = _now_micros() - t0
+        cols.outcome[i], cols.rounds[i] = outcome, rounds
+        if not ok:
+            cols.violation[i] = cols.violation.get(i, "") + f"|finder:{outcome}"
+            agg["finder_failures"] += 1
+
+
+def _oddcase_columns(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
+    """_check_oddcase on every row."""
+    pseudo, length = cols.pseudo, cols.length
+    bad = np.flatnonzero((pseudo >= 0) & (length % 2 == 1) & (length < 2 * pseudo - 1))
+    for i, L, p in zip(bad.tolist(), length[bad].tolist(), pseudo[bad].tolist()):
+        cols.violation[i] = f"oddcase:L={L}<2*{p}-1"
+    agg["violations"] += bad.size
+
+
+_COLUMN_CHECKS = {"theorem": _theorem_columns, "oddcase": _oddcase_columns}
+
+
+def _nullable(column: np.ndarray) -> list[int | None]:
+    return [None if x < 0 else x for x in column.tolist()]
+
+
+def _exhaustive_chunk(args) -> tuple[tuple[list, ...], dict]:
+    """Codes lo..hi-1 of order cfg.n, decoded, summarised, solved and checked by column.
+
+    Only rows with kmax >= 2 build a graph, for the finder.  Returns the
+    rows the report keeps (all, or the violating ones when aggregate_only)
+    as the value columns _exhaustive_records reads, and the aggregates.
+    A row's non-stable `micros` is its finder time, 0 where no finder runs.
+    """
+    cfg, lo, hi, kind = args
+    n, size = cfg.n, hi - lo
+    codes = np.arange(lo, hi)
+    out_masks, in_masks = decode_codes(n, codes)
+    semi, pseudo, edges = degree_columns(out_masks, in_masks)
+    cols = _Columns(
+        n, out_masks, in_masks, pseudo,
+        length=np.full(size, -1),
+        outcome=np.full(size, "", dtype=object),
+        rounds=np.zeros(size, dtype=np.int64),
+        micros=np.zeros(size, dtype=np.int64),
+        violation={},
+    )
+    agg = _new_agg()
+    agg["instances"] = size
+    if n > cfg.max_n_subset_dp:
+        cols.violation = dict.fromkeys(range(size), "skipped:TooLarge")
+        agg["skipped"] = size
+    else:
+        cols.length = alt_path_lengths(out_masks, in_masks, n)
+        defined = pseudo >= 0
+        for p in np.unique(pseudo[defined]).tolist():
+            _agg_add_frontier(agg, p, int(cols.length[pseudo == p].min()))
+        _COLUMN_CHECKS[kind](cfg, cols, agg)
+    if cfg.aggregate_only:
+        keep = np.array(sorted(cols.violation), dtype=np.int64)
+    else:
+        keep = np.arange(size)
+    columns = (
+        codes[keep].tolist(),
+        edges[keep].tolist(),
+        _nullable(pseudo[keep]),
+        _nullable(semi[keep]),
+        _nullable(cols.length[keep]),
+        cols.outcome[keep].tolist(),
+        cols.rounds[keep].tolist(),
+        cols.micros[keep].tolist(),
+        [cols.violation.get(i) for i in keep.tolist()],
+    )
+    return columns, agg
+
+
+def _exhaustive_records(n: int, columns: tuple[list, ...]) -> list[dict]:
+    """Record dicts from the value columns one _exhaustive_chunk returns."""
+    return [
+        {
+            "graph_id": f"exh{n}-{code}",
+            "n": n,
+            "edges": edges,
+            "min_pseudo_semidegree": pseudo,
+            "min_semidegree": semi,
+            "oracle_L": length,
+            "finder_outcome": outcome,
+            "rounds": rounds,
+            "micros": micros,
+            "violation": violation,
+        }
+        for code, edges, pseudo, semi, length, outcome, rounds, micros, violation in zip(*columns)
+    ]
 
 
 def _random_graph(cfg: SweepConfig, idx: int) -> OrientedGraph:
@@ -243,22 +379,16 @@ def _random_graph(cfg: SweepConfig, idx: int) -> OrientedGraph:
     return random_oriented(n, cfg.p, inst_seed + 1)
 
 
-# chunk workers: each builds its slice of instances and hands it to _run_instances
+# random chunk workers: each builds its slice of instances and hands it to _run_instances
 
 
-def _exhaustive_chunk(args) -> tuple[int, list[dict], dict]:
-    cfg, lo, hi, kind = args
-    instances = [(f"exh{cfg.n}-{code}", graph_from_code(cfg.n, code)) for code in range(lo, hi)]
-    return lo, *_run_instances(cfg, instances, *_KINDS[kind])
-
-
-def _random_chunk(args) -> tuple[int, list[dict], dict]:
+def _random_chunk(args) -> tuple[list[dict], dict]:
     cfg, lo, hi, kind = args
     instances = [(f"rnd-{idx}", _random_graph(cfg, idx)) for idx in range(lo, hi)]
-    return lo, *_run_instances(cfg, instances, *_KINDS[kind])
+    return _run_instances(cfg, instances, *_KINDS[kind])
 
 
-def _corollary_chunk(args) -> tuple[int, list[dict], dict]:
+def _corollary_chunk(args) -> tuple[list[dict], dict]:
     cfg, lo, hi, kind = args
     ns = cfg.ns()
     instances = [
@@ -266,7 +396,7 @@ def _corollary_chunk(args) -> tuple[int, list[dict], dict]:
         (f"crl-{idx}", random_oriented(ns[idx % len(ns)], 1.0, _mix_seed(cfg.seed, idx)))
         for idx in range(lo, hi)
     ]
-    return lo, *_run_instances(cfg, instances, *_KINDS[kind])
+    return _run_instances(cfg, instances, *_KINDS[kind])
 
 
 def _config_dict(cfg: SweepConfig) -> dict:
@@ -279,22 +409,31 @@ def _config_dict(cfg: SweepConfig) -> dict:
     return doc
 
 
-def _run_chunked(cfg: SweepConfig, total: int, worker, instance_kind: str) -> SweepReport:
+def _run_chunked(
+    cfg: SweepConfig, total: int, worker, instance_kind: str, records_of=list
+) -> SweepReport:
+    """Run instances 0..total-1 in chunks on cfg.workers processes, in chunk order.
+
+    records_of turns the rows one chunk returns into record dicts, in the parent.
+    """
     chunks = [
         (cfg, lo, min(lo + cfg.chunk_size, total), instance_kind)
         for lo in range(0, total, cfg.chunk_size)
     ]
-    if cfg.workers <= 1 or len(chunks) <= 1:
-        results = [worker(c) for c in chunks]
-    else:
-        with multiprocessing.Pool(cfg.workers) as pool:
-            results = list(pool.imap_unordered(worker, chunks))
-    results.sort(key=lambda r: r[0])
     agg = _new_agg()
     records: list[dict] = []
-    for _, recs, part in results:
-        records.extend(recs)
-        _merge_agg(agg, part)
+
+    def collect(results) -> None:
+        for rows, part in results:
+            records.extend(records_of(rows))
+            _merge_agg(agg, part)
+
+    if cfg.workers <= 1 or len(chunks) <= 1:
+        collect(map(worker, chunks))
+    else:
+        with multiprocessing.Pool(cfg.workers) as pool:
+            # in chunk order, so the parent builds records while the workers run
+            collect(pool.imap(worker, chunks))
     return SweepReport(_config_dict(cfg), records, agg)
 
 
@@ -307,7 +446,8 @@ def _run_exhaustive(cfg: SweepConfig, instance_kind: str) -> SweepReport:
     if n > cfg.max_n_exhaustive:
         raise TooLarge(f"exhaustive n={n} above bound {cfg.max_n_exhaustive}")
     cfg = dataclasses.replace(cfg, n=n)
-    return _run_chunked(cfg, num_oriented(n), _exhaustive_chunk, instance_kind)
+    records_of = partial(_exhaustive_records, n)
+    return _run_chunked(cfg, num_oriented(n), _exhaustive_chunk, instance_kind, records_of)
 
 
 def run_theorem_sweep(cfg: SweepConfig) -> SweepReport:

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ._dp_kernels import BATCH_CELLS, MAX_DP_ORDER, run_dp
 from .altpath import AlternatingPath, ParityFrame, path_from_verts
 from .errors import BadParams, BadParts, NoRespectablePath, TooLarge
@@ -70,13 +72,25 @@ def longest_alt_path_exact(
     return best, path_from_verts(g, seq)
 
 
+def alt_path_lengths(out_masks: np.ndarray, in_masks: np.ndarray, n: int) -> np.ndarray:
+    """Maximum alternating-path order of each graph in a (B, n) mask batch, as (B,) int64.
+
+    The batch runs through the kernel in slices of about BATCH_CELLS reach
+    cells; the order is not checked against any budget.
+    """
+    size = max(1, BATCH_CELLS >> n)
+    lengths = np.zeros(len(out_masks), dtype=np.int64)
+    for lo in range(0, len(out_masks), size):
+        lengths[lo:lo + size] = run_dp(out_masks[lo:lo + size], in_masks[lo:lo + size], n)[0]
+    return lengths
+
+
 def longest_alt_path_lengths(
     graphs: Sequence[OrientedGraph], budget: OracleBudget = DEFAULT_BUDGET
 ) -> list[int]:
     """Maximum alternating-path order of each graph, without witnesses.
 
-    Graphs of one order share kernel calls, in batches of about
-    BATCH_CELLS reach cells.
+    Graphs of one order share kernel calls through alt_path_lengths.
     """
     by_n: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
@@ -84,14 +98,11 @@ def longest_alt_path_lengths(
         by_n.setdefault(g.n, []).append(i)
     lengths = [0] * len(graphs)
     for n, idxs in by_n.items():
-        size = max(1, BATCH_CELLS >> n)
-        for lo in range(0, len(idxs), size):
-            part = idxs[lo:lo + size]
-            best, _, _, _ = run_dp(
-                [graphs[i].out_masks for i in part], [graphs[i].in_masks for i in part], n
-            )
-            for i, length in zip(part, best.tolist()):
-                lengths[i] = length
+        shape = (len(idxs), n)
+        out_masks = np.array([graphs[i].out_masks for i in idxs], dtype=np.int64).reshape(shape)
+        in_masks = np.array([graphs[i].in_masks for i in idxs], dtype=np.int64).reshape(shape)
+        for i, length in zip(idxs, alt_path_lengths(out_masks, in_masks, n).tolist()):
+            lengths[i] = length
     return lengths
 
 

@@ -4,11 +4,14 @@ Deliberately naive: plain DFS over vertex sequences, no memoization
 shared with the library code under test.  The one exception is
 alt_path_dp_py, the plain-int subset DP that the numpy kernel must
 reproduce exactly, reach table included.  The per-vertex degree minima
-are the references for the graph's cached one-pass degree summary.
+are the references for the graph's cached one-pass degree summary, and
+the digit-by-digit decoder is the reference for the column decoder.
 """
 from __future__ import annotations
 
 from itertools import permutations
+
+from altpaths.graph_core import OrientedGraph, pair_order
 
 
 def is_alt_sequence(g, verts) -> bool:
@@ -45,6 +48,22 @@ def brute_min_pseudo_semidegree(g):
 
 def brute_edge_count(g) -> int:
     return sum(m.bit_count() for m in g.out_masks)
+
+
+def brute_graph_from_code(n: int, code: int) -> OrientedGraph:
+    """Decode a base-3 code one digit at a time (digit order: pair_order,
+    values absent/forward/backward)."""
+    out_masks = [0] * n
+    in_masks = [0] * n
+    for u, v in pair_order(n):
+        code, digit = divmod(code, 3)
+        if digit == 1:
+            out_masks[u] |= 1 << v
+            in_masks[v] |= 1 << u
+        elif digit == 2:
+            out_masks[v] |= 1 << u
+            in_masks[u] |= 1 << v
+    return OrientedGraph(n, tuple(out_masks), tuple(in_masks))
 
 
 def brute_longest_alt_path(g) -> int:

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,8 @@ from altpaths.graph_core import (
     DegreeSummary,
     blowup_directed_cycle,
     check_invariants,
+    decode_codes,
+    degree_columns,
     enumerate_all_oriented,
     from_edge_list,
     graph_from_code,
@@ -19,7 +24,12 @@ from altpaths.graph_core import (
     random_oriented,
     to_edgelist,
 )
-from _brute import brute_edge_count, brute_min_pseudo_semidegree, brute_min_semidegree
+from _brute import (
+    brute_edge_count,
+    brute_graph_from_code,
+    brute_min_pseudo_semidegree,
+    brute_min_semidegree,
+)
 from conftest import oriented_graphs
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
@@ -113,6 +123,54 @@ class TestDegreeSummaryReference:
         else:
             with pytest.raises(errors.EmptyGraph):
                 min_semidegree(g)
+
+
+def _sample_codes(n: int, count: int, seed: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.randrange(num_oriented(n)) for _ in range(count)]
+
+
+def _nullable(column) -> list:
+    return [None if x < 0 else x for x in column.tolist()]
+
+
+def _code_cases():
+    for n in range(5):
+        yield n, list(range(num_oriented(n)))
+    yield 5, _sample_codes(5, 2000, 5)
+    yield 6, _sample_codes(6, 2000, 6)
+
+
+class TestColumnDecoder:
+    @pytest.mark.parametrize("n,codes", list(_code_cases()))
+    def test_matches_digit_by_digit_reference(self, n, codes):
+        refs = [brute_graph_from_code(n, code) for code in codes]
+        out_masks, in_masks = decode_codes(n, np.array(codes, dtype=np.int64))
+        assert out_masks.shape == in_masks.shape == (len(codes), n)
+        assert out_masks.tolist() == [list(g.out_masks) for g in refs]
+        assert in_masks.tolist() == [list(g.in_masks) for g in refs]
+        for code, ref in zip(codes, refs):
+            g = graph_from_code(n, code)
+            assert g == ref
+            assert all(type(m) is int for m in g.out_masks + g.in_masks)
+
+    @pytest.mark.parametrize("n,codes", list(_code_cases()))
+    def test_degree_columns_match_reference(self, n, codes):
+        refs = [brute_graph_from_code(n, code) for code in codes]
+        semi, pseudo, edges = degree_columns(*decode_codes(n, np.array(codes, dtype=np.int64)))
+        assert _nullable(semi) == [brute_min_semidegree(g) for g in refs]
+        assert _nullable(pseudo) == [brute_min_pseudo_semidegree(g) for g in refs]
+        assert edges.tolist() == [brute_edge_count(g) for g in refs]
+
+    def test_codes_beyond_int64(self):
+        # order 10 has 3^45 > 2^63 codes
+        for code in (0, num_oriented(10) - 1, *_sample_codes(10, 20, 10)):
+            assert graph_from_code(10, code) == brute_graph_from_code(10, code)
+
+    def test_enumeration_in_code_order(self):
+        for n in range(5):
+            expected = [brute_graph_from_code(n, code) for code in range(num_oriented(n))]
+            assert list(enumerate_all_oriented(n)) == expected
 
 
 class TestInducedSubgraph:

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import json
+from functools import cache
 
 import pytest
 
 from altpaths import errors
 from altpaths.cli import main
-from altpaths.graph_core import blowup_directed_cycle, to_edgelist
+from altpaths import harness
+from altpaths.graph_core import blowup_directed_cycle, graph_from_code, to_edgelist
 from altpaths.harness import (
     SweepConfig,
     SweepReport,
@@ -21,6 +23,7 @@ from altpaths.harness import (
     run_theorem_sweep,
     sweep_failed,
 )
+from altpaths.rotation_engine import find_alternating_path
 
 
 class TestMaxKFor:
@@ -223,6 +226,91 @@ class TestReportEncoder:
         report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=5, stable=True))
         digest = hashlib.sha256(report_to_json(report).encode("ascii")).hexdigest()
         assert digest == "a49bd2ff4f644333db63ab94ed8714b8ce3fa379ac60357cc340203d15be9e49"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+N5_STABLE_SHA256 = "a49bd2ff4f644333db63ab94ed8714b8ce3fa379ac60357cc340203d15be9e49"
+
+
+@cache
+def _exhaustive_n5(workers: int = 1, chunk_size: int = 2000) -> SweepReport:
+    cfg = SweepConfig(mode="exhaustive", n=5, stable=True, workers=workers, chunk_size=chunk_size)
+    return run_theorem_sweep(cfg)
+
+
+def _code(rec: dict) -> int:
+    return int(rec["graph_id"].split("-")[1])
+
+
+class TestColumnarExhaustive:
+    def test_outcomes_equal_the_finders(self):
+        # kmax = 1 rows are written without a finder call; kmax >= 2 rows run it
+        report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=4, stable=True))
+        assert len(report.records) == 729
+        by_kmax = {0: 0, 1: 0, 2: 0}
+        for rec in report.records:
+            g = graph_from_code(4, _code(rec))
+            kmax = max_k_for(rec["min_pseudo_semidegree"])
+            by_kmax[min(kmax, 2)] += 1
+            if kmax < 1:
+                assert (rec["finder_outcome"], rec["rounds"]) == ("", 0)
+                continue
+            out = find_alternating_path(g, kmax)
+            assert (rec["finder_outcome"], rec["rounds"]) == (out.outcome, out.rounds)
+        assert by_kmax[1] > 600 and by_kmax[2] > 0 and by_kmax[0] == 1
+
+    def test_skip_rule_covers_the_chunk(self):
+        cfg = SweepConfig(mode="exhaustive", n=4, stable=True, max_n_subset_dp=3, chunk_size=100)
+        report = run_theorem_sweep(cfg)
+        assert report.aggregates["skipped"] == report.aggregates["instances"] == 729
+        assert all(
+            rec["violation"] == "skipped:TooLarge" and rec["oracle_L"] is None
+            for rec in report.records
+        )
+        # sha256 of the same sweep at its default chunking, as the per-graph sweep wrote it
+        report = run_theorem_sweep(dataclasses.replace(cfg, chunk_size=2000))
+        digest = "25124177441681d79794af8539d18c226340f2ea0294c8e992900cd79a296831"
+        assert _sha256(report_to_json(report)) == digest
+
+    def test_aggregate_only_n5(self):
+        cfg = SweepConfig(mode="exhaustive", n=5, stable=True, aggregate_only=True)
+        report = run_theorem_sweep(cfg)
+        assert report.records == []
+        assert report.aggregates == _exhaustive_n5().aggregates
+
+    def test_exhaustive_oddcase_n4_pinned(self):
+        # sha256 of the report as the per-graph sweep wrote it
+        report = run_oddcase_sweep(SweepConfig(mode="exhaustive", n=4, stable=True))
+        digest = "5060675171db86adb67db07222d80d302e0f9f33c74dbb54ffc38aecaaf7a391"
+        assert _sha256(report_to_json(report)) == digest
+
+    @pytest.mark.parametrize("workers,chunk_size", [(1, 2000), (2, 2000), (2, 7)])
+    def test_n5_independent_of_workers_and_chunks(self, workers, chunk_size):
+        report = _exhaustive_n5(workers, chunk_size)
+        assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
+
+    def test_non_stable_micros_time_the_finder(self):
+        report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=4))
+        assert report_to_json(report) == _reference_json(report)
+        finder_micros = []
+        for rec in report.records:
+            if max_k_for(rec["min_pseudo_semidegree"]) >= 2:
+                finder_micros.append(rec["micros"])
+            else:
+                assert rec["micros"] == 0
+        assert finder_micros and any(finder_micros)
+
+    def test_stable_sweeps_read_no_clock(self, monkeypatch):
+        def clock():
+            raise AssertionError("a stable sweep read the clock")
+
+        monkeypatch.setattr(harness, "_now_micros", clock)
+        run_theorem_sweep(SweepConfig(mode="exhaustive", n=4, stable=True))
+        run_theorem_sweep(SweepConfig(mode="random", n_range=(6, 8), samples=20, stable=True))
+        run_blowup_suite(stable=True)
 
 
 class TestCli:
