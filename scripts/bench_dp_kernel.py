@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Milliseconds per subset-DP kernel call at the shapes the program uses.
+
+Times `_dp_kernels.run_dp` on (n, B) batches: (14, 1) is one corollary
+tournament, (5, 2000) and (6, 2000) are exhaustive-sweep chunks, (16, 16)
+is one `alt_path_lengths` slice at n=16, and (20, 1) and (22, 1) are
+single finder-fallback calls near the oracle's default order bound.
+Single graphs are tournaments, which fill every layer; batches are seeded
+random codes or random graphs.  Each shape is timed for about a second
+(at least 3 calls) after one warm-up call, and the median is printed.
+n=22 runs first, so the process's peak RSS read right after it is that of
+the n=22 calls alone.  Run with the package importable, for example
+
+    PYTHONPATH=src python3 scripts/bench_dp_kernel.py
+"""
+import json
+import resource
+import statistics
+import time
+
+import numpy as np
+
+from altpaths._dp_kernels import run_dp
+from altpaths.graph_core import decode_codes, num_oriented, random_oriented
+
+SHAPES = [(22, 1), (14, 1), (5, 2000), (6, 2000), (16, 16), (20, 1)]
+
+
+def masks(n: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    if n <= 6:
+        codes = np.random.default_rng(n).integers(0, num_oriented(n), size=batch)
+        return decode_codes(n, codes)
+    graphs = [random_oriented(n, 1.0 if batch == 1 else 0.5, 1000 * n + i) for i in range(batch)]
+    return (
+        np.array([g.out_masks for g in graphs], dtype=np.int64),
+        np.array([g.in_masks for g in graphs], dtype=np.int64),
+    )
+
+
+def main() -> None:
+    rows = []
+    for n, batch in SHAPES:
+        out_masks, in_masks = masks(n, batch)
+        run_dp(out_masks, in_masks, n)
+        times = []
+        while len(times) < 3 or sum(times) < 1.0:
+            t0 = time.perf_counter()
+            run_dp(out_masks, in_masks, n)
+            times.append(time.perf_counter() - t0)
+        ms = 1000 * statistics.median(times)
+        rows.append({"n": n, "B": batch, "ms_per_call": round(ms, 3), "calls": len(times)})
+        print(f"n={n:2d} B={batch:5d}  {ms:9.3f} ms per call  ({len(times)} calls)")
+        if n == 22:
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            print(f"peak RSS {peak_mb:.1f} MB after n=22")
+    print(json.dumps({"shapes": rows, "peak_rss_mb_n22": round(peak_mb, 1)}))
+
+
+if __name__ == "__main__":
+    main()

@@ -407,13 +407,13 @@ def _undirected_certificate(h: BipartiteView, v: int, bound: float, stage: str) 
 
 
 def lemma_forgotten_check(
-    g: OrientedGraph, frame: ParityFrame, k: int, debug: bool = False
+    g: OrientedGraph, frame: ParityFrame, debug: bool = False
 ) -> Certificate | None:
     """Per-class count of low bipartite degrees; None on pass.
 
     The Moon-Moser count with every threshold raised by one: fails (with
     the smallest offending l) when some class has at least l vertices of
-    undirected source->sink degree at most l+1.  k is not used.
+    undirected source->sink degree at most l+1.
     """
     h = build_H(g, frame)
     low = _low_degree_class(h, 1)
@@ -504,7 +504,8 @@ def two_sided_closure_extension(
 
     Explores prefix/suffix reversals through chords at both endpoints,
     deduplicating by endpoint pair, and returns the first one-vertex
-    extension discovered (or None).
+    extension discovered (or None).  Raises BudgetExceeded past
+    max(4 * len^2, 64) endpoint pairs.
     """
     verts = tuple(verts)
     if len(verts) < 2:
@@ -551,7 +552,7 @@ def two_sided_closure_extension(
             if key in seen:
                 continue
             if len(seen) >= max_states:
-                return None
+                raise BudgetExceeded(f"two-sided closure state count exceeded {max_states}")
             if debug:
                 debug_stats.rotations_checked += 1
                 if not validate(g, path_from_verts(g, new)):
@@ -624,7 +625,11 @@ def find_alternating_path(
         if rounds > rounds_cap:
             return gave_up("BudgetExceeded", verts)
         if len(verts) % 2 == 1:
-            ext = two_sided_closure_extension(g, verts, debug=budget.debug)
+            reason = "OddStuck"
+            try:
+                ext = two_sided_closure_extension(g, verts, debug=budget.debug)
+            except BudgetExceeded:
+                ext, reason = None, "BudgetExceeded"
             if ext is not None:
                 verts = greedy_extend(g, path_from_verts(g, ext)).verts
                 q_stall = 0
@@ -634,7 +639,7 @@ def find_alternating_path(
                 if best_l >= k:
                     return found(wit.verts)
                 return gave_up("OddStuck", wit.verts)
-            return gave_up("OddStuck", verts)
+            return gave_up(reason, verts)
         frame = frame_of(path_from_verts(g, verts))
         m = frame.m
         try:
@@ -653,7 +658,7 @@ def find_alternating_path(
             verts = greedy_extend(g, path_from_verts(g, ext)).verts
             q_stall = 0
             continue
-        lem = lemma_forgotten_check(g, frame, k, budget.debug)
+        lem = lemma_forgotten_check(g, frame, budget.debug)
         if lem is not None:
             return diagnostic(lem, m)
         q = build_Q(g, frame, budget.debug)

@@ -154,7 +154,7 @@ class TestCriterion5DebugSoundness:
         edges = [(o, e) for o in range(4) for e in range(4, 8)]
         g8 = from_edge_list(edges, 8)
         frame4 = ParityFrame(frozenset(range(4)), frozenset(range(4, 8)), 4)
-        assert lemma_forgotten_check(g8, frame4, k=8, debug=True) is None
+        assert lemma_forgotten_check(g8, frame4, debug=True) is None
 
         worked = from_edge_list(
             [(o, e) for o in (0, 1, 2) for e in (3, 4, 5)] + [(1, 0), (6, 0)], 7

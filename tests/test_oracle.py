@@ -1,10 +1,14 @@
+from math import comb
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from altpaths import errors
+from altpaths import _dp_kernels, errors
 from altpaths.altpath import ParityFrame, validate
 from altpaths.graph_core import (
     blowup_directed_cycle,
+    decode_codes,
     enumerate_all_oriented,
     from_edge_list,
     min_pseudo_semidegree,
@@ -245,6 +249,84 @@ class TestKernelTwins:
                     high = [m for m in range(1 << g.n) if m.bit_count() > want_k]
                     assert reach[0][low].tolist() == full_reach[0][low].tolist()
                     assert not reach[0][high].any()
+
+
+class TestPullBlocks:
+    """run_dp against the reference DP where the pull step's blocks and plan
+    groups change shape: one-mask blocks, layers cut into several blocks,
+    and orders on both sides of the plan cache."""
+
+    @staticmethod
+    def _assert_matches_reference(out_masks, in_masks, n):
+        out_masks = np.asarray(out_masks, dtype=np.int64)
+        in_masks = np.asarray(in_masks, dtype=np.int64)
+        refs = {}
+        for b in range(len(out_masks)):
+            key = (tuple(out_masks[b].tolist()), tuple(in_masks[b].tolist()))
+            if key not in refs:
+                reach = [0] * (1 << n)
+                refs[key] = alt_path_dp_py(list(key[0]), list(key[1]), reach, 0), reach
+        rows = [refs[(tuple(o.tolist()), tuple(i.tolist()))] for o, i in zip(out_masks, in_masks)]
+        popcount = np.array([m.bit_count() for m in range(1 << n)])
+        best, bm, bs, reach = run_dp(out_masks, in_masks, n)
+        for b, ((ref_best, ref_bm, ref_bs), ref_reach) in enumerate(rows):
+            assert (best[b], bm[b], bs[b]) == (ref_best, ref_bm, ref_bs)
+            assert reach[b].tolist() == ref_reach
+        for want_k in range(1, n + 2):
+            k_best, k_bm, k_bs, k_reach = run_dp(out_masks, in_masks, n, want_k=want_k)
+            assert k_best.tolist() == np.minimum(best, want_k).tolist()
+            done = best <= want_k
+            assert k_bm[done].tolist() == bm[done].tolist()
+            assert k_bs[done].tolist() == bs[done].tolist()
+            assert (k_reach[done] == reach[done]).all()
+            # layers up to want_k are complete, and nothing lies beyond them
+            low = popcount <= want_k
+            assert (k_reach[:, low] == reach[:, low]).all()
+            assert not k_reach[~done][:, ~low].any()
+
+    def test_one_mask_per_block(self):
+        # every n=4 graph, tiled so that a single mask's cells fill a block
+        codes = np.arange(3 ** 6)
+        batch = _dp_kernels.BLOCK_CELLS // 2 + 1
+        assert _dp_kernels.BLOCK_CELLS // (2 * batch) == 0
+        out_masks, in_masks = decode_codes(4, np.resize(codes, batch))
+        self._assert_matches_reference(out_masks, in_masks, 4)
+
+    def test_layer_over_several_blocks(self):
+        graphs = [random_oriented(10, 0.1 * (i % 10), 300 + i) for i in range(64)]
+        assert comb(10, 5) * 5 * len(graphs) > 2 * _dp_kernels.BLOCK_CELLS
+        self._assert_matches_reference(
+            [g.out_masks for g in graphs], [g.in_masks for g in graphs], 10
+        )
+
+    def test_tiny_blocks(self, monkeypatch):
+        # blocks of a few cells cut every layer at uneven row counts
+        monkeypatch.setattr(_dp_kernels, "BLOCK_CELLS", 7)
+        for n in range(1, 9):
+            graphs = [random_oriented(n, 0.2 + 0.3 * i, 600 + 10 * n + i) for i in range(3)]
+            self._assert_matches_reference(
+                [g.out_masks for g in graphs], [g.in_masks for g in graphs], n
+            )
+
+    def test_both_sides_of_plan_cache(self, monkeypatch):
+        monkeypatch.setattr(_dp_kernels, "PLAN_ORDER", 4)
+        for n in range(2, 10):
+            graphs = [random_oriented(n, 0.25 + 0.25 * i, 700 + 10 * n + i) for i in range(3)]
+            self._assert_matches_reference(
+                [g.out_masks for g in graphs], [g.in_masks for g in graphs], n
+            )
+
+    def test_first_order_past_plan_cache(self):
+        # a sparse graph keeps the reference's 2^17 masks cheap
+        n = _dp_kernels.PLAN_ORDER + 1
+        g = random_oriented(n, 0.25, 17)
+        self._assert_matches_reference([g.out_masks], [g.in_masks], n)
+
+    def test_tournament_witness(self):
+        g = random_oriented(14, 1.0, 1971)
+        best, path = longest_alt_path_exact(g)
+        assert best == path.order == 14
+        assert validate(g, path)
 
 
 class TestDegreeBoundSmallCases:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from altpaths import errors
+from altpaths import errors, rotation_engine
 from altpaths.altpath import ParityFrame, frame_of, path_from_verts, validate
 from altpaths.graph_core import (
     blowup_directed_cycle,
@@ -11,7 +11,7 @@ from altpaths.graph_core import (
     min_pseudo_semidegree,
     random_oriented,
 )
-from altpaths.oracle import longest_alt_path_exact
+from altpaths.oracle import OracleBudget, longest_alt_path_exact
 from altpaths.rotation_engine import (
     AltSpanningCycle,
     Certificate,
@@ -170,7 +170,7 @@ class TestLemmaCheck:
         edges = [(o, e) for o in range(4) for e in range(4, 8)]
         g = from_edge_list(edges, 8)
         frame = ParityFrame(frozenset(range(4)), frozenset(range(4, 8)), 4)
-        assert lemma_forgotten_check(g, frame, k=8) is None
+        assert lemma_forgotten_check(g, frame) is None
 
     def test_low_degree_vertex_fails(self):
         # vertex 0 keeps only two sink neighbors; trips the l=1 count
@@ -178,7 +178,7 @@ class TestLemmaCheck:
         edges += [(0, 4), (0, 5)]
         g = from_edge_list(edges, 8)
         frame = ParityFrame(frozenset(range(4)), frozenset(range(4, 8)), 4)
-        cert = lemma_forgotten_check(g, frame, k=8)
+        cert = lemma_forgotten_check(g, frame)
         assert cert is not None and cert.stage == "lemma-count"
         assert cert.vertex == 0 and cert.degree == 2 and cert.bound == 2
         assert certificate_is_sound(g, cert)
@@ -262,6 +262,24 @@ class TestFinder:
     def test_bad_k(self):
         with pytest.raises(errors.BadParams):
             find_alternating_path(from_edge_list([], 1), 0)
+
+    def test_odd_closure_out_of_budget(self, monkeypatch):
+        # 0 -> 1 <- 2 is stuck at odd order 3; k = 4 sends it to the two-sided closure
+        g = from_edge_list([(0, 1), (2, 1)], 4)
+        no_oracle = EngineBudget(oracle=OracleBudget(max_n_subset_dp=3))
+        out = find_alternating_path(g, 4, no_oracle)
+        assert (out.outcome, out.reason, out.path.verts) == ("gave_up", "OddStuck", (0, 1, 2))
+
+        def out_of_budget(g, verts, debug=False):
+            raise errors.BudgetExceeded("two-sided closure state count exceeded 64")
+
+        monkeypatch.setattr(rotation_engine, "two_sided_closure_extension", out_of_budget)
+        out = find_alternating_path(g, 4, no_oracle)
+        assert (out.outcome, out.reason, out.path.verts) == ("gave_up", "BudgetExceeded", (0, 1, 2))
+        # within the oracle's order the exact fallback still decides
+        out = find_alternating_path(g, 4)
+        assert (out.outcome, out.reason) == ("gave_up", "OddStuck")
+        assert out.path.order == longest_alt_path_exact(g)[0] == 3
 
     def test_complete_bipartite_found(self):
         out = find_alternating_path(KB2, 4)
