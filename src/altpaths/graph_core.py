@@ -235,6 +235,9 @@ def decode_codes(n: int, codes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bit_counts(masks: np.ndarray, n: int) -> np.ndarray:
+    if masks.dtype == np.int64 and hasattr(np, "bitwise_count"):
+        # numpy >= 2; the masks of orders below 64 are non-negative
+        return np.bitwise_count(masks).astype(np.int64)
     counts = np.zeros_like(masks)
     for v in range(n):
         counts += (masks >> v) & 1

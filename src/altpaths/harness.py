@@ -4,6 +4,13 @@ All sweeps share the same report shape: per-instance records plus
 aggregates (counterexample count, extremal frontier).  Instance RNG
 streams are derived from (seed, instance index), so results are byte
 identical under any worker count.
+
+Every sweep kind runs through one driver, _check_order.  A chunk source
+(exhaustive codes, random draws, tournaments, blow-ups) turns its
+instances into (B, n) mask batches, one per order; the driver takes the
+degrees from degree_columns and L from alt_path_lengths, and runs the
+kind's check column by column.  Only the theorem check builds graphs,
+for the finder where kmax >= 2.  The parent builds the record dicts.
 """
 from __future__ import annotations
 
@@ -15,7 +22,6 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -23,7 +29,7 @@ import numpy as np
 
 from .altpath import validate
 from .errors import BadParams, IoFailure, TooLarge, VacuousParams
-from .graph_core import (
+from .graph_core import (  # noqa: F401 - the benchmark's trace hooks look up the min_* names here
     OrientedGraph,
     blowup_directed_cycle,
     decode_codes,
@@ -33,7 +39,7 @@ from .graph_core import (
     num_oriented,
     random_oriented,
 )
-from .oracle import OracleBudget, alt_path_lengths, longest_alt_path_lengths
+from .oracle import OracleBudget, alt_path_lengths
 from .rotation_engine import EngineBudget, find_alternating_path
 
 CSV_COLUMNS = [
@@ -51,7 +57,10 @@ CSV_COLUMNS = [
 
 @dataclass
 class SweepConfig:
-    mode: str  # exhaustive | random | blowup | corollary | oddcase
+    # instance source: exhaustive (every labeled graph of order n), random or
+    # oddcase (seeded draws over the orders), corollary (seeded tournaments),
+    # blowup (the t_range x b_range grid)
+    mode: str
     n: int | None = None
     n_range: tuple[int, int] | None = None
     k: int | None = None
@@ -69,8 +78,15 @@ class SweepConfig:
     chunk_size: int = 2000
 
     def __post_init__(self):
-        if self.samples <= 0 or self.workers <= 0:
-            raise BadParams("samples and workers must be positive")
+        if self.samples <= 0 or self.workers <= 0 or self.chunk_size <= 0:
+            raise BadParams("samples, workers and chunk_size must be positive")
+        if self.n is not None and self.n < 0:
+            raise BadParams(f"n must be >= 0, got {self.n}")
+        if self.n_range is not None and (
+            len(self.n_range) != 2 or not 0 <= self.n_range[0] <= self.n_range[1]
+        ):
+            raise BadParams(f"n_range must be (lo, hi) with 0 <= lo <= hi, got {self.n_range}")
+        OracleBudget(max_n_subset_dp=self.max_n_subset_dp)  # raises BadParams out of its range
 
     def ns(self) -> list[int]:
         if self.n_range is not None:
@@ -113,148 +129,32 @@ def _new_agg() -> dict:
     }
 
 
-def _agg_add_frontier(agg: dict, pseudo: int | None, length: int) -> None:
-    if pseudo is None:
-        return
-    key = str(pseudo)
-    cur = agg["frontier"].get(key)
-    if cur is None or length < cur:
-        agg["frontier"][key] = length
+def _lower_frontier(frontier: dict, pseudo: str, length: int) -> None:
+    """Keep the least L seen at each pseudo-semidegree."""
+    frontier[pseudo] = min(length, frontier.get(pseudo, length))
 
 
 def _merge_agg(into: dict, other: dict) -> None:
     for key in ("instances", "counterexamples", "finder_failures", "violations", "skipped"):
         into[key] += other[key]
     for pseudo, length in other["frontier"].items():
-        cur = into["frontier"].get(pseudo)
-        if cur is None or length < cur:
-            into["frontier"][pseudo] = length
+        _lower_frontier(into["frontier"], pseudo, length)
 
 
-def _base_record(graph_id: str, g: OrientedGraph) -> dict:
-    # the first degree query fills the graph's cached summary; the others read it
-    pseudo = min_pseudo_semidegree(g)
-    return {
-        "graph_id": graph_id,
-        "n": g.n,
-        "edges": g.edge_count,
-        "min_pseudo_semidegree": pseudo,
-        "min_semidegree": min_semidegree(g) if g.n else None,
-        "oracle_L": None,
-        "finder_outcome": "",
-        "rounds": 0,
-        "micros": 0,
-        "violation": None,
-    }
-
-
-def _too_large(cfg: SweepConfig, g: OrientedGraph) -> str | None:
-    return "TooLarge" if g.n > cfg.max_n_subset_dp else None
-
-
-def _edge_bound_not_met(cfg: SweepConfig, g: OrientedGraph) -> str | None:
-    return "edge-bound-not-met" if g.edge_count <= (5 * cfg.k + 4) * g.n / 4 else None
-
-
-@cache
-def _finder_budget(max_n_subset_dp: int, debug: bool) -> EngineBudget:
-    """One shared finder budget per setting; the finder never mutates its budget."""
-    return EngineBudget(oracle=OracleBudget(max_n_subset_dp=max_n_subset_dp), debug=debug)
-
-
-def _finder_verdict(cfg: SweepConfig, g: OrientedGraph, kmax: int) -> tuple[str, int, bool]:
-    """The finder's outcome and rounds at kmax, and whether it gave a valid order-kmax path."""
-    out = find_alternating_path(g, kmax, _finder_budget(cfg.max_n_subset_dp, cfg.debug))
-    ok = (
-        out.outcome == "found"
-        and out.path is not None
-        and out.path.order == kmax
-        and (kmax < 2 or validate(g, out.path))
-    )
-    return out.outcome, out.rounds, ok
-
-
-def _check_theorem(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, agg: dict) -> None:
-    kmax = max_k_for(rec["min_pseudo_semidegree"])
-    if kmax < 1:
-        return
-    if length < kmax:
-        rec["violation"] = f"counterexample:L={length}<k={kmax}"
-        agg["counterexamples"] += 1
-    rec["finder_outcome"], rec["rounds"], ok = _finder_verdict(cfg, g, kmax)
-    if not ok:
-        rec["violation"] = (rec["violation"] or "") + f"|finder:{rec['finder_outcome']}"
-        agg["finder_failures"] += 1
-
-
-def _check_oddcase(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, agg: dict) -> None:
-    pseudo = rec["min_pseudo_semidegree"]
-    if pseudo is not None and length % 2 == 1 and length < 2 * pseudo - 1:
-        rec["violation"] = f"oddcase:L={length}<2*{pseudo}-1"
-        agg["violations"] += 1
-
-
-def _check_corollary(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, agg: dict) -> None:
-    if length < cfg.k:
-        rec["violation"] = f"corollary:L={length}<k={cfg.k}"
-        agg["violations"] += 1
-
-
-# instance kind -> (reason to skip an instance before the oracle, check given L)
-_KINDS = {
-    "theorem": (_too_large, _check_theorem),
-    "oddcase": (_too_large, _check_oddcase),
-    "corollary": (_edge_bound_not_met, _check_corollary),
-}
-
-
-def _run_instances(cfg: SweepConfig, instances, skip, check) -> tuple[list[dict], dict]:
-    """Records and aggregates for (graph_id, graph) pairs.
-
-    Every oracle L comes from one batched call between building the
-    records and running the per-instance checks, so a record's non-stable
-    `micros` covers its own record and checks but not its share of the
-    oracle.  Stable sweeps read no clock.
-    """
-    agg = _new_agg()
-    timed = not cfg.stable
-    records, pending = [], []
-    for graph_id, g in instances:
-        t0 = _now_micros() if timed else 0
-        rec = _base_record(graph_id, g)
-        agg["instances"] += 1
-        reason = skip(cfg, g)
-        if reason is not None:
-            rec["violation"] = f"skipped:{reason}"
-            agg["skipped"] += 1
-        else:
-            pending.append((rec, g, _now_micros() - t0 if timed else 0))
-        records.append(rec)
-    budget = OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp)
-    lengths = longest_alt_path_lengths([g for _, g, _ in pending], budget)
-    for (rec, g, micros), length in zip(pending, lengths):
-        t0 = _now_micros() if timed else 0
-        rec["oracle_L"] = length
-        _agg_add_frontier(agg, rec["min_pseudo_semidegree"], length)
-        check(cfg, rec, g, length, agg)
-        if timed:
-            rec["micros"] = micros + _now_micros() - t0
-    if cfg.aggregate_only:
-        records = [rec for rec in records if rec["violation"]]
-    return records, agg
-
-
-# --- exhaustive sweeps, column by column -----------------------------------
+# --- the sweep driver: one order at a time, column by column ---------------
 
 
 @dataclass
 class _Columns:
-    """One exhaustive chunk as (B,) columns; -1 stands for None in the int columns."""
+    """Graphs of one order as (B,) columns; -1 stands for None in the int columns."""
 
     n: int
     out_masks: np.ndarray
     in_masks: np.ndarray
+    b: np.ndarray | None  # blow-up class size of each row
+    semi: np.ndarray
     pseudo: np.ndarray
+    edges: np.ndarray
     length: np.ndarray
     outcome: np.ndarray  # finder_outcome strings, dtype object
     rounds: np.ndarray
@@ -262,101 +162,142 @@ class _Columns:
     violation: dict[int, str]
 
 
-def _theorem_columns(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
-    """_check_theorem on every row, with the finder run only where kmax >= 2."""
+def _flag(cols: _Columns, agg: dict, key: str, bad: np.ndarray, text: str, *values) -> None:
+    """Rows where bad holds get text.format(their values) as violation; agg[key] counts them."""
+    rows = np.flatnonzero(bad)
+    for i, *row in zip(rows.tolist(), *(column[rows].tolist() for column in values)):
+        cols.violation[i] = text.format(*row)
+    agg[key] += rows.size
+
+
+def _theorem_check(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
+    """L >= kmax on every row, and a valid order-kmax path from the finder where kmax >= 2."""
     kmax = np.where(cols.pseudo > 0, (8 * cols.pseudo - 1) // 5, 0)  # max_k_for by column
-    bad = np.flatnonzero(cols.length < kmax)
-    for i, length, k in zip(bad.tolist(), cols.length[bad].tolist(), kmax[bad].tolist()):
-        cols.violation[i] = f"counterexample:L={length}<k={k}"
-    agg["counterexamples"] += bad.size
+    text = "counterexample:L={}<k={}"
+    _flag(cols, agg, "counterexamples", cols.length < kmax, text, cols.length, kmax)
     # find_alternating_path at k = 1 returns a one-vertex path after 0 rounds
     cols.outcome[kmax == 1] = "found"
+    budget = EngineBudget(oracle=OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp), debug=cfg.debug)
     timed = not cfg.stable
     rows = np.flatnonzero(kmax >= 2)
     outs, ins = cols.out_masks[rows].tolist(), cols.in_masks[rows].tolist()
     for i, out_masks, in_masks, k in zip(rows.tolist(), outs, ins, kmax[rows].tolist()):
         g = OrientedGraph(cols.n, tuple(out_masks), tuple(in_masks))
         t0 = _now_micros() if timed else 0
-        outcome, rounds, ok = _finder_verdict(cfg, g, k)
+        out = find_alternating_path(g, k, budget)
+        ok = out.outcome == "found" and out.path.order == k and validate(g, out.path)
         if timed:
             cols.micros[i] = _now_micros() - t0
-        cols.outcome[i], cols.rounds[i] = outcome, rounds
+        cols.outcome[i], cols.rounds[i] = out.outcome, out.rounds
         if not ok:
-            cols.violation[i] = cols.violation.get(i, "") + f"|finder:{outcome}"
+            cols.violation[i] = cols.violation.get(i, "") + f"|finder:{out.outcome}"
             agg["finder_failures"] += 1
 
 
-def _oddcase_columns(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
-    """_check_oddcase on every row."""
+def _oddcase_check(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
+    """An odd L is at least twice the pseudo-semidegree minus one."""
     pseudo, length = cols.pseudo, cols.length
-    bad = np.flatnonzero((pseudo >= 0) & (length % 2 == 1) & (length < 2 * pseudo - 1))
-    for i, L, p in zip(bad.tolist(), length[bad].tolist(), pseudo[bad].tolist()):
-        cols.violation[i] = f"oddcase:L={L}<2*{p}-1"
-    agg["violations"] += bad.size
+    bad = (pseudo >= 0) & (length % 2 == 1) & (length < 2 * pseudo - 1)
+    _flag(cols, agg, "violations", bad, "oddcase:L={}<2*{}-1", length, pseudo)
 
 
-_COLUMN_CHECKS = {"theorem": _theorem_columns, "oddcase": _oddcase_columns}
+def _corollary_check(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
+    """L >= k; every row is a tournament that clears the edge bound (run_corollary_sweep)."""
+    text = f"corollary:L={{}}<k={cfg.k}"
+    _flag(cols, agg, "violations", cols.length < cfg.k, text, cols.length)
 
 
-def _nullable(column: np.ndarray) -> list[int | None]:
-    return [None if x < 0 else x for x in column.tolist()]
+def _blowup_check(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
+    """Class size b gives minimum semidegree b and L = 2b."""
+    semi, length, b = cols.semi, cols.length, cols.b
+    bad = (semi != b) | (length != 2 * b)
+    _flag(cols, agg, "violations", bad, "blowup:semideg={},L={},b={}", semi, length, b)
 
 
-def _exhaustive_chunk(args) -> tuple[tuple[list, ...], dict]:
-    """Codes lo..hi-1 of order cfg.n, decoded, summarised, solved and checked by column.
+# instance kind -> its check, given every column and L
+_CHECKS = {
+    "theorem": _theorem_check,
+    "oddcase": _oddcase_check,
+    "corollary": _corollary_check,
+    "blowup": _blowup_check,
+}
 
-    Only rows with kmax >= 2 build a graph, for the finder.  Returns the
-    rows the report keeps (all, or the violating ones when aggregate_only)
-    as the value columns _exhaustive_records reads, and the aggregates.
-    A row's non-stable `micros` is its finder time, 0 where no finder runs.
+
+def _check_order(
+    cfg: SweepConfig, kind: str, out_masks: np.ndarray, in_masks: np.ndarray, agg: dict, b=None
+) -> _Columns:
+    """Degrees, L and the kind's check for a (B, n) mask batch of one order.
+
+    An order above max_n_subset_dp is skipped whole, without L.  A row's
+    non-stable `micros` is its finder time, 0 where no finder runs.
     """
-    cfg, lo, hi, kind = args
-    n, size = cfg.n, hi - lo
-    codes = np.arange(lo, hi)
-    out_masks, in_masks = decode_codes(n, codes)
+    size, n = out_masks.shape
     semi, pseudo, edges = degree_columns(out_masks, in_masks)
     cols = _Columns(
-        n, out_masks, in_masks, pseudo,
+        n, out_masks, in_masks, b, semi, pseudo, edges,
         length=np.full(size, -1),
         outcome=np.full(size, "", dtype=object),
         rounds=np.zeros(size, dtype=np.int64),
         micros=np.zeros(size, dtype=np.int64),
         violation={},
     )
-    agg = _new_agg()
-    agg["instances"] = size
+    agg["instances"] += size
     if n > cfg.max_n_subset_dp:
         cols.violation = dict.fromkeys(range(size), "skipped:TooLarge")
-        agg["skipped"] = size
-    else:
-        cols.length = alt_path_lengths(out_masks, in_masks, n)
-        defined = pseudo >= 0
-        for p in np.unique(pseudo[defined]).tolist():
-            _agg_add_frontier(agg, p, int(cols.length[pseudo == p].min()))
-        _COLUMN_CHECKS[kind](cfg, cols, agg)
+        agg["skipped"] += size
+        return cols
+    cols.length = alt_path_lengths(out_masks, in_masks, n)
+    for p in np.unique(pseudo[pseudo >= 0]).tolist():
+        _lower_frontier(agg["frontier"], str(p), int(cols.length[pseudo == p].min()))
+    _CHECKS[kind](cfg, cols, agg)
+    return cols
+
+
+def _nullable(column: np.ndarray) -> list[int | None]:
+    return [None if x < 0 else x for x in column.tolist()]
+
+
+def _chunk_result(
+    cfg: SweepConfig, lo: int, parts: list[tuple[np.ndarray, _Columns]]
+) -> tuple[list, ...]:
+    """The value columns _records reads for instances lo.., in index order.
+
+    parts pairs each order's columns with the chunk rows they hold.  Every
+    row is kept, or only the violating ones when aggregate_only.
+    """
+    rows = np.concatenate([r for r, _ in parts])
+    violation: dict[int, str] = {}
+    for r, cols in parts:
+        violation.update(zip(r[list(cols.violation)].tolist(), cols.violation.values()))
     if cfg.aggregate_only:
-        keep = np.array(sorted(cols.violation), dtype=np.int64)
+        keep = np.array(sorted(violation), dtype=np.int64)
     else:
-        keep = np.arange(size)
-    columns = (
-        codes[keep].tolist(),
-        edges[keep].tolist(),
-        _nullable(pseudo[keep]),
-        _nullable(semi[keep]),
-        _nullable(cols.length[keep]),
-        cols.outcome[keep].tolist(),
-        cols.rounds[keep].tolist(),
-        cols.micros[keep].tolist(),
-        [cols.violation.get(i) for i in keep.tolist()],
+        keep = np.arange(rows.size)
+    take = np.argsort(rows)[keep]
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([getattr(cols, name) for _, cols in parts])[take]
+
+    orders = np.concatenate([np.full(r.size, cols.n) for r, cols in parts])
+    return (
+        (lo + keep).tolist(),
+        orders[take].tolist(),
+        column("edges").tolist(),
+        _nullable(column("pseudo")),
+        _nullable(column("semi")),
+        _nullable(column("length")),
+        column("outcome").tolist(),
+        column("rounds").tolist(),
+        column("micros").tolist(),
+        [violation.get(i) for i in keep.tolist()],
     )
-    return columns, agg
 
 
-def _exhaustive_records(n: int, columns: tuple[list, ...]) -> list[dict]:
-    """Record dicts from the value columns one _exhaustive_chunk returns."""
+def _records(graph_id, columns: tuple[list, ...]) -> list[dict]:
+    """Record dicts from the value columns one chunk returns; graph_id names an instance index."""
     return [
         {
-            "graph_id": f"exh{n}-{code}",
+            "graph_id": graph_id(index),
             "n": n,
             "edges": edges,
             "min_pseudo_semidegree": pseudo,
@@ -367,8 +308,40 @@ def _exhaustive_records(n: int, columns: tuple[list, ...]) -> list[dict]:
             "micros": micros,
             "violation": violation,
         }
-        for code, edges, pseudo, semi, length, outcome, rounds, micros, violation in zip(*columns)
+        for index, n, edges, pseudo, semi, length, outcome, rounds, micros, violation in zip(
+            *columns
+        )
     ]
+
+
+# --- chunk sources: each turns instances lo..hi-1 into mask batches ---------
+
+
+def _exhaustive_chunk(args) -> tuple[tuple[list, ...], dict]:
+    """Codes lo..hi-1 of order cfg.n, decoded into one batch."""
+    cfg, lo, hi, kind = args
+    agg = _new_agg()
+    cols = _check_order(cfg, kind, *decode_codes(cfg.n, np.arange(lo, hi)), agg)
+    return _chunk_result(cfg, lo, [(np.arange(hi - lo), cols)]), agg
+
+
+def _graphs_chunk(
+    cfg: SweepConfig, kind: str, lo: int, graphs: list[OrientedGraph], b=None
+) -> tuple[tuple[list, ...], dict]:
+    """Instances lo.. from their graphs, one batch per order."""
+    agg = _new_agg()
+    orders = np.array([g.n for g in graphs])
+    parts = []
+    for n in sorted({g.n for g in graphs}):
+        rows = np.flatnonzero(orders == n)
+        # masks with bit 63 set do not fit int64; their orders are always skipped
+        dtype = np.int64 if n < 64 else object
+        group = [graphs[i] for i in rows.tolist()]
+        out_masks = np.array([g.out_masks for g in group], dtype=dtype).reshape(rows.size, n)
+        in_masks = np.array([g.in_masks for g in group], dtype=dtype).reshape(rows.size, n)
+        part_b = None if b is None else b[rows]
+        parts.append((rows, _check_order(cfg, kind, out_masks, in_masks, agg, part_b)))
+    return _chunk_result(cfg, lo, parts), agg
 
 
 def _random_graph(cfg: SweepConfig, idx: int) -> OrientedGraph:
@@ -379,24 +352,32 @@ def _random_graph(cfg: SweepConfig, idx: int) -> OrientedGraph:
     return random_oriented(n, cfg.p, inst_seed + 1)
 
 
-# random chunk workers: each builds its slice of instances and hands it to _run_instances
-
-
-def _random_chunk(args) -> tuple[list[dict], dict]:
+def _random_chunk(args) -> tuple[tuple[list, ...], dict]:
     cfg, lo, hi, kind = args
-    instances = [(f"rnd-{idx}", _random_graph(cfg, idx)) for idx in range(lo, hi)]
-    return _run_instances(cfg, instances, *_KINDS[kind])
+    return _graphs_chunk(cfg, kind, lo, [_random_graph(cfg, idx) for idx in range(lo, hi)])
 
 
-def _corollary_chunk(args) -> tuple[list[dict], dict]:
+def _corollary_chunk(args) -> tuple[tuple[list, ...], dict]:
     cfg, lo, hi, kind = args
     ns = cfg.ns()
-    instances = [
+    graphs = [
         # tournaments are the densest case
-        (f"crl-{idx}", random_oriented(ns[idx % len(ns)], 1.0, _mix_seed(cfg.seed, idx)))
+        random_oriented(ns[idx % len(ns)], 1.0, _mix_seed(cfg.seed, idx))
         for idx in range(lo, hi)
     ]
-    return _run_instances(cfg, instances, *_KINDS[kind])
+    return _graphs_chunk(cfg, kind, lo, graphs)
+
+
+def _blowup_params(cfg: SweepConfig) -> list[tuple[int, int]]:
+    (t_lo, t_hi), (b_lo, b_hi) = cfg.t_range, cfg.b_range
+    return [(t, b) for t in range(t_lo, t_hi + 1) for b in range(b_lo, b_hi + 1)]
+
+
+def _blowup_chunk(args) -> tuple[tuple[list, ...], dict]:
+    cfg, lo, hi, kind = args
+    params = _blowup_params(cfg)[lo:hi]
+    graphs = [blowup_directed_cycle(t, b) for t, b in params]
+    return _graphs_chunk(cfg, kind, lo, graphs, np.array([b for _, b in params]))
 
 
 def _config_dict(cfg: SweepConfig) -> dict:
@@ -409,23 +390,20 @@ def _config_dict(cfg: SweepConfig) -> dict:
     return doc
 
 
-def _run_chunked(
-    cfg: SweepConfig, total: int, worker, instance_kind: str, records_of=list
-) -> SweepReport:
+def _run_chunked(cfg: SweepConfig, total: int, worker, kind: str, graph_id) -> SweepReport:
     """Run instances 0..total-1 in chunks on cfg.workers processes, in chunk order.
 
-    records_of turns the rows one chunk returns into record dicts, in the parent.
+    The parent turns each chunk's columns into records; graph_id names an index.
     """
     chunks = [
-        (cfg, lo, min(lo + cfg.chunk_size, total), instance_kind)
-        for lo in range(0, total, cfg.chunk_size)
+        (cfg, lo, min(lo + cfg.chunk_size, total), kind) for lo in range(0, total, cfg.chunk_size)
     ]
     agg = _new_agg()
     records: list[dict] = []
 
     def collect(results) -> None:
-        for rows, part in results:
-            records.extend(records_of(rows))
+        for columns, part in results:
+            records.extend(_records(graph_id, columns))
             _merge_agg(agg, part)
 
     if cfg.workers <= 1 or len(chunks) <= 1:
@@ -437,7 +415,7 @@ def _run_chunked(
     return SweepReport(_config_dict(cfg), records, agg)
 
 
-def _run_exhaustive(cfg: SweepConfig, instance_kind: str) -> SweepReport:
+def _run_exhaustive(cfg: SweepConfig, kind: str) -> SweepReport:
     """Every labeled oriented graph of the one order the config names."""
     ns = cfg.ns()
     if len(ns) != 1:
@@ -446,8 +424,7 @@ def _run_exhaustive(cfg: SweepConfig, instance_kind: str) -> SweepReport:
     if n > cfg.max_n_exhaustive:
         raise TooLarge(f"exhaustive n={n} above bound {cfg.max_n_exhaustive}")
     cfg = dataclasses.replace(cfg, n=n)
-    records_of = partial(_exhaustive_records, n)
-    return _run_chunked(cfg, num_oriented(n), _exhaustive_chunk, instance_kind, records_of)
+    return _run_chunked(cfg, num_oriented(n), _exhaustive_chunk, kind, f"exh{n}-{{}}".format)
 
 
 def run_theorem_sweep(cfg: SweepConfig) -> SweepReport:
@@ -455,7 +432,7 @@ def run_theorem_sweep(cfg: SweepConfig) -> SweepReport:
     if cfg.mode == "exhaustive":
         return _run_exhaustive(cfg, "theorem")
     if cfg.mode == "random":
-        return _run_chunked(cfg, cfg.samples, _random_chunk, "theorem")
+        return _run_chunked(cfg, cfg.samples, _random_chunk, "theorem", "rnd-{}".format)
     raise BadParams(f"theorem sweep does not support mode {cfg.mode!r}")
 
 
@@ -463,7 +440,10 @@ def run_oddcase_sweep(cfg: SweepConfig) -> SweepReport:
     """Check odd-length maxima against twice the pseudo-semidegree minus one."""
     if cfg.mode == "exhaustive":
         return _run_exhaustive(cfg, "oddcase")
-    return _run_chunked(cfg, cfg.samples, _random_chunk, "oddcase")
+    # "oddcase" is the CLI's name for the random odd-case sweep
+    if cfg.mode in ("random", "oddcase"):
+        return _run_chunked(cfg, cfg.samples, _random_chunk, "oddcase", "rnd-{}".format)
+    raise BadParams(f"odd-case sweep does not support mode {cfg.mode!r}")
 
 
 def run_blowup_suite(
@@ -473,24 +453,16 @@ def run_blowup_suite(
 ) -> SweepReport:
     """Tightness construction: class size b forces semidegree b and maximum order 2b."""
     cfg = SweepConfig(mode="blowup", t_range=t_range, b_range=b_range, stable=stable)
-    params = [
-        (t, b) for t in range(t_range[0], t_range[1] + 1) for b in range(b_range[0], b_range[1] + 1)
-    ]
-    sizes = {f"blowup-{t}x{b}": b for t, b in params}
-
-    def check(cfg: SweepConfig, rec: dict, g: OrientedGraph, length: int, agg: dict) -> None:
-        b = sizes[rec["graph_id"]]
-        if rec["min_semidegree"] != b or length != 2 * b:
-            rec["violation"] = f"blowup:semideg={rec['min_semidegree']},L={length},b={b}"
-            agg["violations"] += 1
-
-    instances = [(f"blowup-{t}x{b}", blowup_directed_cycle(t, b)) for t, b in params]
-    records, agg = _run_instances(cfg, instances, _too_large, check)
-    return SweepReport(_config_dict(cfg), records, agg)
+    names = [f"blowup-{t}x{b}" for t, b in _blowup_params(cfg)]
+    return _run_chunked(cfg, len(names), _blowup_chunk, "blowup", names.__getitem__)
 
 
 def run_corollary_sweep(cfg: SweepConfig) -> SweepReport:
-    """Dense-graph corollary: edge count above (5k+4)n/4 forces an order-k path."""
+    """Dense-graph corollary: edge count above (5k+4)n/4 forces an order-k path.
+
+    Every instance is a tournament, so checking the bound for n(n-1)/2 edges
+    here covers each graph.
+    """
     if cfg.k is None or cfg.k < 1:
         raise BadParams("corollary sweep needs k >= 1")
     for n in cfg.ns():
@@ -501,7 +473,7 @@ def run_corollary_sweep(cfg: SweepConfig) -> SweepReport:
             )
         if n > cfg.max_n_subset_dp:
             raise TooLarge(f"n={n} beyond oracle budget")
-    return _run_chunked(cfg, cfg.samples, _corollary_chunk, "corollary")
+    return _run_chunked(cfg, cfg.samples, _corollary_chunk, "corollary", "crl-{}".format)
 
 
 # --- report emission -------------------------------------------------------

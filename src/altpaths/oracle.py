@@ -85,27 +85,6 @@ def alt_path_lengths(out_masks: np.ndarray, in_masks: np.ndarray, n: int) -> np.
     return lengths
 
 
-def longest_alt_path_lengths(
-    graphs: Sequence[OrientedGraph], budget: OracleBudget = DEFAULT_BUDGET
-) -> list[int]:
-    """Maximum alternating-path order of each graph, without witnesses.
-
-    Graphs of one order share kernel calls through alt_path_lengths.
-    """
-    by_n: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        _check_budget(g, budget)
-        by_n.setdefault(g.n, []).append(i)
-    lengths = [0] * len(graphs)
-    for n, idxs in by_n.items():
-        shape = (len(idxs), n)
-        out_masks = np.array([graphs[i].out_masks for i in idxs], dtype=np.int64).reshape(shape)
-        in_masks = np.array([graphs[i].in_masks for i in idxs], dtype=np.int64).reshape(shape)
-        for i, length in zip(idxs, alt_path_lengths(out_masks, in_masks, n).tolist()):
-            lengths[i] = length
-    return lengths
-
-
 def has_alt_path_k(g: OrientedGraph, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
     _check_budget(g, budget)
     if k <= 0:

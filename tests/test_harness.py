@@ -8,7 +8,7 @@ import pytest
 from altpaths import errors
 from altpaths.cli import main
 from altpaths import harness
-from altpaths.graph_core import blowup_directed_cycle, graph_from_code, to_edgelist
+from altpaths.graph_core import DegreeSummary, blowup_directed_cycle, graph_from_code, to_edgelist
 from altpaths.harness import (
     SweepConfig,
     SweepReport,
@@ -23,6 +23,7 @@ from altpaths.harness import (
     run_theorem_sweep,
     sweep_failed,
 )
+from altpaths.oracle import OracleBudget, longest_alt_path_exact
 from altpaths.rotation_engine import find_alternating_path
 
 
@@ -180,7 +181,9 @@ class TestReportEncoder:
         )
 
     def test_random_with_timings(self):
-        report = run_theorem_sweep(SweepConfig(mode="random", n_range=(6, 9), samples=40, seed=2))
+        # dense enough that the finder runs (kmax >= 2) on some rows
+        cfg = SweepConfig(mode="random", n_range=(8, 10), p=0.9, samples=20, seed=2)
+        report = run_theorem_sweep(cfg)
         assert any(rec["micros"] > 0 for rec in report.records)
         self._assert_matches_reference(report)
 
@@ -311,6 +314,133 @@ class TestColumnarExhaustive:
         run_theorem_sweep(SweepConfig(mode="exhaustive", n=4, stable=True))
         run_theorem_sweep(SweepConfig(mode="random", n_range=(6, 8), samples=20, stable=True))
         run_blowup_suite(stable=True)
+
+
+class TestSweepConfig:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(mode="exhaustive", n=-1),
+            dict(mode="random", n=-3),
+            dict(mode="random", n_range=(6, 5)),
+            dict(mode="random", n_range=(-2, 5)),
+            dict(mode="random", n_range=()),
+            dict(mode="random", n=8, chunk_size=0),
+            dict(mode="random", n=8, chunk_size=-4),
+        ],
+    )
+    def test_bad_params(self, fields):
+        with pytest.raises(errors.BadParams):
+            SweepConfig(**fields)
+
+    def test_subset_dp_bound_is_the_oracles(self):
+        # also where no row would build a budget: every order-3 graph has kmax <= 1
+        for bound in (0, 40):
+            with pytest.raises(errors.BadParams) as sweep_exc:
+                SweepConfig(mode="exhaustive", n=3, max_n_subset_dp=bound)
+            with pytest.raises(errors.BadParams) as oracle_exc:
+                OracleBudget(max_n_subset_dp=bound)
+            assert str(sweep_exc.value) == str(oracle_exc.value)
+
+    @pytest.mark.parametrize("mode,n", [("exhaustive", "-1"), ("random", "-3")])
+    def test_cli_negative_order_is_usage_error(self, capsys, mode, n):
+        assert main(["sweep", "--mode", mode, "--n", n]) == 2
+        assert "n must be >= 0" in capsys.readouterr().err
+
+    def test_oddcase_sweep_rejects_unknown_modes(self):
+        for mode in ("blowup", "corollary", "nope"):
+            with pytest.raises(errors.BadParams):
+                run_oddcase_sweep(SweepConfig(mode=mode, n=6, samples=5))
+        # the CLI's name for the random odd-case sweep
+        report = run_oddcase_sweep(SweepConfig(mode="oddcase", n=6, samples=5, stable=True))
+        assert report.aggregates["instances"] == 5
+
+
+# sha256 of stable reports as the per-record sweep driver wrote them
+RANDOM_THEOREM_SHA256 = "51f8e699307da7a28dc51ac14d83b78f54de5997f03dff65ca3254ed28da4268"
+RANDOM_ODDCASE_SHA256 = "90f970fed22364778b4f12a0c550de1bd6f9430ee364c4adb7702bf2951ed081"
+COROLLARY_SHA256 = "7fa344ed027fb32d0f85caa3fcb5a8155ed177a7adb790db349c7b547104cbc9"
+BLOWUP_SHA256 = "08255df6ea372714172ea5f2705a1bedf8eb300a292a2cf803b74e2b4369fc0f"
+PAST_INT64_SHA256 = "093cdbe3e5b6b647da95e657a917400a03326edc48eca4c202cabd5095df4099"
+
+
+class TestOneDriver:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_random_theorem_pinned(self, workers):
+        # orders 11 and 12 are skipped; 25-row chunks mix skipped and finder rows
+        cfg = SweepConfig(
+            mode="random", n_range=(8, 12), p=0.9, samples=120, seed=7, chunk_size=25,
+            max_n_subset_dp=10, stable=True, workers=workers,
+        )
+        report = run_theorem_sweep(cfg)
+        chunk = report.records[:25]
+        assert len({rec["n"] for rec in chunk}) > 2
+        assert any(rec["violation"] == "skipped:TooLarge" for rec in chunk)
+        assert any(rec["rounds"] or rec["finder_outcome"] == "found" for rec in chunk)
+        assert _sha256(report_to_json(report)) == RANDOM_THEOREM_SHA256
+
+    def test_random_oddcase_pinned(self):
+        cfg = SweepConfig(mode="random", n_range=(6, 10), samples=100, seed=5, stable=True)
+        assert _sha256(report_to_json(run_oddcase_sweep(cfg))) == RANDOM_ODDCASE_SHA256
+
+    def test_corollary_pinned(self):
+        cfg = SweepConfig(mode="corollary", k=4, n_range=(14, 15), samples=12, seed=2, stable=True)
+        assert _sha256(report_to_json(run_corollary_sweep(cfg))) == COROLLARY_SHA256
+
+    def test_blowup_pinned(self):
+        # 5x5 has 25 vertices, past the subset-DP bound; 3x4 and 4x3 share an order
+        report = run_blowup_suite(t_range=(3, 5), b_range=(1, 5), stable=True)
+        skipped = [rec["graph_id"] for rec in report.records if rec["violation"]]
+        assert skipped == ["blowup-5x5"]
+        assert _sha256(report_to_json(report)) == BLOWUP_SHA256
+
+    def test_orders_past_int64_pinned(self):
+        cfg = SweepConfig(mode="random", n_range=(62, 66), samples=6, seed=1, stable=True)
+        report = run_theorem_sweep(cfg)
+        assert report.aggregates["skipped"] == 6
+        for idx, rec in enumerate(report.records):
+            summary = DegreeSummary.of(harness._random_graph(cfg, idx))
+            assert (rec["min_semidegree"], rec["min_pseudo_semidegree"], rec["edges"]) == (
+                summary.min_semidegree, summary.min_pseudo_semidegree, summary.edge_count
+            )
+        assert {rec["n"] for rec in report.records} > {64, 65}
+        assert _sha256(report_to_json(report)) == PAST_INT64_SHA256
+
+    def test_lengths_group_by_order(self):
+        # 9-row chunks over orders 0..12, so every chunk runs several order batches
+        cfg = SweepConfig(
+            mode="random", n_range=(0, 12), samples=40, seed=70, chunk_size=9, stable=True
+        )
+        report = run_oddcase_sweep(cfg)
+        assert len({rec["n"] for rec in report.records[:9]}) > 3
+        for idx, rec in enumerate(report.records):
+            assert rec["oracle_L"] == longest_alt_path_exact(harness._random_graph(cfg, idx))[0]
+        # past the subset-DP bound an order is skipped whole, where the oracle refuses
+        small = run_oddcase_sweep(dataclasses.replace(cfg, max_n_subset_dp=8))
+        for idx, (rec, full) in enumerate(zip(small.records, report.records)):
+            if rec["n"] <= 8:
+                assert rec == full
+                continue
+            assert (rec["oracle_L"], rec["violation"]) == (None, "skipped:TooLarge")
+            with pytest.raises(errors.TooLarge):
+                longest_alt_path_exact(harness._random_graph(cfg, idx), OracleBudget(8))
+
+    def test_micros_time_the_finder_in_every_sweep(self):
+        reports = [
+            run_oddcase_sweep(SweepConfig(mode="random", n_range=(6, 9), samples=20, seed=1)),
+            run_corollary_sweep(SweepConfig(mode="corollary", k=4, n=14, samples=2)),
+            run_blowup_suite(),
+        ]
+        assert all(rec["micros"] == 0 for report in reports for rec in report.records)
+        cfg = SweepConfig(mode="random", n_range=(5, 9), p=0.8, samples=40, seed=2)
+        report = run_theorem_sweep(cfg)
+        finder_micros = []
+        for rec in report.records:
+            if max_k_for(rec["min_pseudo_semidegree"]) >= 2:
+                finder_micros.append(rec["micros"])
+            else:
+                assert rec["micros"] == 0
+        assert finder_micros and any(finder_micros)
 
 
 class TestCli:

@@ -16,11 +16,11 @@ from altpaths.graph_core import (
 )
 from altpaths.oracle import (
     OracleBudget,
+    alt_path_lengths,
     enumerate_respectable_endpoints,
     hamilton_cycle_bipartite_exact,
     has_alt_path_k,
     longest_alt_path_exact,
-    longest_alt_path_lengths,
     run_dp,
 )
 from conftest import oriented_graphs
@@ -221,14 +221,9 @@ class TestKernelTwins:
             one = run_dp([g.out_masks], [g.in_masks], 7)
             assert (best[i], bm[i], bs[i]) == (one[0][0], one[1][0], one[2][0])
             assert reach[i].tolist() == one[3][0].tolist()
-        assert longest_alt_path_lengths(graphs) == [int(b) for b in best]
-
-    def test_lengths_group_by_order(self):
-        graphs = [random_oriented(n, 0.5, 70 + n) for n in (6, 0, 9, 6, 1, 9, 12)]
-        expected = [longest_alt_path_exact(g)[0] for g in graphs]
-        assert longest_alt_path_lengths(graphs) == expected
-        with pytest.raises(errors.TooLarge):
-            longest_alt_path_lengths(graphs, OracleBudget(max_n_subset_dp=8))
+        out_masks = np.array([g.out_masks for g in graphs])
+        in_masks = np.array([g.in_masks for g in graphs])
+        assert alt_path_lengths(out_masks, in_masks, 7).tolist() == best.tolist()
 
     def test_early_exit_agrees(self):
         for g in self._graphs():
