@@ -10,7 +10,9 @@ Every sweep kind runs through one driver, _check_order.  A chunk source
 instances into (B, n) mask batches, one per order; the driver takes the
 degrees from degree_columns and L from alt_path_lengths, and runs the
 kind's check column by column.  Only the theorem check builds graphs,
-for the finder where kmax >= 2.  The parent builds the record dicts.
+for the finder where kmax >= 2.  Reports stay columnar: the parent extends
+one list per record field from each chunk, and the renderers read those
+lists.
 """
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -53,6 +55,8 @@ CSV_COLUMNS = [
     "rounds",
     "micros",
 ]
+# every field of a report record, in the order a record dict lists them
+RECORD_FIELDS = (*CSV_COLUMNS, "violation")
 
 
 @dataclass
@@ -98,9 +102,39 @@ class SweepConfig:
 
 @dataclass
 class SweepReport:
+    """A sweep's config, aggregates and records.
+
+    columns maps each RECORD_FIELDS name to one list with a value per
+    record; None stands for null.
+    """
+
     config: dict
-    records: list[dict]
+    columns: dict[str, list]
     aggregates: dict = field(default_factory=dict)
+
+    @property
+    def records(self) -> list[dict]:
+        """The records as dicts, built on each call.
+
+        Mutating the returned list or its dicts does not change the report.
+        """
+        columns = _checked_columns(self)
+        rows = zip(*(columns[name] for name in RECORD_FIELDS))
+        return [dict(zip(RECORD_FIELDS, row)) for row in rows]
+
+
+def _checked_columns(report: SweepReport) -> dict[str, list]:
+    """report.columns, once it holds one column per RECORD_FIELDS name, all of one length.
+
+    Anything else raises TypeError.
+    """
+    columns = report.columns
+    if columns.keys() != set(RECORD_FIELDS):
+        raise TypeError(f"report columns {sorted(columns)} are not the record fields")
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise TypeError(f"report columns have unequal lengths {lengths}")
+    return columns
 
 
 def max_k_for(pseudo: int | None) -> int:
@@ -247,8 +281,13 @@ def _check_order(
         agg["skipped"] += size
         return cols
     cols.length = alt_path_lengths(out_masks, in_masks, n)
-    for p in np.unique(pseudo[pseudo >= 0]).tolist():
-        _lower_frontier(agg["frontier"], str(p), int(cols.length[pseudo == p].min()))
+    # least L at each pseudo-semidegree; L <= n marks one that occurs.  (np.unique
+    # would import numpy.ma in every pool worker.)
+    least = np.full(n + 1, n + 1)
+    defined = pseudo >= 0
+    np.minimum.at(least, pseudo[defined], cols.length[defined])
+    for p in np.flatnonzero(least <= n).tolist():
+        _lower_frontier(agg["frontier"], str(p), int(least[p]))
     _CHECKS[kind](cfg, cols, agg)
     return cols
 
@@ -260,7 +299,7 @@ def _nullable(column: np.ndarray) -> list[int | None]:
 def _chunk_result(
     cfg: SweepConfig, lo: int, parts: list[tuple[np.ndarray, _Columns]]
 ) -> tuple[list, ...]:
-    """The value columns _records reads for instances lo.., in index order.
+    """Lists for instances lo.., in index order: indexes, then each record field after graph_id.
 
     parts pairs each order's columns with the chunk rows they hold.  Every
     row is kept, or only the violating ones when aggregate_only.
@@ -291,27 +330,6 @@ def _chunk_result(
         column("micros").tolist(),
         [violation.get(i) for i in keep.tolist()],
     )
-
-
-def _records(graph_id, columns: tuple[list, ...]) -> list[dict]:
-    """Record dicts from the value columns one chunk returns; graph_id names an instance index."""
-    return [
-        {
-            "graph_id": graph_id(index),
-            "n": n,
-            "edges": edges,
-            "min_pseudo_semidegree": pseudo,
-            "min_semidegree": semi,
-            "oracle_L": length,
-            "finder_outcome": outcome,
-            "rounds": rounds,
-            "micros": micros,
-            "violation": violation,
-        }
-        for index, n, edges, pseudo, semi, length, outcome, rounds, micros, violation in zip(
-            *columns
-        )
-    ]
 
 
 # --- chunk sources: each turns instances lo..hi-1 into mask batches ---------
@@ -393,26 +411,29 @@ def _config_dict(cfg: SweepConfig) -> dict:
 def _run_chunked(cfg: SweepConfig, total: int, worker, kind: str, graph_id) -> SweepReport:
     """Run instances 0..total-1 in chunks on cfg.workers processes, in chunk order.
 
-    The parent turns each chunk's columns into records; graph_id names an index.
+    The parent extends the report's columns from each chunk's; graph_id names an index.
     """
     chunks = [
         (cfg, lo, min(lo + cfg.chunk_size, total), kind) for lo in range(0, total, cfg.chunk_size)
     ]
     agg = _new_agg()
-    records: list[dict] = []
+    columns: dict[str, list] = {name: [] for name in RECORD_FIELDS}
+    after_id = [columns[name] for name in RECORD_FIELDS[1:]]
 
     def collect(results) -> None:
-        for columns, part in results:
-            records.extend(_records(graph_id, columns))
+        for (index, *values), part in results:
+            columns["graph_id"].extend(map(graph_id, index))
+            for column, chunk_values in zip(after_id, values):
+                column.extend(chunk_values)
             _merge_agg(agg, part)
 
     if cfg.workers <= 1 or len(chunks) <= 1:
         collect(map(worker, chunks))
     else:
         with multiprocessing.Pool(cfg.workers) as pool:
-            # in chunk order, so the parent builds records while the workers run
+            # in chunk order, so the parent collects columns while the workers run
             collect(pool.imap(worker, chunks))
-    return SweepReport(_config_dict(cfg), records, agg)
+    return SweepReport(_config_dict(cfg), columns, agg)
 
 
 def _run_exhaustive(cfg: SweepConfig, kind: str) -> SweepReport:
@@ -450,9 +471,14 @@ def run_blowup_suite(
     t_range: tuple[int, int] = (3, 5),
     b_range: tuple[int, int] = (1, 3),
     stable: bool = False,
+    workers: int = 1,
+    aggregate_only: bool = False,
 ) -> SweepReport:
     """Tightness construction: class size b forces semidegree b and maximum order 2b."""
-    cfg = SweepConfig(mode="blowup", t_range=t_range, b_range=b_range, stable=stable)
+    cfg = SweepConfig(
+        mode="blowup", t_range=t_range, b_range=b_range, stable=stable, workers=workers,
+        aggregate_only=aggregate_only,
+    )
     names = [f"blowup-{t}x{b}" for t, b in _blowup_params(cfg)]
     return _run_chunked(cfg, len(names), _blowup_chunk, "blowup", names.__getitem__)
 
@@ -481,54 +507,53 @@ def run_corollary_sweep(cfg: SweepConfig) -> SweepReport:
 
 # the JSON text of a record value, by its exact type
 _JSON_SCALARS = {
-    type(None): {None: "null"}.__getitem__,
-    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
     int: int.__repr__,
     str: encode_basestring_ascii,
 }
 
 
-def _records_json(records: list[dict]) -> str:
-    """The records list exactly as json.dumps(sort_keys=True, indent=2) nests it in the report.
+def _json_lines(key: str, column: list, tail: str) -> list[str]:
+    """Each row's `"key": value` line as json.dumps(indent=2) nests it in the report, plus tail.
 
-    Every record must have the first record's keys (at least two) and only
-    values of the types in _JSON_SCALARS; anything else raises TypeError.
+    A value's text is built once per distinct value.  A value of a type
+    outside _JSON_SCALARS raises TypeError.
     """
-    if not records:
-        return "[]"
-    keys = sorted(records[0])
-    if len(keys) < 2:
-        raise TypeError(f"report records need at least two keys, got {keys}")
-    template = "    {\n%s\n    }" % ",\n".join(
-        f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys
-    )
-    values = itemgetter(*keys)
-    scalars = _JSON_SCALARS
-    parts = []
-    try:
-        for rec in records:
-            if len(rec) != len(keys):
-                raise KeyError(sorted(rec))
-            parts.append(template % tuple([scalars[type(v)](v) for v in values(rec)]))
-    except KeyError as exc:
-        raise TypeError(f"record {len(parts)} does not fit the report template: {exc}") from exc
-    return "[\n%s\n  ]" % ",\n".join(parts)
+    head = f"      {encode_basestring_ascii(key)}: "
+    if key == "graph_id":  # a distinct string on every row
+        return [f"{head}{text}{tail}" for text in map(encode_basestring_ascii, column)]
+    types = set(map(type, column))
+    if not types <= _JSON_SCALARS.keys():
+        raise TypeError(f"report column {key!r} holds {sorted(t.__name__ for t in types)}")
+    table = {value: head + _JSON_SCALARS[type(value)](value) + tail for value in set(column)}
+    return list(map(table.__getitem__, column))
 
 
 def report_to_json(report: SweepReport) -> str:
+    """The report exactly as json.dumps(doc, sort_keys=True, indent=2) writes it, plus a newline."""
+    columns = _checked_columns(report)
     head = json.dumps(
         {"config": report.config, "aggregates": report.aggregates}, sort_keys=True, indent=2
     )
     # head ends with the closing "\n}"; "records" sorts after both keys
-    return f'{head[:-2]},\n  "records": {_records_json(report.records)}\n}}\n'
+    if not columns["graph_id"]:
+        return head[:-2] + ',\n  "records": []\n}\n'
+    *keys, last = sorted(RECORD_FIELDS)
+    lines = [_json_lines(key, columns[key], ",\n") for key in keys]
+    # the last key's line closes its record and opens the next; the final one closes the document
+    lines.append(_json_lines(last, columns[last], "\n    },\n    {\n"))
+    lines[-1][-1] = _json_lines(last, columns[last][-1:], "\n    }\n  ]\n}\n")[0]
+    opening = [head[:-2], ',\n  "records": [\n    {\n']
+    return "".join(chain(opening, chain.from_iterable(zip(*lines))))
 
 
 def report_to_csv(report: SweepReport) -> str:
+    columns = _checked_columns(report)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in report.records:
-        writer.writerow(["" if rec[c] is None else rec[c] for c in CSV_COLUMNS])
+    # the csv writer writes None as the empty string
+    writer.writerows(zip(*(columns[name] for name in CSV_COLUMNS)))
     return buf.getvalue()
 
 

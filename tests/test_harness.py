@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from functools import cache
 
 import pytest
@@ -207,28 +210,52 @@ class TestReportEncoder:
         self._assert_matches_reference(run_blowup_suite(stable=True))
 
     def test_string_escapes(self):
-        report = run_blowup_suite(t_range=(3, 3), b_range=(1, 1), stable=True)
-        report.records.append(dict(report.records[0], violation='a"b\\c\nd\u00e9\u2603'))
+        base = run_blowup_suite(t_range=(3, 3), b_range=(1, 1), stable=True)
+        columns = {name: column * 2 for name, column in base.columns.items()}
+        columns["violation"] = [None, 'a"b\\c\nd\u00e9\u2603']
+        report = SweepReport(base.config, columns, base.aggregates)
         text = report_to_json(report)
         assert text.isascii()
         assert text == _reference_json(report)
 
     def test_record_off_template_raises(self):
         base = run_blowup_suite(t_range=(3, 3), b_range=(1, 1), stable=True)
-        rec = base.records[0]
-        extra = dict(rec, extra=1)
-        missing = {key: rec[key] for key in rec if key != "micros"}
-        renamed = dict(missing, millis=0)
-        for bad in (extra, missing, renamed, dict(rec, micros=1.5), dict(rec, violation=["x"])):
-            report = SweepReport(base.config, [rec, bad], base.aggregates)
+        columns = {name: column * 2 for name, column in base.columns.items()}
+        missing = {name: column for name, column in columns.items() if name != "micros"}
+        bad_columns = [
+            dict(columns, extra=[1, 1]),
+            missing,
+            dict(missing, millis=[0, 0]),
+            dict(columns, micros=[0, 1.5]),
+            dict(columns, violation=[None, ["x"]]),
+            dict(columns, graph_id=["blowup-3x1", 7]),
+            dict(columns, rounds=[0]),
+        ]
+        for bad in bad_columns:
+            report = SweepReport(base.config, bad, base.aggregates)
             with pytest.raises(TypeError):
                 report_to_json(report)
+
+    def test_records_are_a_copy(self):
+        report = run_blowup_suite(t_range=(3, 3), b_range=(1, 2), stable=True)
+        text = report_to_json(report)
+        records = report.records
+        records[0]["violation"] = "changed"
+        records.pop()
+        assert report.records[0]["violation"] is None and len(report.records) == 2
+        assert report_to_json(report) == text
 
     def test_exhaustive_n5_stable_pinned(self):
         # sha256 of the stable n=5 report as the json.dumps encoder wrote it
         report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=5, stable=True))
         digest = hashlib.sha256(report_to_json(report).encode("ascii")).hexdigest()
         assert digest == "a49bd2ff4f644333db63ab94ed8714b8ce3fa379ac60357cc340203d15be9e49"
+
+    def test_exhaustive_n5_stable_csv_pinned(self):
+        # sha256 of the stable n=5 CSV as the per-record writer wrote it
+        report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=5, stable=True))
+        digest = hashlib.sha256(report_to_csv(report).encode("ascii")).hexdigest()
+        assert digest == "9da2cb1e2d455807c281e36a4d95c3ecc22013bd0a35f37caee7a21ddd934b78"
 
 
 def _sha256(text: str) -> str:
@@ -306,6 +333,24 @@ class TestColumnarExhaustive:
                 assert rec["micros"] == 0
         assert finder_micros and any(finder_micros)
 
+    def test_chunk_imports_no_masked_arrays(self):
+        # numpy.ma costs every pool worker 15-25 ms on its first import
+        code = (
+            "import sys\n"
+            "from altpaths import harness\n"
+            "cfg = harness.SweepConfig(mode='exhaustive', n=5, stable=True)\n"
+            "columns, agg = harness._exhaustive_chunk((cfg, 0, 2000, 'theorem'))\n"
+            "assert agg['frontier'] == {'1': 2, '2': 4}, agg\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_stable_sweeps_read_no_clock(self, monkeypatch):
         def clock():
             raise AssertionError("a stable sweep read the clock")
@@ -358,6 +403,7 @@ class TestSweepConfig:
 
 # sha256 of stable reports as the per-record sweep driver wrote them
 RANDOM_THEOREM_SHA256 = "51f8e699307da7a28dc51ac14d83b78f54de5997f03dff65ca3254ed28da4268"
+RANDOM_THEOREM_CSV_SHA256 = "121c4da34c2c40b606acf76b56db2126825f38971cbdcec7524d82c476b6a22b"
 RANDOM_ODDCASE_SHA256 = "90f970fed22364778b4f12a0c550de1bd6f9430ee364c4adb7702bf2951ed081"
 COROLLARY_SHA256 = "7fa344ed027fb32d0f85caa3fcb5a8155ed177a7adb790db349c7b547104cbc9"
 BLOWUP_SHA256 = "08255df6ea372714172ea5f2705a1bedf8eb300a292a2cf803b74e2b4369fc0f"
@@ -378,6 +424,8 @@ class TestOneDriver:
         assert any(rec["violation"] == "skipped:TooLarge" for rec in chunk)
         assert any(rec["rounds"] or rec["finder_outcome"] == "found" for rec in chunk)
         assert _sha256(report_to_json(report)) == RANDOM_THEOREM_SHA256
+        # skipped rows have null cells
+        assert _sha256(report_to_csv(report)) == RANDOM_THEOREM_CSV_SHA256
 
     def test_random_oddcase_pinned(self):
         cfg = SweepConfig(mode="random", n_range=(6, 10), samples=100, seed=5, stable=True)
@@ -525,6 +573,20 @@ class TestCli:
         assert main(args + ["--workers", "1", "--out", str(a)]) == 0
         assert main(args + ["--workers", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_blowup_honours_aggregate_only_and_workers(self, tmp_path, capsys):
+        # 5x5 is past the subset-DP bound, so it is the one record kept
+        args = ["sweep", "--mode", "blowup", "--b-range", "1..5", "--workers", "2"]
+        full, kept, timed = tmp_path / "full.json", tmp_path / "kept.json", tmp_path / "t.json"
+        assert main(args + ["--stable", "--out", str(full)]) == 0
+        assert _sha256(full.read_text()) == BLOWUP_SHA256
+        assert main(args + ["--stable", "--aggregate-only", "--out", str(kept)]) == 0
+        doc = json.loads(kept.read_text())
+        assert doc["config"]["aggregate_only"] is True
+        assert [rec["graph_id"] for rec in doc["records"]] == ["blowup-5x5"]
+        assert doc["aggregates"] == json.loads(full.read_text())["aggregates"]
+        assert main(args + ["--aggregate-only", "--out", str(timed)]) == 0
+        assert json.loads(timed.read_text())["config"]["workers"] == 2
 
     def test_construct_blowup(self, capsys):
         assert main(["construct", "blowup", "--t", "3", "--b", "1"]) == 0
