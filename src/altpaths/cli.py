@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import harness
-from .errors import AltPathError, BudgetExceeded, IoFailure, TooLarge, VacuousParams
+from .errors import AltPathError, IoFailure, TooLarge, VacuousParams
 from .graph_core import (
     blowup_directed_cycle,
     load_graph,
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (BudgetExceeded, IoFailure, TooLarge) as exc:
+    except (IoFailure, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (VacuousParams, AltPathError) as exc:

@@ -45,19 +45,7 @@ class BadPivot(AltPathError):
     pass
 
 
-class BudgetExceeded(AltPathError):
-    pass
-
-
 class NoRespectablePath(AltPathError):
-    pass
-
-
-class BadParts(AltPathError):
-    pass
-
-
-class NotOnCycle(AltPathError):
     pass
 
 

@@ -44,10 +44,6 @@ class DegreeSummary:
     min_pseudo_semidegree: int | None
     edge_count: int
 
-    @classmethod
-    def of(cls, g: OrientedGraph) -> DegreeSummary:
-        return g.degree_summary
-
 
 @dataclass(frozen=True)
 class OrientedGraph:

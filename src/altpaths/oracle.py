@@ -1,19 +1,18 @@
 """Exact brute-force ground truth.
 
-Three referees live here: the subset-DP longest alternating path, the
-exhaustive respectable-endpoint enumeration, and an exact bipartite
-Hamilton cycle search.  Everything is exact or refuses via TooLarge.
+Two referees live here: the subset-DP longest alternating path and the
+exhaustive respectable-endpoint enumeration.  Both are exact or refuse
+via TooLarge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ._dp_kernels import BATCH_CELLS, MAX_DP_ORDER, run_dp
 from .altpath import AlternatingPath, ParityFrame, path_from_verts
-from .errors import BadParams, BadParts, NoRespectablePath, TooLarge
+from .errors import BadParams, NoRespectablePath, TooLarge
 from .graph_core import OrientedGraph, bits
 
 
@@ -142,74 +141,3 @@ def enumerate_respectable_endpoints(
         raise NoRespectablePath("no spanning alternating O->E path exists")
     return starts, ends
 
-
-def hamilton_cycle_bipartite_exact(
-    adj_x: Sequence[int], adj_y: Sequence[int]
-) -> list[tuple[int, int]] | None:
-    """Spanning cycle of a balanced bipartite graph, or None.
-
-    adj_x[i] is a bitmask over Y indices (and adj_y mirrors it).  Returns
-    the cycle as a list of (side, index) pairs, side 0 for X, starting at
-    x0; exact backtracking with degree-sorted branching and a stranded-
-    vertex prune.
-    """
-    m = len(adj_x)
-    if len(adj_y) != m:
-        raise BadParts(f"|X|={m} but |Y|={len(adj_y)}")
-    if m < 2:
-        raise BadParams("need parts of size >= 2")
-    if any(a == 0 for a in adj_x) or any(a == 0 for a in adj_y):
-        return None
-    full = (1 << m) - 1
-    deg_y = [adj_y[j].bit_count() for j in range(m)]
-    deg_x = [adj_x[i].bit_count() for i in range(m)]
-    failed: set[tuple[int, int, int]] = set()
-
-    path: list[tuple[int, int]] = [(0, 0)]
-
-    def stranded(used_x: int, used_y: int, last_side: int, last: int) -> bool:
-        # an untouched vertex is dead once its neighborhood lies entirely in
-        # the used set; the current endpoint stays available as a connector,
-        # and x0 stays available to any y as the closing step of the cycle
-        open_y = (full & ~used_y) | ((1 << last) if last_side == 1 else 0)
-        open_x = (full & ~used_x) | ((1 << last) if last_side == 0 else 0) | 1
-        for i in bits(full & ~used_x):
-            if adj_x[i] & open_y == 0:
-                return True
-        for j in bits(full & ~used_y):
-            if adj_y[j] & open_x == 0:
-                return True
-        return False
-
-    def extend(used_x: int, used_y: int, last_side: int, last: int) -> bool:
-        if used_x == full and used_y == full:
-            # close the cycle back to x0
-            return last_side == 1 and bool((adj_y[last] >> 0) & 1)
-        key = (used_x, used_y, last)
-        if key in failed:
-            return False
-        if last_side == 0:
-            cand = sorted(bits(adj_x[last] & ~used_y), key=lambda j: deg_y[j])
-            for j in cand:
-                path.append((1, j))
-                if not stranded(used_x, used_y | (1 << j), 1, j) and extend(
-                    used_x, used_y | (1 << j), 1, j
-                ):
-                    return True
-                path.pop()
-        else:
-            cand = sorted(bits(adj_y[last] & ~used_x), key=lambda i: deg_x[i])
-            for i in cand:
-                path.append((0, i))
-                if not stranded(used_x | (1 << i), used_y, 0, i) and extend(
-                    used_x | (1 << i), used_y, 0, i
-                ):
-                    return True
-                path.pop()
-        if len(failed) < 2_000_000:
-            failed.add(key)
-        return False
-
-    if extend(1, 0, 0, 0):
-        return list(path)
-    return None

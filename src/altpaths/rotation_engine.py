@@ -1,9 +1,10 @@
 """Respectable-path rotation closures and the certificate-producing finder.
 
 The finder mirrors a contradiction argument as a terminating loop: every
-round either lengthens the current alternating path, rebuilds it through
-the bipartite Hamilton machinery, or fails a concrete counting check and
-returns a vertex-level certificate.
+round either lengthens the current alternating path or fails a concrete
+counting check and returns a vertex-level certificate.  A path that no
+stage can lengthen goes to the exact oracle, which decides within its
+order bound; beyond it the finder gives up.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import bipartite_mm, oracle
+from . import oracle
 from .altpath import (
     AlternatingPath,
     ParityFrame,
@@ -22,16 +23,7 @@ from .altpath import (
     trim,
     validate,
 )
-from .bipartite_mm import (
-    BipartiteView,
-    _low_degree_class,
-    build_H,
-    cut_cycle_at,
-    drop_vertices,
-    mm_hamilton_cycle,
-    moon_moser_check,
-)
-from .errors import BadParams, BadPivot, BudgetExceeded, DebugCheckFailure
+from .errors import BadParams, BadPivot, DebugCheckFailure
 from .graph_core import OrientedGraph, bits, min_pseudo_semidegree
 from .oracle import OracleBudget, longest_alt_path_exact
 
@@ -66,7 +58,7 @@ class Certificate:
     """An independently checkable witness of a failed counting step."""
 
     vertex: int
-    side: str  # "in" | "out" | "undirected"
+    side: str  # "in" | "out"
     degree: int
     bound: float
     stage: str
@@ -91,13 +83,8 @@ def certificate_is_sound(g: OrientedGraph, cert: Certificate) -> bool:
         scope = 0
         for v in cert.scope:
             scope |= 1 << v
-    if cert.side == "out":
-        d = (g.out_masks[cert.vertex] & scope).bit_count()
-    elif cert.side == "in":
-        d = (g.in_masks[cert.vertex] & scope).bit_count()
-    else:
-        d = ((g.out_masks[cert.vertex] | g.in_masks[cert.vertex]) & scope).bit_count()
-    return d == cert.degree
+    masks = {"out": g.out_masks, "in": g.in_masks}.get(cert.side)
+    return masks is not None and (masks[cert.vertex] & scope).bit_count() == cert.degree
 
 
 @dataclass(frozen=True)
@@ -106,8 +93,15 @@ class AltSpanningCycle:
 
 
 def cycle_is_valid(g: OrientedGraph, frame: ParityFrame, cyc: AltSpanningCycle) -> bool:
-    """The spanning-cycle check of the frame's source->sink bipartite view."""
-    return bipartite_mm.cycle_is_valid(build_H(g, frame), list(cyc.verts))
+    """True iff cyc spans the frame and each cyclic step is a source->sink arc of g."""
+    vs = cyc.verts
+    if len(vs) != 2 * frame.m or set(vs) != frame.all_verts:
+        return False
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        u, w = (a, b) if a in frame.sources else (b, a)
+        if u not in frame.sources or w not in frame.sinks or not g.has_edge(u, w):
+            return False
+    return True
 
 
 Extension = tuple[tuple[int, ...], int, bool]  # (extended path, outside vertex, at_start)
@@ -125,7 +119,7 @@ class FinderOutcome:
     outcome: str  # "found" | "diagnostic" | "gave_up"
     path: AlternatingPath | None
     certificate: Certificate | None
-    reason: str | None  # "OddStuck" | "Livelock" | "BudgetExceeded"
+    reason: str | None  # "OddStuck" | "EvenStuck" | "BudgetExceeded"
     rounds: int
     condition_holds: bool
 
@@ -212,21 +206,19 @@ def start_closure(
     g: OrientedGraph,
     frame: ParityFrame,
     seed: tuple[int, ...],
-    max_states: int = 0,
     debug: bool = False,
 ) -> ClosureResult:
     """BFS over rotations at both ends, one witness per (start, terminal) pair.
 
     Every newly reached start is scanned for an out-neighbor outside the
     frame (terminals for outside in-neighbors); the first hit is recorded
-    as an extension and the search stops early.
+    as an extension and the search stops early.  Each state is a (source,
+    sink) endpoint pair, so the search visits at most m^2 states.
     """
     seed = tuple(seed)
     if seed[0] in frame.sinks:
         seed = tuple(reversed(seed))  # canonical orientation: source endpoint first
     m = frame.m
-    if max_states <= 0:
-        max_states = max(4 * m * m, 64)
     frame_mask = _mask_of(frame.all_verts)
     outside_mask = ((1 << g.n) - 1) & ~frame_mask
     source_mask = _mask_of(frame.sources)
@@ -274,8 +266,6 @@ def start_closure(
             key = (new[0], new[-1])
             if key in seen:
                 continue
-            if len(seen) >= max_states:
-                raise BudgetExceeded(f"closure state count exceeded {max_states}")
             if debug:
                 _check_rotation(g, frame, new)
             seen[key] = new
@@ -399,99 +389,33 @@ def extension_scan_on_cycle(
     return None
 
 
-def _undirected_certificate(h: BipartiteView, v: int, bound: float, stage: str) -> Certificate:
-    """Certificate for v's degree in h, counted within the opposite part."""
-    if v in h.xs:
-        return Certificate(v, "undirected", h.deg_x(h.xs.index(v)), bound, stage, h.ys)
-    return Certificate(v, "undirected", h.deg_y(h.ys.index(v)), bound, stage, h.xs)
-
-
 def lemma_forgotten_check(
     g: OrientedGraph, frame: ParityFrame, debug: bool = False
 ) -> Certificate | None:
-    """Per-class count of low bipartite degrees; None on pass.
+    """Per-class count of low source->sink degrees; None on pass.
 
     The Moon-Moser count with every threshold raised by one: fails (with
-    the smallest offending l) when some class has at least l vertices of
-    undirected source->sink degree at most l+1.
+    the smallest offending l, sources before sinks) when some class has at
+    least l vertices of source->sink degree at most l+1.  The certificate
+    names the least such vertex: a source's out-degree into the sinks, or
+    a sink's in-degree from the sources.
     """
-    h = build_H(g, frame)
-    low = _low_degree_class(h, 1)
-    if low is not None:
-        ell, verts = low
-        return _undirected_certificate(h, min(verts), ell + 1, "lemma-count")
+    sources = tuple(sorted(frame.sources))
+    sinks = tuple(sorted(frame.sinks))
+    sink_mask, source_mask = _mask_of(sinks), _mask_of(sources)
+    classes = (
+        ("out", sources, sinks, [(g.out_masks[v] & sink_mask).bit_count() for v in sources]),
+        ("in", sinks, sources, [(g.in_masks[v] & source_mask).bit_count() for v in sinks]),
+    )
+    for ell in range(1, frame.m // 2 + 1):
+        for side, verts, scope, degrees in classes:
+            low = [(v, d) for v, d in zip(verts, degrees) if d <= ell + 1]
+            if len(low) >= ell:
+                v, d = low[0]
+                return Certificate(v, side, d, ell + 1, "lemma-count", scope)
     if debug:
         debug_stats.lemmas_checked += 1
     return None
-
-
-def build_Q(
-    g: OrientedGraph, frame: ParityFrame, debug: bool = False
-) -> tuple[AlternatingPath, ParityFrame] | Certificate:
-    """Rebuild the path so it starts with an outside vertex.
-
-    Picks an edge q3->q2 inside the source class, an outside in-neighbor
-    q1 of q2, and a Hamilton path of the reduced bipartite graph; returns
-    the rebuilt order-2m path with its new frame.
-    """
-    m = frame.m
-    source_mask = _mask_of(frame.sources)
-    outside_mask = ((1 << g.n) - 1) & ~_mask_of(frame.all_verts)
-
-    chosen = None
-    with_inner: list[int] = []
-    for q2 in sorted(frame.sources):
-        inner = g.in_masks[q2] & source_mask
-        if not inner:
-            continue
-        with_inner.append(q2)
-        out_in = g.in_masks[q2] & outside_mask
-        if out_in:
-            q3 = (inner & -inner).bit_length() - 1
-            q1 = (out_in & -out_in).bit_length() - 1
-            chosen = (q1, q2, q3)
-            break
-    if chosen is None:
-        if with_inner:
-            q2 = with_inner[0]
-            return Certificate(q2, "in", g.d_in(q2), float(2 * m), "no-q1")
-        v = min(frame.sources)
-        deg = (g.in_masks[v] & source_mask).bit_count()
-        return Certificate(v, "in", deg, 0.0, "no-q2q3", tuple(sorted(frame.sources)))
-    q1, q2, q3 = chosen
-
-    h = build_H(g, frame)
-    hprime = None
-    for e in sorted(frame.sinks):
-        h2 = drop_vertices(h, q2, e)
-        if h2.m == 1:
-            if h2.adj_x[0] & 1:
-                hprime = h2
-                break
-        elif moon_moser_check(h2) is None:
-            hprime = h2
-            break
-    if hprime is None:
-        e = min(frame.sinks)
-        h2 = drop_vertices(h, q2, e)
-        if h2.m == 1:
-            return _undirected_certificate(h2, h2.xs[0], 1.0, "MM-fail")
-        fail_ell, witnesses = moon_moser_check(h2)  # type: ignore[misc]
-        return _undirected_certificate(h2, min(witnesses), float(fail_ell), "MM-fail")
-
-    if hprime.m == 1:
-        ham_path = [hprime.xs[0], hprime.ys[0]]
-    else:
-        cycle = mm_hamilton_cycle(hprime)
-        if cycle is None:
-            i_min = min(range(hprime.m), key=hprime.deg_x)
-            return _undirected_certificate(hprime, hprime.xs[i_min], float(hprime.m), "ham-fail")
-        ham_path = cut_cycle_at(cycle, q3)
-    qverts = (q1, q2) + tuple(ham_path)
-    qpath = path_from_verts(g, qverts)
-    if debug and not validate(g, qpath):
-        raise DebugCheckFailure(f"rebuilt path is not alternating: {qverts}")
-    return qpath, frame_of(qpath)
 
 
 # --- generic two-sided closure (odd stuck paths) ---------------------------
@@ -504,13 +428,12 @@ def two_sided_closure_extension(
 
     Explores prefix/suffix reversals through chords at both endpoints,
     deduplicating by endpoint pair, and returns the first one-vertex
-    extension discovered (or None).  Raises BudgetExceeded past
-    max(4 * len^2, 64) endpoint pairs.
+    extension discovered (or None).  Every rotation keeps the vertex set,
+    so the search visits at most len * (len - 1) endpoint pairs.
     """
     verts = tuple(verts)
     if len(verts) < 2:
         return None
-    max_states = max(4 * len(verts) * len(verts), 64)
     used_mask = _mask_of(verts)
     outside_mask = ((1 << g.n) - 1) & ~used_mask
 
@@ -551,8 +474,6 @@ def two_sided_closure_extension(
             key = (new[0], new[-1])
             if key in seen:
                 continue
-            if len(seen) >= max_states:
-                raise BudgetExceeded(f"two-sided closure state count exceeded {max_states}")
             if debug:
                 debug_stats.rotations_checked += 1
                 if not validate(g, path_from_verts(g, new)):
@@ -616,60 +537,38 @@ def find_alternating_path(
     if seed is None:
         return gave_up("OddStuck", (0,))
 
+    def stuck(reason: str) -> FinderOutcome:
+        """No stage lengthens verts: the exact oracle decides within its order bound."""
+        if g.n <= budget.oracle.max_n_subset_dp:
+            best_l, wit = longest_alt_path_exact(g, budget.oracle)
+            if best_l >= k:
+                return found(wit.verts)
+            return gave_up(reason, wit.verts)
+        return gave_up(reason, verts)
+
     verts = greedy_extend(g, path_from_verts(g, seed)).verts
-    q_stall = 0
-    while True:
-        if len(verts) >= k:
-            return found(verts)
+    while len(verts) < k:
         rounds += 1
         if rounds > rounds_cap:
             return gave_up("BudgetExceeded", verts)
         if len(verts) % 2 == 1:
-            reason = "OddStuck"
-            try:
-                ext = two_sided_closure_extension(g, verts, debug=budget.debug)
-            except BudgetExceeded:
-                ext, reason = None, "BudgetExceeded"
-            if ext is not None:
-                verts = greedy_extend(g, path_from_verts(g, ext)).verts
-                q_stall = 0
-                continue
-            if g.n <= budget.oracle.max_n_subset_dp:
-                best_l, wit = longest_alt_path_exact(g, budget.oracle)
-                if best_l >= k:
-                    return found(wit.verts)
-                return gave_up("OddStuck", wit.verts)
-            return gave_up(reason, verts)
-        frame = frame_of(path_from_verts(g, verts))
-        m = frame.m
-        try:
-            closure = start_closure(g, frame, verts, debug=budget.debug)
-        except BudgetExceeded:
-            return gave_up("BudgetExceeded", verts)
-        if closure.extension is not None:
-            verts = greedy_extend(g, path_from_verts(g, closure.extension[0])).verts
-            q_stall = 0
-            continue
-        cyc = evenham_cycle(g, frame, closure, budget.debug)
-        if isinstance(cyc, Certificate):
-            return diagnostic(cyc, m)
-        ext = extension_scan_on_cycle(g, frame, cyc)
-        if ext is not None:
-            verts = greedy_extend(g, path_from_verts(g, ext)).verts
-            q_stall = 0
-            continue
-        lem = lemma_forgotten_check(g, frame, budget.debug)
-        if lem is not None:
-            return diagnostic(lem, m)
-        q = build_Q(g, frame, budget.debug)
-        if isinstance(q, Certificate):
-            return diagnostic(q, m)
-        qpath, _ = q
-        new_verts = greedy_extend(g, qpath).verts
-        if len(new_verts) <= len(verts):
-            q_stall += 1
-            if q_stall >= 2:
-                return gave_up("Livelock", verts)
+            ext = two_sided_closure_extension(g, verts, debug=budget.debug)
+            if ext is None:
+                return stuck("OddStuck")
         else:
-            q_stall = 0
-        verts = new_verts
+            frame = frame_of(path_from_verts(g, verts))
+            closure = start_closure(g, frame, verts, debug=budget.debug)
+            if closure.extension is not None:
+                ext = closure.extension[0]
+            else:
+                cyc = evenham_cycle(g, frame, closure, budget.debug)
+                if isinstance(cyc, Certificate):
+                    return diagnostic(cyc, frame.m)
+                ext = extension_scan_on_cycle(g, frame, cyc)
+                if ext is None:
+                    lem = lemma_forgotten_check(g, frame, budget.debug)
+                    if lem is not None:
+                        return diagnostic(lem, frame.m)
+                    return stuck("EvenStuck")
+        verts = greedy_extend(g, path_from_verts(g, ext)).verts
+    return found(verts)

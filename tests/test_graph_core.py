@@ -90,7 +90,7 @@ class TestDegrees:
 
     def test_summary(self):
         g = blowup_directed_cycle(3, 2)
-        s = DegreeSummary.of(g)
+        s = g.degree_summary
         assert s == DegreeSummary(2, 2, 12)
 
 
@@ -115,7 +115,7 @@ class TestDegreeSummaryReference:
         assert summary == DegreeSummary(
             brute_min_semidegree(g), brute_min_pseudo_semidegree(g), brute_edge_count(g)
         )
-        assert g.degree_summary is summary and DegreeSummary.of(g) is summary
+        assert g.degree_summary is summary
         assert min_pseudo_semidegree(g) == summary.min_pseudo_semidegree
         assert g.edge_count == summary.edge_count
         if g.n:

@@ -11,7 +11,7 @@ import pytest
 from altpaths import errors
 from altpaths.cli import main
 from altpaths import harness
-from altpaths.graph_core import DegreeSummary, blowup_directed_cycle, graph_from_code, to_edgelist
+from altpaths.graph_core import blowup_directed_cycle, graph_from_code, to_edgelist
 from altpaths.harness import (
     SweepConfig,
     SweepReport,
@@ -447,7 +447,7 @@ class TestOneDriver:
         report = run_theorem_sweep(cfg)
         assert report.aggregates["skipped"] == 6
         for idx, rec in enumerate(report.records):
-            summary = DegreeSummary.of(harness._random_graph(cfg, idx))
+            summary = harness._random_graph(cfg, idx).degree_summary
             assert (rec["min_semidegree"], rec["min_pseudo_semidegree"], rec["edges"]) == (
                 summary.min_semidegree, summary.min_pseudo_semidegree, summary.edge_count
             )

@@ -18,7 +18,6 @@ from altpaths.oracle import (
     OracleBudget,
     alt_path_lengths,
     enumerate_respectable_endpoints,
-    hamilton_cycle_bipartite_exact,
     has_alt_path_k,
     longest_alt_path_exact,
     run_dp,
@@ -26,7 +25,6 @@ from altpaths.oracle import (
 from conftest import oriented_graphs
 from _brute import (
     alt_path_dp_py,
-    brute_bipartite_ham_cycle_exists,
     brute_longest_alt_path,
     brute_respectable_endpoints,
 )
@@ -127,61 +125,6 @@ class TestRespectableEndpoints:
                     enumerate_respectable_endpoints(g, frame)
             else:
                 assert enumerate_respectable_endpoints(g, frame) == (bs, be)
-
-
-class TestBipartiteHamCycle:
-    def _check(self, adj_x, adj_y, cycle):
-        m = len(adj_x)
-        assert len(cycle) == 2 * m
-        assert cycle[0] == (0, 0)
-        assert {c for c in cycle if c[0] == 0} == {(0, i) for i in range(m)}
-        assert {c for c in cycle if c[0] == 1} == {(1, j) for j in range(m)}
-        for (sa, a), (sb, b) in zip(cycle, cycle[1:] + cycle[:1]):
-            assert sa != sb
-            adj = adj_x if sa == 0 else adj_y
-            assert (adj[a] >> b) & 1
-
-    def test_complete_m3(self):
-        adj = [0b111] * 3
-        cycle = hamilton_cycle_bipartite_exact(adj, adj)
-        self._check(adj, adj, cycle)
-
-    def test_degree_one_blocks(self):
-        # y1 adjacent only to x0, y2 adjacent only to x0: impossible
-        adj_x = [0b111, 0b001, 0b001]
-        adj_y = [0b111, 0b001, 0b001]
-        assert hamilton_cycle_bipartite_exact(adj_x, adj_y) is None
-
-    def test_six_cycle(self):
-        adj_x = [0b011, 0b110, 0b101]
-        adj_y = [0b101, 0b011, 0b110]
-        cycle = hamilton_cycle_bipartite_exact(adj_x, adj_y)
-        self._check(adj_x, adj_y, cycle)
-
-    def test_bad_parts(self):
-        with pytest.raises(errors.BadParts):
-            hamilton_cycle_bipartite_exact([1, 1], [1])
-        with pytest.raises(errors.BadParams):
-            hamilton_cycle_bipartite_exact([1], [1])
-
-    def test_matches_permutation_brute(self):
-        import random
-
-        rng = random.Random(5)
-        for _ in range(60):
-            m = rng.randrange(2, 5)
-            adj_x = [0] * m
-            adj_y = [0] * m
-            for i in range(m):
-                for j in range(m):
-                    if rng.random() < 0.6:
-                        adj_x[i] |= 1 << j
-                        adj_y[j] |= 1 << i
-            got = hamilton_cycle_bipartite_exact(adj_x, adj_y)
-            want = brute_bipartite_ham_cycle_exists(adj_x, adj_y)
-            assert (got is not None) == want
-            if got is not None:
-                self._check(adj_x, adj_y, got)
 
 
 class TestKernelTwins:

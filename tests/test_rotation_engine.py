@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from altpaths import errors, rotation_engine
-from altpaths.altpath import ParityFrame, frame_of, path_from_verts, validate
+from altpaths import errors
+from altpaths.altpath import ParityFrame, path_from_verts, validate
 from altpaths.graph_core import (
     blowup_directed_cycle,
     from_edge_list,
@@ -16,7 +17,6 @@ from altpaths.rotation_engine import (
     AltSpanningCycle,
     Certificate,
     EngineBudget,
-    build_Q,
     certificate_is_sound,
     condition_holds,
     cycle_is_valid,
@@ -44,7 +44,6 @@ PATHY = from_edge_list([(0, 2), (1, 2), (1, 3)], 4)
 WORKED = from_edge_list(
     [(o, e) for o in (0, 1, 2) for e in (3, 4, 5)] + [(1, 0), (6, 0)], 7
 )
-FRAME3 = ParityFrame(frozenset({0, 1, 2}), frozenset({3, 4, 5}), 3)
 
 
 class TestRotations:
@@ -101,10 +100,6 @@ class TestStartClosure:
         res = start_closure(KB2, FRAME2, (3, 1, 2, 0))
         assert set(res.S_found) == {0, 1}
 
-    def test_budget(self):
-        with pytest.raises(errors.BudgetExceeded):
-            start_closure(KB2, FRAME2, (0, 2, 1, 3), max_states=1)
-
     def test_debug_oracle_agreement(self):
         debug_stats.reset()
         start_closure(KB2, FRAME2, (0, 2, 1, 3), debug=True)
@@ -126,6 +121,7 @@ class TestEvenhamCycle:
         assert cert.stage == "A-count"
         assert cert.vertex == 0 and cert.side == "out" and cert.degree == 1
         assert certificate_is_sound(PATHY, cert)
+        assert not certificate_is_sound(PATHY, dataclasses.replace(cert, side="undirected"))
 
     def test_rejects_closure_with_extension(self):
         g = from_edge_list([(0, 2), (0, 3), (1, 2), (1, 3), (0, 4)], 5)
@@ -173,53 +169,16 @@ class TestLemmaCheck:
         assert lemma_forgotten_check(g, frame) is None
 
     def test_low_degree_vertex_fails(self):
-        # vertex 0 keeps only two sink neighbors; trips the l=1 count
+        # vertex 0 keeps only two sink neighbors; trips the l=1 count.  The
+        # sink->source arc 7 -> 0 is not a source->sink arc and must not count
         edges = [(o, e) for o in range(1, 4) for e in range(4, 8)]
-        edges += [(0, 4), (0, 5)]
+        edges += [(0, 4), (0, 5), (7, 0)]
         g = from_edge_list(edges, 8)
         frame = ParityFrame(frozenset(range(4)), frozenset(range(4, 8)), 4)
         cert = lemma_forgotten_check(g, frame)
         assert cert is not None and cert.stage == "lemma-count"
         assert cert.vertex == 0 and cert.degree == 2 and cert.bound == 2
         assert certificate_is_sound(g, cert)
-
-
-class TestBuildQ:
-    def test_worked_instance(self):
-        out = build_Q(WORKED, FRAME3)
-        assert not isinstance(out, Certificate)
-        qpath, qframe = out
-        assert qpath.verts == (6, 0, 1, 4, 2, 5)
-        assert validate(WORKED, qpath)
-        assert qframe.sources == frozenset({1, 2, 6})
-        assert qframe.sinks == frozenset({0, 4, 5})
-
-    def test_no_q1_certificate(self):
-        g = from_edge_list(
-            [(o, e) for o in (0, 1, 2) for e in (3, 4, 5)] + [(1, 0)], 6
-        )
-        cert = build_Q(g, FRAME3)
-        assert isinstance(cert, Certificate)
-        assert cert.stage == "no-q1" and cert.vertex == 0
-        assert certificate_is_sound(g, cert)
-
-    def test_no_inner_edge_certificate(self):
-        g = from_edge_list([(o, e) for o in (0, 1, 2) for e in (3, 4, 5)], 6)
-        cert = build_Q(g, FRAME3)
-        assert isinstance(cert, Certificate)
-        assert cert.stage == "no-q2q3"
-
-    def test_mm_fail_certificate(self):
-        g = from_edge_list([(0, 3), (1, 4), (2, 5), (1, 0), (6, 0)], 7)
-        cert = build_Q(g, FRAME3)
-        assert isinstance(cert, Certificate)
-        assert cert.stage == "MM-fail"
-        assert certificate_is_sound(g, cert)
-
-    def test_debug_validation(self):
-        debug_stats.reset()
-        out = build_Q(WORKED, FRAME3, debug=True)
-        assert not isinstance(out, Certificate)
 
 
 class TestTwoSidedClosure:
@@ -263,19 +222,12 @@ class TestFinder:
         with pytest.raises(errors.BadParams):
             find_alternating_path(from_edge_list([], 1), 0)
 
-    def test_odd_closure_out_of_budget(self, monkeypatch):
+    def test_odd_closure_out_of_budget(self):
         # 0 -> 1 <- 2 is stuck at odd order 3; k = 4 sends it to the two-sided closure
         g = from_edge_list([(0, 1), (2, 1)], 4)
         no_oracle = EngineBudget(oracle=OracleBudget(max_n_subset_dp=3))
         out = find_alternating_path(g, 4, no_oracle)
         assert (out.outcome, out.reason, out.path.verts) == ("gave_up", "OddStuck", (0, 1, 2))
-
-        def out_of_budget(g, verts, debug=False):
-            raise errors.BudgetExceeded("two-sided closure state count exceeded 64")
-
-        monkeypatch.setattr(rotation_engine, "two_sided_closure_extension", out_of_budget)
-        out = find_alternating_path(g, 4, no_oracle)
-        assert (out.outcome, out.reason, out.path.verts) == ("gave_up", "BudgetExceeded", (0, 1, 2))
         # within the oracle's order the exact fallback still decides
         out = find_alternating_path(g, 4)
         assert (out.outcome, out.reason) == ("gave_up", "OddStuck")
@@ -325,19 +277,13 @@ class TestFinder:
         # lemma count and oracle fallback; pin every outcome byte for byte
         digest = hashlib.sha256()
         finds = 0
-        for n in range(8, 15):
-            for seed in range(6):
-                for p in (0.3, 0.5, 0.8):
-                    g = random_oriented(n, p, 4000 + 100 * n + 10 * seed + int(10 * p))
-                    pseudo = min_pseudo_semidegree(g)
-                    kmax = 0 if pseudo is None else (8 * pseudo - 1) // 5
-                    for k in range(max(kmax + 1, 2), n + 1):
-                        out = find_alternating_path(g, k)
-                        digest.update(json.dumps(out.to_json(), sort_keys=True).encode())
-                        finds += 1
+        for g, k in _beyond_kmax_family():
+            out = find_alternating_path(g, k)
+            digest.update(json.dumps(out.to_json(), sort_keys=True).encode())
+            finds += 1
         assert finds == 1211
         assert digest.hexdigest() == (
-            "f31b544c0ad1173add2e4c63fe3270f31b280770b7331a3683a8c12b37a4561c"
+            "666a5e627f9135585f0237035662387794e1fa094fcb0d9fb72081fae9939fb2"
         )
 
     def test_outcome_json_shape(self):
@@ -350,26 +296,68 @@ class TestFinder:
         json.dumps(doc)  # serializable
 
     def test_diagnostic_json_shape(self):
-        cert = build_Q(
-            from_edge_list([(o, e) for o in (0, 1, 2) for e in (3, 4, 5)], 6), FRAME3
-        )
+        cert = evenham_cycle(PATHY, FRAME2, start_closure(PATHY, FRAME2, (0, 2, 1, 3)))
         doc = Certificate.to_json(cert)
         assert set(doc) == {"vertex", "side", "degree", "bound", "stage", "scope"}
 
     def test_certificates_reverify_from_json(self):
         # finds above kmax end in diagnostics; each emitted certificate must
-        # recount correctly from its JSON form alone
-        checked = 0
-        for n in range(10, 15):
-            for seed in range(12):
-                g = random_oriented(n, 0.5, 3000 + 100 * n + seed)
+        # recount correctly from its JSON form alone, on a random family and
+        # on the pinned family (whose lemma counts include sink->source arcs)
+        def recheck_family():
+            for n in range(10, 15):
+                for seed in range(12):
+                    g = random_oriented(n, 0.5, 3000 + 100 * n + seed)
+                    pseudo = min_pseudo_semidegree(g)
+                    kmax = 0 if pseudo is None else (8 * pseudo - 1) // 5
+                    for k in range(kmax + 1, n + 1):
+                        yield g, k
+
+        for family in (recheck_family(), _beyond_kmax_family()):
+            checked = 0
+            for g, k in family:
+                out = find_alternating_path(g, k)
+                if out.outcome != "diagnostic":
+                    continue
+                doc = json.loads(json.dumps(out.to_json()))
+                assert certificate_is_sound(g, Certificate(**doc["certificate"])), doc
+                checked += 1
+            assert checked > 0
+
+    def test_even_stuck_takes_the_oracle(self):
+        # WORKED's spanning cycle has no outside neighbor and passes the
+        # lemma count; its longest path has order 6, so k = 7 gives up
+        out = find_alternating_path(WORKED, 7, EngineBudget(debug=True))
+        assert (out.outcome, out.reason) == ("gave_up", "EvenStuck")
+        assert out.path.order == longest_alt_path_exact(WORKED)[0] == 6
+        assert validate(WORKED, out.path)
+
+    def test_even_stuck_oracle_finds_the_path(self):
+        # the greedy path 2 4 0 3 1 5 is stuck at order 6, yet an order-7
+        # path exists through 1 -> 0 and 5 -> 6; the oracle returns it
+        g = from_edge_list(
+            [(0, 3), (0, 4), (0, 5), (1, 0), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4),
+             (2, 5), (5, 3), (5, 4), (5, 6)],
+            7,
+        )
+        out = find_alternating_path(g, 7)
+        assert out.outcome == "found" and out.path.order == 7
+        assert validate(g, out.path)
+
+    def test_even_stuck_beyond_the_oracle(self):
+        no_oracle = EngineBudget(oracle=OracleBudget(max_n_subset_dp=6))
+        out = find_alternating_path(WORKED, 7, no_oracle)
+        assert (out.outcome, out.reason) == ("gave_up", "EvenStuck")
+        assert out.path.order == 6 and validate(WORKED, out.path)
+
+
+def _beyond_kmax_family():
+    """(graph, k) for every k from kmax + 1 (at least 2) to n, 1,211 finds in all."""
+    for n in range(8, 15):
+        for seed in range(6):
+            for p in (0.3, 0.5, 0.8):
+                g = random_oriented(n, p, 4000 + 100 * n + 10 * seed + int(10 * p))
                 pseudo = min_pseudo_semidegree(g)
                 kmax = 0 if pseudo is None else (8 * pseudo - 1) // 5
-                for k in range(kmax + 1, n + 1):
-                    out = find_alternating_path(g, k)
-                    if out.outcome != "diagnostic":
-                        continue
-                    doc = json.loads(json.dumps(out.to_json()))
-                    assert certificate_is_sound(g, Certificate(**doc["certificate"]))
-                    checked += 1
-        assert checked > 0
+                for k in range(max(kmax + 1, 2), n + 1):
+                    yield g, k
