@@ -98,36 +98,74 @@ def endpoint_is_source(g: OrientedGraph, verts, at_tail: bool) -> bool:
     return g.has_edge(verts[0], verts[1])
 
 
-def greedy_extend(g: OrientedGraph, p: AlternatingPath) -> AlternatingPath:
-    """Extend at either end until stuck.  Tail first, then head, smallest vertex."""
+def greedy_extend(g: OrientedGraph, p: AlternatingPath, k: int) -> AlternatingPath:
+    """Extend p one vertex at a time until it has order k or neither end extends.
+
+    Each round tries the tail, then the head, and adds the smallest unused
+    vertex that keeps the path alternating.  The order is checked after every
+    single step, so a tail step that reaches k ends the call before the head
+    step.  A path of order >= k comes back unchanged; k = g.n extends until
+    stuck.  Stopping early changes no choice: the result is a window of the
+    extension until stuck.
+    """
     verts = list(p.verts)
-    used = 0
+    order = len(verts)
+    if order >= k:
+        return p
+    out_masks, in_masks = g.out_masks, g.in_masks
+    free = (1 << g.n) - 1
     for v in verts:
-        used |= 1 << v
-    while True:
-        progressed = False
-        for at_tail in (True, False):
-            if len(verts) == 1 and not at_tail:
-                continue  # order 1 has a single end
-            end = verts[-1] if at_tail else verts[0]
-            if len(verts) == 1:
-                cand = (g.out_masks[end] | g.in_masks[end]) & ~used
-            elif endpoint_is_source(g, verts, at_tail):
-                # the endpoint's edge leaves it, so the new edge must leave it too
-                cand = g.out_masks[end] & ~used
+        free ^= 1 << v
+    head, tail = verts[0], verts[-1]
+    tail_turn = True
+    if order == 1:
+        # a lone vertex has one end, which extends along an arc of either direction
+        low = (out_masks[tail] | in_masks[tail]) & free
+        if not low:
+            return p
+        low &= -low
+        free ^= low
+        tail = low.bit_length() - 1
+        verts.append(tail)
+        order = 2
+        head_src = bool(out_masks[head] & low)
+        tail_src = not head_src
+        tail_turn = False  # the round goes on at the head
+    else:
+        # an end is a source iff its path arc leaves it; each added vertex flips it
+        head_src = g.has_edge(head, verts[1])
+        tail_src = g.has_edge(tail, verts[-2])
+    ahead: list[int] = []  # vertices added before verts[0], nearest first
+    tail_stuck = head_stuck = False
+    # an end that found no candidate stays stuck, since `free` only shrinks
+    while order < k and not (tail_stuck and head_stuck):
+        if tail_turn:
+            low = (out_masks[tail] if tail_src else in_masks[tail]) & free
+            if low:
+                low &= -low
+                free ^= low
+                tail = low.bit_length() - 1
+                verts.append(tail)
+                tail_src = not tail_src
+                order += 1
+                if order == k:
+                    break
             else:
-                cand = g.in_masks[end] & ~used
-            if not cand:
-                continue
-            w = (cand & -cand).bit_length() - 1
-            if at_tail:
-                verts.append(w)
+                tail_stuck = True
+        if not head_stuck:
+            low = (out_masks[head] if head_src else in_masks[head]) & free
+            if low:
+                low &= -low
+                free ^= low
+                head = low.bit_length() - 1
+                ahead.append(head)
+                head_src = not head_src
+                order += 1
             else:
-                verts.insert(0, w)
-            used |= 1 << w
-            progressed = True
-        if not progressed:
-            return path_from_verts(g, verts)
+                head_stuck = True
+        tail_turn = not tail_stuck
+    ahead.reverse()
+    return AlternatingPath(tuple(ahead + verts), head_src)
 
 
 def trim(p: AlternatingPath, k: int) -> AlternatingPath:

@@ -44,7 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_find = sub.add_parser("find", help="run the constructive finder")
     p_find.add_argument("file")
     p_find.add_argument("--format", choices=["edgelist", "digraph6"], default="edgelist")
-    p_find.add_argument("--k", type=int, required=True)
+    p_find.add_argument(
+        "--k", type=int, required=True,
+        help="order (number of vertices) of the alternating path sought. Greedy "
+        "extension stops at order k, so a found path may differ from the one earlier "
+        "versions returned; the outcome and the rounds do not.",
+    )
     p_find.add_argument("--budget-rounds", type=int, default=None)
 
     p_sweep = sub.add_parser("sweep", help="run a verification sweep")

@@ -74,12 +74,6 @@ class OrientedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.out_masks[u] >> v) & 1)
 
-    def out_nbrs(self, v: int) -> set[int]:
-        return set(bits(self.out_masks[v]))
-
-    def in_nbrs(self, v: int) -> set[int]:
-        return set(bits(self.in_masks[v]))
-
     def d_out(self, v: int) -> int:
         return self.out_masks[v].bit_count()
 

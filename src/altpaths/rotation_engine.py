@@ -546,7 +546,7 @@ def find_alternating_path(
             return gave_up(reason, wit.verts)
         return gave_up(reason, verts)
 
-    verts = greedy_extend(g, path_from_verts(g, seed)).verts
+    verts = greedy_extend(g, path_from_verts(g, seed), k).verts
     while len(verts) < k:
         rounds += 1
         if rounds > rounds_cap:
@@ -570,5 +570,5 @@ def find_alternating_path(
                     if lem is not None:
                         return diagnostic(lem, frame.m)
                     return stuck("EvenStuck")
-        verts = greedy_extend(g, path_from_verts(g, ext)).verts
+        verts = greedy_extend(g, path_from_verts(g, ext), k).verts
     return found(verts)

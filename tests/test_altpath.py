@@ -11,7 +11,7 @@ from altpaths.altpath import (
     trim,
     validate,
 )
-from altpaths.graph_core import blowup_directed_cycle, from_edge_list
+from altpaths.graph_core import bits, blowup_directed_cycle, from_edge_list
 from conftest import oriented_graphs
 from _brute import is_alt_sequence
 
@@ -77,26 +77,33 @@ class TestFrameOf:
 class TestGreedyExtend:
     def test_from_single_vertex(self):
         g = from_edge_list([(0, 1)], 2)
-        assert greedy_extend(g, AlternatingPath((0,), None)).verts == (0, 1)
+        assert greedy_extend(g, AlternatingPath((0,), None), g.n).verts == (0, 1)
+
+    def test_from_single_vertex_round_goes_on_at_head(self):
+        # the first step from a lone vertex is the round's tail step, so the
+        # head step follows: 0 takes 1 (1 -> 0), then the head 0 takes 2
+        g = from_edge_list([(1, 0), (1, 2), (2, 0)], 3)
+        p = AlternatingPath((0,), None)
+        assert greedy_extend(g, p, 2).verts == (0, 1)
+        assert greedy_extend(g, p, g.n) == AlternatingPath((2, 0, 1), True)
 
     def test_triangle_stuck_at_two(self):
-        p = greedy_extend(TRIANGLE, path_from_verts(TRIANGLE, [0, 1]))
+        p = greedy_extend(TRIANGLE, path_from_verts(TRIANGLE, [0, 1]), TRIANGLE.n)
         assert p.order == 2  # frozen: brute force gives L=2 for a directed triangle
 
     def test_blowup_reaches_four(self):
         g = blowup_directed_cycle(3, 2)
-        p = greedy_extend(g, path_from_verts(g, [0, 2]))
+        p = greedy_extend(g, path_from_verts(g, [0, 2]), g.n)
         assert p.order == 4  # frozen: oracle maximum for the 2-blowup
         assert validate(g, p)
 
     def test_no_single_vertex_extension_left(self):
         g = blowup_directed_cycle(4, 2)
-        p = greedy_extend(g, path_from_verts(g, [0, 2]))
+        p = greedy_extend(g, path_from_verts(g, [0, 2]), g.n)
         used = set(p.verts)
         for at_tail in (True, False):
             end = p.verts[-1] if at_tail else p.verts[0]
-            nbrs = g.out_nbrs(end) | g.in_nbrs(end)
-            for w in nbrs - used:
+            for w in set(bits(g.out_masks[end] | g.in_masks[end])) - used:
                 cand = list(p.verts) + [w] if at_tail else [w] + list(p.verts)
                 assert not is_alt_sequence(g, cand)
 
@@ -163,5 +170,23 @@ class TestProperties:
     @given(oriented_graphs(max_n=6))
     @settings(max_examples=60, deadline=None)
     def test_greedy_output_valid(self, g):
-        p = greedy_extend(g, AlternatingPath((0,), None))
+        p = greedy_extend(g, AlternatingPath((0,), None), g.n)
         assert validate(g, p)
+
+    @given(oriented_graphs(max_n=7))
+    @settings(max_examples=80, deadline=None)
+    def test_greedy_stops_at_k_inside_the_full_extension(self, g):
+        # stopping at order k changes no choice: from every start (each vertex
+        # and each arc, read both ways) and for every k the result is a window
+        # of the extension until stuck, of order min(k, full order)
+        starts = [(v,) for v in range(g.n)]
+        starts += [e for u, v in g.edges() for e in ((u, v), (v, u))]
+        for start in starts:
+            p = path_from_verts(g, start)
+            full = greedy_extend(g, p, g.n).verts
+            for k in range(len(start), g.n + 1):
+                q = greedy_extend(g, p, k)
+                assert q.order == min(k, len(full))
+                assert validate(g, q)
+                windows = {full[i:i + q.order] for i in range(len(full) - q.order + 1)}
+                assert q.verts in windows

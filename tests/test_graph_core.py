@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from altpaths import errors
 from altpaths.graph_core import (
     DegreeSummary,
+    bits,
     blowup_directed_cycle,
     check_invariants,
     decode_codes,
@@ -38,8 +39,8 @@ TRIANGLE = [(0, 1), (1, 2), (2, 0)]
 class TestFromEdgeList:
     def test_single_edge(self):
         g = from_edge_list([(0, 1)], 2)
-        assert g.out_nbrs(0) == {1}
-        assert g.in_nbrs(1) == {0}
+        assert list(bits(g.out_masks[0])) == [1]
+        assert list(bits(g.in_masks[1])) == [0]
         assert g.edge_count == 1
 
     def test_triangle(self):

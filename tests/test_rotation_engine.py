@@ -274,16 +274,28 @@ class TestFinder:
 
     def test_outcomes_beyond_kmax_pinned(self):
         # above the threshold the finder runs its closures, spanning cycles,
-        # lemma count and oracle fallback; pin every outcome byte for byte
-        digest = hashlib.sha256()
-        finds = 0
+        # lemma count and oracle fallback; pin every outcome byte for byte.
+        # The path-free digest drops the witness of each found outcome, so it
+        # pins outcome, rounds, reason, certificate and condition alone; the
+        # full digest also pins which order-k window of greedy's path is found.
+        digest, path_free = hashlib.sha256(), hashlib.sha256()
+        finds = found = 0
         for g, k in _beyond_kmax_family():
             out = find_alternating_path(g, k)
-            digest.update(json.dumps(out.to_json(), sort_keys=True).encode())
+            doc = out.to_json()
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+            if out.outcome == "found":
+                assert out.path.order == k and validate(g, out.path)
+                del doc["path"]
+                found += 1
+            path_free.update(json.dumps(doc, sort_keys=True).encode())
             finds += 1
-        assert finds == 1211
+        assert (finds, found) == (1211, 936)
+        assert path_free.hexdigest() == (
+            "e193db371e583ef98c126dac63e9fde7660a69c9f55032c7f9e601629c6ef9ab"
+        )
         assert digest.hexdigest() == (
-            "666a5e627f9135585f0237035662387794e1fa094fcb0d9fb72081fae9939fb2"
+            "64964030cc3846e0a9b511d85a02616c4c7dc735cae5955dc49f17903ade72a5"
         )
 
     def test_outcome_json_shape(self):
