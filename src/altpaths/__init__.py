@@ -9,9 +9,7 @@ from .graph_core import (
     DegreeSummary,
     OrientedGraph,
     blowup_directed_cycle,
-    enumerate_all_oriented,
     from_edge_list,
-    induced_subgraph,
     min_pseudo_semidegree,
     min_semidegree,
     random_oriented,
@@ -36,13 +34,11 @@ __all__ = [
     "ParityFrame",
     "blowup_directed_cycle",
     "condition_holds",
-    "enumerate_all_oriented",
     "find_alternating_path",
     "frame_of",
     "from_edge_list",
     "greedy_extend",
     "has_alt_path_k",
-    "induced_subgraph",
     "longest_alt_path_exact",
     "min_pseudo_semidegree",
     "min_semidegree",

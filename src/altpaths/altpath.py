@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OddOrder, TooShort
+from .errors import BadParams, OddOrder, TooShort
 from .graph_core import OrientedGraph
 
 
@@ -106,10 +106,12 @@ def greedy_extend(g: OrientedGraph, p: AlternatingPath, k: int) -> AlternatingPa
     single step, so a tail step that reaches k ends the call before the head
     step.  A path of order >= k comes back unchanged; k = g.n extends until
     stuck.  Stopping early changes no choice: the result is a window of the
-    extension until stuck.
+    extension until stuck.  A path below order 2 raises BadParams.
     """
     verts = list(p.verts)
     order = len(verts)
+    if order < 2:
+        raise BadParams(f"greedy extension needs a path of order >= 2, got {order}")
     if order >= k:
         return p
     out_masks, in_masks = g.out_masks, g.in_masks
@@ -118,23 +120,9 @@ def greedy_extend(g: OrientedGraph, p: AlternatingPath, k: int) -> AlternatingPa
         free ^= 1 << v
     head, tail = verts[0], verts[-1]
     tail_turn = True
-    if order == 1:
-        # a lone vertex has one end, which extends along an arc of either direction
-        low = (out_masks[tail] | in_masks[tail]) & free
-        if not low:
-            return p
-        low &= -low
-        free ^= low
-        tail = low.bit_length() - 1
-        verts.append(tail)
-        order = 2
-        head_src = bool(out_masks[head] & low)
-        tail_src = not head_src
-        tail_turn = False  # the round goes on at the head
-    else:
-        # an end is a source iff its path arc leaves it; each added vertex flips it
-        head_src = g.has_edge(head, verts[1])
-        tail_src = g.has_edge(tail, verts[-2])
+    # an end is a source iff its path arc leaves it; each added vertex flips it
+    head_src = g.has_edge(head, verts[1])
+    tail_src = g.has_edge(tail, verts[-2])
     ahead: list[int] = []  # vertices added before verts[0], nearest first
     tail_stuck = head_stuck = False
     # an end that found no candidate stays stuck, since `free` only shrinks

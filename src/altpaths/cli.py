@@ -46,9 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("--format", choices=["edgelist", "digraph6"], default="edgelist")
     p_find.add_argument(
         "--k", type=int, required=True,
-        help="order (number of vertices) of the alternating path sought. Greedy "
-        "extension stops at order k, so a found path may differ from the one earlier "
-        "versions returned; the outcome and the rounds do not.",
+        help="order (number of vertices) of the alternating path sought",
     )
     p_find.add_argument("--budget-rounds", type=int, default=None)
 

@@ -45,17 +45,9 @@ class BadPivot(AltPathError):
     pass
 
 
-class NoRespectablePath(AltPathError):
-    pass
-
-
 class VacuousParams(AltPathError):
     pass
 
 
 class IoFailure(AltPathError):
     pass
-
-
-class DebugCheckFailure(AltPathError):
-    """A debug-mode soundness assertion failed; always a bug, never an input error."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -22,10 +22,6 @@ from .errors import (
     TooLarge,
     TwoCycle,
 )
-
-ENUM_DEFAULT_MAX_N = 6
-# codes decoded per numpy pass while enumerating
-ENUM_CHUNK = 1 << 14
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -74,12 +70,6 @@ class OrientedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.out_masks[u] >> v) & 1)
 
-    def d_out(self, v: int) -> int:
-        return self.out_masks[v].bit_count()
-
-    def d_in(self, v: int) -> int:
-        return self.in_masks[v].bit_count()
-
     @property
     def edge_count(self) -> int:
         return self.degree_summary.edge_count
@@ -88,14 +78,12 @@ class OrientedGraph:
         return [(u, v) for u in range(self.n) for v in bits(self.out_masks[u])]
 
 
-def _graph_from_masks(n: int, out_masks: list[int], in_masks: list[int]) -> OrientedGraph:
-    return OrientedGraph(n, tuple(out_masks), tuple(in_masks))
-
-
 def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> OrientedGraph:
     edges = list(edges)
     if n is None:
         n = 1 + max((max(u, v) for u, v in edges), default=-1)
+    if n < 0:
+        raise BadParams(f"n must be >= 0, got {n}")
     out_masks = [0] * n
     in_masks = [0] * n
     for u, v in edges:
@@ -109,24 +97,7 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> Or
             raise TwoCycle(f"both ({u},{v}) and ({v},{u}) present")
         out_masks[u] |= 1 << v
         in_masks[v] |= 1 << u
-    return _graph_from_masks(n, out_masks, in_masks)
-
-
-def check_invariants(g: OrientedGraph) -> None:
-    """Raise if the no-loop / orientation / consistency invariants fail."""
-    for v in range(g.n):
-        if (g.out_masks[v] >> v) & 1 or (g.in_masks[v] >> v) & 1:
-            raise LoopEdge(f"loop at {v}")
-    for u in range(g.n):
-        for v in range(g.n):
-            if u == v:
-                continue
-            fwd = (g.out_masks[u] >> v) & 1
-            bwd = (g.out_masks[v] >> u) & 1
-            if fwd and bwd:
-                raise TwoCycle(f"2-cycle between {u} and {v}")
-            if fwd != ((g.in_masks[v] >> u) & 1):
-                raise TwoCycle(f"out/in inconsistency at ({u},{v})")
+    return OrientedGraph(n, tuple(out_masks), tuple(in_masks))
 
 
 def min_semidegree(g: OrientedGraph) -> int:
@@ -138,24 +109,6 @@ def min_semidegree(g: OrientedGraph) -> int:
 def min_pseudo_semidegree(g: OrientedGraph) -> int | None:
     """Minimum over all strictly positive in/out degrees; None iff no edges."""
     return g.degree_summary.min_pseudo_semidegree
-
-
-def induced_subgraph(
-    g: OrientedGraph, keep: Iterable[int]
-) -> tuple[OrientedGraph, dict[int, int]]:
-    """Subgraph on `keep`, relabeled to 0..|keep|-1; returns (graph, old->new map)."""
-    old = sorted(set(keep))
-    relabel = {v: i for i, v in enumerate(old)}
-    out_masks = [0] * len(old)
-    in_masks = [0] * len(old)
-    keep_mask = 0
-    for v in old:
-        keep_mask |= 1 << v
-    for v in old:
-        for w in bits(g.out_masks[v] & keep_mask):
-            out_masks[relabel[v]] |= 1 << relabel[w]
-            in_masks[relabel[w]] |= 1 << relabel[v]
-    return _graph_from_masks(len(old), out_masks, in_masks), relabel
 
 
 def blowup_directed_cycle(t: int, b: int) -> OrientedGraph:
@@ -174,7 +127,7 @@ def blowup_directed_cycle(t: int, b: int) -> OrientedGraph:
         for v in bits(dst_mask):
             for u in src:
                 in_masks[v] |= 1 << u
-    return _graph_from_masks(n, out_masks, in_masks)
+    return OrientedGraph(n, tuple(out_masks), tuple(in_masks))
 
 
 def random_oriented(n: int, p: float, seed: int) -> OrientedGraph:
@@ -190,7 +143,7 @@ def random_oriented(n: int, p: float, seed: int) -> OrientedGraph:
                 a, b2 = (u, v) if rng.random() < 0.5 else (v, u)
                 out_masks[a] |= 1 << b2
                 in_masks[b2] |= 1 << a
-    return _graph_from_masks(n, out_masks, in_masks)
+    return OrientedGraph(n, tuple(out_masks), tuple(in_masks))
 
 
 def pair_order(n: int) -> list[tuple[int, int]]:
@@ -254,28 +207,11 @@ def degree_columns(
     return semi, pseudo, edges
 
 
-def graph_from_code(n: int, code: int) -> OrientedGraph:
-    """Decode one base-3 code (digit order: pair_order, values absent/forward/backward)."""
-    out_masks, in_masks = decode_codes(n, [code])
-    return _graph_from_masks(n, out_masks[0].tolist(), in_masks[0].tolist())
-
-
-def enumerate_all_oriented(n: int, max_n: int = ENUM_DEFAULT_MAX_N) -> Iterator[OrientedGraph]:
-    """All 3^(n(n-1)/2) labeled oriented graphs, in base-3 code order."""
-    if n > max_n:
-        raise TooLarge(f"n={n} above enumeration bound {max_n}")
-    total = num_oriented(n)
-    for lo in range(0, total, ENUM_CHUNK):
-        out_masks, in_masks = decode_codes(n, np.arange(lo, min(lo + ENUM_CHUNK, total)))
-        for outs, ins in zip(out_masks.tolist(), in_masks.tolist()):
-            yield _graph_from_masks(n, outs, ins)
-
-
 # --- file formats ---------------------------------------------------------
 
 
 def parse_edgelist(text: str) -> OrientedGraph:
-    """Edge-list format: optional `n=<int>` header, `u v` lines, `#` comments."""
+    """Edge-list format: optional `n=<int>` header (n >= 0), `u v` lines, `#` comments."""
     n: int | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -289,6 +225,8 @@ def parse_edgelist(text: str) -> OrientedGraph:
                 n = int(line[2:])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad header {line!r}") from exc
+            if n < 0:
+                raise FormatError(f"line {lineno}: negative order in {line!r}")
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -78,7 +78,6 @@ class SweepConfig:
     max_n_subset_dp: int = 22
     stable: bool = False
     aggregate_only: bool = False
-    debug: bool = False
     chunk_size: int = 2000
 
     def __post_init__(self):
@@ -211,7 +210,7 @@ def _theorem_check(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
     _flag(cols, agg, "counterexamples", cols.length < kmax, text, cols.length, kmax)
     # find_alternating_path at k = 1 returns a one-vertex path after 0 rounds
     cols.outcome[kmax == 1] = "found"
-    budget = EngineBudget(oracle=OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp), debug=cfg.debug)
+    budget = EngineBudget(oracle=OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp))
     timed = not cfg.stable
     rows = np.flatnonzero(kmax >= 2)
     outs, ins = cols.out_masks[rows].tolist(), cols.in_masks[rows].tolist()
@@ -569,28 +568,6 @@ def emit_report(report: SweepReport, fmt: str, path: str) -> None:
             f.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write report to {path}: {exc}") from exc
-
-
-def read_report_csv(path: str) -> list[dict]:
-    """Round-trip reader for the CSV report format."""
-    try:
-        with open(path, "r", encoding="ascii") as f:
-            rows = list(csv.DictReader(f))
-    except OSError as exc:
-        raise IoFailure(f"cannot read report from {path}: {exc}") from exc
-    out = []
-    for row in rows:
-        rec: dict = {}
-        for col in CSV_COLUMNS:
-            val = row[col]
-            if col in ("graph_id", "finder_outcome"):
-                rec[col] = val
-            elif val == "":
-                rec[col] = None
-            else:
-                rec[col] = int(val)
-        out.append(rec)
-    return out
 
 
 def sweep_failed(report: SweepReport) -> bool:

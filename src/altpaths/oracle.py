@@ -1,8 +1,6 @@
-"""Exact brute-force ground truth.
+"""Exact brute-force ground truth: the subset-DP longest alternating path.
 
-Two referees live here: the subset-DP longest alternating path and the
-exhaustive respectable-endpoint enumeration.  Both are exact or refuse
-via TooLarge.
+It is exact or refuses via TooLarge.
 """
 from __future__ import annotations
 
@@ -11,19 +9,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dp_kernels import BATCH_CELLS, MAX_DP_ORDER, run_dp
-from .altpath import AlternatingPath, ParityFrame, path_from_verts
-from .errors import BadParams, NoRespectablePath, TooLarge
+from .altpath import AlternatingPath, path_from_verts
+from .errors import BadParams, TooLarge
 from .graph_core import OrientedGraph, bits
 
 
 @dataclass(frozen=True)
 class OracleBudget:
     max_n_subset_dp: int = 22
-    max_n_enumeration: int = 12
 
     def __post_init__(self):
-        if self.max_n_subset_dp <= 0 or self.max_n_enumeration <= 0:
-            raise BadParams("oracle bounds must be positive")
+        if self.max_n_subset_dp <= 0:
+            raise BadParams("the subset-DP bound must be positive")
         if self.max_n_subset_dp > MAX_DP_ORDER:
             raise BadParams(f"subset-DP bound above {MAX_DP_ORDER} does not fit its state words")
 
@@ -92,52 +89,4 @@ def has_alt_path_k(g: OrientedGraph, k: int, budget: OracleBudget = DEFAULT_BUDG
         return False
     best, _, _, _ = run_dp([g.out_masks], [g.in_masks], g.n, want_k=k)
     return int(best[0]) >= k
-
-
-def enumerate_respectable_endpoints(
-    g: OrientedGraph, frame: ParityFrame, budget: OracleBudget = DEFAULT_BUDGET
-) -> tuple[set[int], set[int]]:
-    """All starts in O and ends in E of respectable paths, by exhaustive search.
-
-    A respectable path spans O and E, alternates, and has every edge
-    directed O -> E; it therefore alternates classes O,E,O,...,E, so the
-    search runs over the undirected bipartite graph of O -> E edges.
-    Repeated (visited set, endpoint) states are pruned, which keeps the
-    backtracking exact while avoiding re-enumeration.
-    """
-    verts = sorted(frame.all_verts)
-    if len(verts) > budget.max_n_enumeration:
-        raise TooLarge(f"2m={len(verts)} exceeds enumeration budget")
-    idx = {v: i for i, v in enumerate(verts)}
-    nn = len(verts)
-    nbr = [0] * nn
-    sink_set = frame.sinks
-    for o in frame.sources:
-        for w in bits(g.out_masks[o]):
-            if w in sink_set:
-                nbr[idx[o]] |= 1 << idx[w]
-                nbr[idx[w]] |= 1 << idx[o]
-    full = (1 << nn) - 1
-    starts: set[int] = set()
-    ends: set[int] = set()
-    for o in sorted(frame.sources):
-        seen: set[tuple[int, int]] = set()
-        stack = [(1 << idx[o], idx[o])]
-        reached = False
-        while stack:
-            mask, last = stack.pop()
-            if mask == full:
-                reached = True
-                ends.add(verts[last])
-                continue
-            for w in bits(nbr[last] & ~mask):
-                state = (mask | (1 << w), w)
-                if state not in seen:
-                    seen.add(state)
-                    stack.append(state)
-        if reached:
-            starts.add(o)
-    if not starts:
-        raise NoRespectablePath("no spanning alternating O->E path exists")
-    return starts, ends
 

@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import oracle
 from .altpath import (
     AlternatingPath,
     ParityFrame,
@@ -21,33 +20,10 @@ from .altpath import (
     greedy_extend,
     path_from_verts,
     trim,
-    validate,
 )
-from .errors import BadParams, BadPivot, DebugCheckFailure
+from .errors import BadParams, BadPivot
 from .graph_core import OrientedGraph, bits, min_pseudo_semidegree
 from .oracle import OracleBudget, longest_alt_path_exact
-
-
-# --- debug instrumentation -------------------------------------------------
-
-
-@dataclass
-class DebugStats:
-    rotations_checked: int = 0
-    closures_checked: int = 0
-    cycles_checked: int = 0
-    countings_checked: int = 0
-    lemmas_checked: int = 0
-
-    def reset(self) -> None:
-        self.rotations_checked = 0
-        self.closures_checked = 0
-        self.cycles_checked = 0
-        self.countings_checked = 0
-        self.lemmas_checked = 0
-
-
-debug_stats = DebugStats()
 
 
 # --- result types ----------------------------------------------------------
@@ -90,18 +66,6 @@ def certificate_is_sound(g: OrientedGraph, cert: Certificate) -> bool:
 @dataclass(frozen=True)
 class AltSpanningCycle:
     verts: tuple[int, ...]  # cyclic order, length 2m
-
-
-def cycle_is_valid(g: OrientedGraph, frame: ParityFrame, cyc: AltSpanningCycle) -> bool:
-    """True iff cyc spans the frame and each cyclic step is a source->sink arc of g."""
-    vs = cyc.verts
-    if len(vs) != 2 * frame.m or set(vs) != frame.all_verts:
-        return False
-    for a, b in zip(vs, vs[1:] + vs[:1]):
-        u, w = (a, b) if a in frame.sources else (b, a)
-        if u not in frame.sources or w not in frame.sinks or not g.has_edge(u, w):
-            return False
-    return True
 
 
 Extension = tuple[tuple[int, ...], int, bool]  # (extended path, outside vertex, at_start)
@@ -152,26 +116,6 @@ def _mask_of(verts) -> int:
     return m
 
 
-def is_respectable(g: OrientedGraph, frame: ParityFrame, verts) -> bool:
-    """Valid alternating path spanning the frame, every edge source -> sink."""
-    if set(verts) != set(frame.all_verts):
-        return False
-    p = path_from_verts(g, verts)
-    if not validate(g, p):
-        return False
-    for a, b in zip(verts, verts[1:]):
-        u, w = (a, b) if g.has_edge(a, b) else (b, a)
-        if u not in frame.sources or w not in frame.sinks:
-            return False
-    return True
-
-
-def _check_rotation(g: OrientedGraph, frame: ParityFrame, verts) -> None:
-    debug_stats.rotations_checked += 1
-    if not is_respectable(g, frame, verts):
-        raise DebugCheckFailure(f"rotation produced a non-respectable path {verts}")
-
-
 # --- rotations -------------------------------------------------------------
 
 
@@ -203,10 +147,7 @@ def rotate_at_end(
 
 
 def start_closure(
-    g: OrientedGraph,
-    frame: ParityFrame,
-    seed: tuple[int, ...],
-    debug: bool = False,
+    g: OrientedGraph, frame: ParityFrame, seed: tuple[int, ...]
 ) -> ClosureResult:
     """BFS over rotations at both ends, one witness per (start, terminal) pair.
 
@@ -218,7 +159,6 @@ def start_closure(
     seed = tuple(seed)
     if seed[0] in frame.sinks:
         seed = tuple(reversed(seed))  # canonical orientation: source endpoint first
-    m = frame.m
     frame_mask = _mask_of(frame.all_verts)
     outside_mask = ((1 << g.n) - 1) & ~frame_mask
     source_mask = _mask_of(frame.sources)
@@ -266,26 +206,16 @@ def start_closure(
             key = (new[0], new[-1])
             if key in seen:
                 continue
-            if debug:
-                _check_rotation(g, frame, new)
             seen[key] = new
             queue.append(new)
             if note_endpoints(new):
                 stopped = True
                 break
-    if debug and 2 * m <= 12:
-        s_true, t_true = oracle.enumerate_respectable_endpoints(g, frame)
-        debug_stats.closures_checked += 1
-        if not set(result.S_found) <= s_true or not set(result.T_found) <= t_true:
-            raise DebugCheckFailure("closure endpoints exceed the exhaustive oracle sets")
     return result
 
 
 def _end_closure_from(
-    g: OrientedGraph,
-    frame: ParityFrame,
-    witness: tuple[int, ...],
-    debug: bool = False,
+    g: OrientedGraph, frame: ParityFrame, witness: tuple[int, ...]
 ) -> dict[int, tuple[int, ...]]:
     """Terminal -> witness map over end-rotations only (start stays fixed)."""
     source_mask = _mask_of(frame.sources)
@@ -300,8 +230,6 @@ def _end_closure_from(
                 continue
             new = rotate_at_end(g, frame, path, j)
             if new[-1] not in found:
-                if debug:
-                    _check_rotation(g, frame, new)
                 found[new[-1]] = new
                 queue.append(new)
     return found
@@ -311,10 +239,7 @@ def _end_closure_from(
 
 
 def evenham_cycle(
-    g: OrientedGraph,
-    frame: ParityFrame,
-    closure: ClosureResult,
-    debug: bool = False,
+    g: OrientedGraph, frame: ParityFrame, closure: ClosureResult
 ) -> AltSpanningCycle | Certificate:
     """Alternating spanning source->sink cycle on the frame, or a certificate."""
     if closure.extension is not None:
@@ -339,15 +264,11 @@ def evenham_cycle(
         return Certificate(a, "out", d_sink_out(a), 1.0, "degenerate-m1", sinks_scope)
     if not d_sink_out(a) * 2 > m:
         return Certificate(a, "out", d_sink_out(a), m / 2, "A-count", sinks_scope)
-    if debug:
-        debug_stats.countings_checked += 1
 
-    terminals = _end_closure_from(g, frame, closure.S_found[a], debug)
+    terminals = _end_closure_from(g, frame, closure.S_found[a])
     b = min(terminals, key=lambda w: (-d_source_in(w), w))
     if not d_source_in(b) * 2 > m:
         return Certificate(b, "in", d_source_in(b), m / 2, "C-count", sources_scope)
-    if debug:
-        debug_stats.countings_checked += 1
 
     rb = terminals[b]  # starts at a, ends at b
     for j in range(len(rb) - 1):
@@ -357,12 +278,7 @@ def evenham_cycle(
             and rb[j + 1] in frame.sinks
             and g.has_edge(a, rb[j + 1])
         ):
-            cyc = AltSpanningCycle(rotate_at_end(g, frame, rb, j))
-            if debug:
-                debug_stats.cycles_checked += 1
-                if not cycle_is_valid(g, frame, cyc):
-                    raise DebugCheckFailure(f"invalid spanning cycle {cyc.verts}")
-            return cyc
+            return AltSpanningCycle(rotate_at_end(g, frame, rb, j))
     return Certificate(a, "out", d_sink_out(a), m / 2, "pigeonhole", sinks_scope)
 
 
@@ -389,9 +305,7 @@ def extension_scan_on_cycle(
     return None
 
 
-def lemma_forgotten_check(
-    g: OrientedGraph, frame: ParityFrame, debug: bool = False
-) -> Certificate | None:
+def lemma_forgotten_check(g: OrientedGraph, frame: ParityFrame) -> Certificate | None:
     """Per-class count of low source->sink degrees; None on pass.
 
     The Moon-Moser count with every threshold raised by one: fails (with
@@ -413,17 +327,13 @@ def lemma_forgotten_check(
             if len(low) >= ell:
                 v, d = low[0]
                 return Certificate(v, side, d, ell + 1, "lemma-count", scope)
-    if debug:
-        debug_stats.lemmas_checked += 1
     return None
 
 
 # --- generic two-sided closure (odd stuck paths) ---------------------------
 
 
-def two_sided_closure_extension(
-    g: OrientedGraph, verts: tuple[int, ...], debug: bool = False
-) -> tuple[int, ...] | None:
+def two_sided_closure_extension(g: OrientedGraph, verts: tuple[int, ...]) -> tuple[int, ...] | None:
     """Rotation closure of an arbitrary stuck alternating path.
 
     Explores prefix/suffix reversals through chords at both endpoints,
@@ -474,10 +384,6 @@ def two_sided_closure_extension(
             key = (new[0], new[-1])
             if key in seen:
                 continue
-            if debug:
-                debug_stats.rotations_checked += 1
-                if not validate(g, path_from_verts(g, new)):
-                    raise DebugCheckFailure(f"two-sided rotation broke alternation: {new}")
             seen.add(key)
             ext = try_extend(new)
             if ext is not None:
@@ -493,7 +399,10 @@ def two_sided_closure_extension(
 class EngineBudget:
     rounds: int | None = None  # default 4*k
     oracle: OracleBudget = field(default_factory=OracleBudget)
-    debug: bool = False
+
+    def __post_init__(self):
+        if self.rounds is not None and self.rounds < 0:
+            raise BadParams(f"rounds must be >= 0, got {self.rounds}")
 
 
 def condition_holds(g: OrientedGraph, k: int) -> bool:
@@ -517,11 +426,7 @@ def find_alternating_path(
     def gave_up(reason: str, vs) -> FinderOutcome:
         return FinderOutcome("gave_up", path_from_verts(g, vs), None, reason, rounds, cond)
 
-    def diagnostic(cert: Certificate, m: int) -> FinderOutcome:
-        if budget.debug and cond and 2 * m < k:
-            raise DebugCheckFailure(
-                f"counting stage {cert.stage} failed although the degree condition holds"
-            )
+    def diagnostic(cert: Certificate) -> FinderOutcome:
         return FinderOutcome("diagnostic", None, cert, None, rounds, cond)
 
     if g.n == 0:
@@ -552,23 +457,23 @@ def find_alternating_path(
         if rounds > rounds_cap:
             return gave_up("BudgetExceeded", verts)
         if len(verts) % 2 == 1:
-            ext = two_sided_closure_extension(g, verts, debug=budget.debug)
+            ext = two_sided_closure_extension(g, verts)
             if ext is None:
                 return stuck("OddStuck")
         else:
             frame = frame_of(path_from_verts(g, verts))
-            closure = start_closure(g, frame, verts, debug=budget.debug)
+            closure = start_closure(g, frame, verts)
             if closure.extension is not None:
                 ext = closure.extension[0]
             else:
-                cyc = evenham_cycle(g, frame, closure, budget.debug)
+                cyc = evenham_cycle(g, frame, closure)
                 if isinstance(cyc, Certificate):
-                    return diagnostic(cyc, frame.m)
+                    return diagnostic(cyc)
                 ext = extension_scan_on_cycle(g, frame, cyc)
                 if ext is None:
-                    lem = lemma_forgotten_check(g, frame, budget.debug)
+                    lem = lemma_forgotten_check(g, frame)
                     if lem is not None:
-                        return diagnostic(lem, frame.m)
+                        return diagnostic(lem)
                     return stuck("EvenStuck")
         verts = greedy_extend(g, path_from_verts(g, ext), k).verts
     return found(verts)

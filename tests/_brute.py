@@ -5,12 +5,15 @@ shared with the library code under test.  The one exception is
 alt_path_dp_py, the plain-int subset DP that the numpy kernel must
 reproduce exactly, reach table included.  The per-vertex degree minima
 are the references for the graph's cached one-pass degree summary, and
-the digit-by-digit decoder is the reference for the column decoder.
+the digit-by-digit decoder is the reference for the column decoder.  The
+respectable-path and spanning-cycle checks judge the finder's stage
+outputs, and check_invariants the graphs every constructor builds.
 """
 from __future__ import annotations
 
 from itertools import permutations
 
+from altpaths.errors import LoopEdge, TwoCycle
 from altpaths.graph_core import OrientedGraph, pair_order
 
 
@@ -29,18 +32,63 @@ def is_alt_sequence(g, verts) -> bool:
     return all(x != y for x, y in zip(dirs, dirs[1:]))
 
 
+def is_respectable(g, frame, verts) -> bool:
+    """Alternating path spanning the frame, every edge source -> sink."""
+    if set(verts) != frame.all_verts or not is_alt_sequence(g, list(verts)):
+        return False
+    for a, b in zip(verts, verts[1:]):
+        u, w = (a, b) if g.has_edge(a, b) else (b, a)
+        if u not in frame.sources or w not in frame.sinks:
+            return False
+    return True
+
+
+def cycle_is_valid(g, frame, cyc) -> bool:
+    """True iff cyc spans the frame and each cyclic step is a source->sink arc of g."""
+    vs = cyc.verts
+    if len(vs) != 2 * frame.m or set(vs) != frame.all_verts:
+        return False
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        u, w = (a, b) if a in frame.sources else (b, a)
+        if u not in frame.sources or w not in frame.sinks or not g.has_edge(u, w):
+            return False
+    return True
+
+
+def check_invariants(g) -> None:
+    """Raise if the no-loop / orientation / consistency invariants fail."""
+    for v in range(g.n):
+        if (g.out_masks[v] >> v) & 1 or (g.in_masks[v] >> v) & 1:
+            raise LoopEdge(f"loop at {v}")
+    for u in range(g.n):
+        for v in range(g.n):
+            if u == v:
+                continue
+            fwd = (g.out_masks[u] >> v) & 1
+            bwd = (g.out_masks[v] >> u) & 1
+            if fwd and bwd:
+                raise TwoCycle(f"2-cycle between {u} and {v}")
+            if fwd != ((g.in_masks[v] >> u) & 1):
+                raise TwoCycle(f"out/in inconsistency at ({u},{v})")
+
+
+def degrees(g, v) -> tuple[int, int]:
+    """(out-degree, in-degree) of v, counted from the masks."""
+    return g.out_masks[v].bit_count(), g.in_masks[v].bit_count()
+
+
 def brute_min_semidegree(g):
     """Minimum of min(out-degree, in-degree) over the vertices; None when n == 0."""
     if g.n == 0:
         return None
-    return min(min(g.d_out(v), g.d_in(v)) for v in range(g.n))
+    return min(min(degrees(g, v)) for v in range(g.n))
 
 
 def brute_min_pseudo_semidegree(g):
     """Minimum over all strictly positive in/out degrees; None iff no edges."""
     best = None
     for v in range(g.n):
-        for d in (g.d_out(v), g.d_in(v)):
+        for d in degrees(g, v):
             if d > 0 and (best is None or d < best):
                 best = d
     return best
@@ -64,6 +112,11 @@ def brute_graph_from_code(n: int, code: int) -> OrientedGraph:
             out_masks[v] |= 1 << u
             in_masks[u] |= 1 << v
     return OrientedGraph(n, tuple(out_masks), tuple(in_masks))
+
+
+def all_graphs(n: int) -> list[OrientedGraph]:
+    """Every labeled oriented graph of order n, in base-3 code order."""
+    return [brute_graph_from_code(n, code) for code in range(3 ** (n * (n - 1) // 2))]
 
 
 def brute_longest_alt_path(g) -> int:

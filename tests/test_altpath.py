@@ -76,16 +76,12 @@ class TestFrameOf:
 
 class TestGreedyExtend:
     def test_from_single_vertex(self):
+        # the finder seeds greedy with an arc, so a shorter path is a caller's error
         g = from_edge_list([(0, 1)], 2)
-        assert greedy_extend(g, AlternatingPath((0,), None), g.n).verts == (0, 1)
-
-    def test_from_single_vertex_round_goes_on_at_head(self):
-        # the first step from a lone vertex is the round's tail step, so the
-        # head step follows: 0 takes 1 (1 -> 0), then the head 0 takes 2
-        g = from_edge_list([(1, 0), (1, 2), (2, 0)], 3)
-        p = AlternatingPath((0,), None)
-        assert greedy_extend(g, p, 2).verts == (0, 1)
-        assert greedy_extend(g, p, g.n) == AlternatingPath((2, 0, 1), True)
+        for p in (AlternatingPath((0,), None), AlternatingPath((), None)):
+            for k in (1, g.n):
+                with pytest.raises(errors.BadParams):
+                    greedy_extend(g, p, k)
 
     def test_triangle_stuck_at_two(self):
         p = greedy_extend(TRIANGLE, path_from_verts(TRIANGLE, [0, 1]), TRIANGLE.n)
@@ -170,17 +166,17 @@ class TestProperties:
     @given(oriented_graphs(max_n=6))
     @settings(max_examples=60, deadline=None)
     def test_greedy_output_valid(self, g):
-        p = greedy_extend(g, AlternatingPath((0,), None), g.n)
-        assert validate(g, p)
+        for u, v in g.edges():
+            p = greedy_extend(g, path_from_verts(g, (u, v)), g.n)
+            assert validate(g, p)
 
     @given(oriented_graphs(max_n=7))
     @settings(max_examples=80, deadline=None)
     def test_greedy_stops_at_k_inside_the_full_extension(self, g):
-        # stopping at order k changes no choice: from every start (each vertex
-        # and each arc, read both ways) and for every k the result is a window
-        # of the extension until stuck, of order min(k, full order)
-        starts = [(v,) for v in range(g.n)]
-        starts += [e for u, v in g.edges() for e in ((u, v), (v, u))]
+        # stopping at order k changes no choice: from every start (each arc,
+        # read both ways) and for every k the result is a window of the
+        # extension until stuck, of order min(k, full order)
+        starts = [e for u, v in g.edges() for e in ((u, v), (v, u))]
         for start in starts:
             p = path_from_verts(g, start)
             full = greedy_extend(g, p, g.n).verts

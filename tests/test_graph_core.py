@@ -9,14 +9,11 @@ from altpaths import errors
 from altpaths.graph_core import (
     DegreeSummary,
     bits,
+    OrientedGraph,
     blowup_directed_cycle,
-    check_invariants,
     decode_codes,
     degree_columns,
-    enumerate_all_oriented,
     from_edge_list,
-    graph_from_code,
-    induced_subgraph,
     min_pseudo_semidegree,
     min_semidegree,
     num_oriented,
@@ -30,6 +27,8 @@ from _brute import (
     brute_graph_from_code,
     brute_min_pseudo_semidegree,
     brute_min_semidegree,
+    check_invariants,
+    degrees,
 )
 from conftest import oriented_graphs
 
@@ -62,6 +61,10 @@ class TestFromEdgeList:
     def test_out_of_range(self):
         with pytest.raises(errors.BadParams):
             from_edge_list([(0, 5)], 2)
+
+    def test_negative_order(self):
+        with pytest.raises(errors.BadParams):
+            from_edge_list([], -3)
 
 
 class TestDegrees:
@@ -100,7 +103,7 @@ def graphs_with_isolated_vertices(draw):
     """An enumerated graph on m <= n vertices placed among n, the rest isolated."""
     n = draw(st.integers(0, 9))
     m = draw(st.integers(0, min(n, 6)))
-    core = graph_from_code(m, draw(st.integers(0, num_oriented(m) - 1)))
+    core = brute_graph_from_code(m, draw(st.integers(0, num_oriented(m) - 1)))
     place = draw(st.permutations(range(n)))
     return from_edge_list([(place[u], place[v]) for u, v in core.edges()], n)
 
@@ -135,6 +138,15 @@ def _nullable(column) -> list:
     return [None if x < 0 else x for x in column.tolist()]
 
 
+def _decoded(n: int, codes) -> list[OrientedGraph]:
+    """The graphs decode_codes gives for codes."""
+    out_masks, in_masks = decode_codes(n, codes)
+    return [
+        OrientedGraph(n, tuple(outs), tuple(ins))
+        for outs, ins in zip(out_masks.tolist(), in_masks.tolist())
+    ]
+
+
 def _code_cases():
     for n in range(5):
         yield n, list(range(num_oriented(n)))
@@ -150,10 +162,6 @@ class TestColumnDecoder:
         assert out_masks.shape == in_masks.shape == (len(codes), n)
         assert out_masks.tolist() == [list(g.out_masks) for g in refs]
         assert in_masks.tolist() == [list(g.in_masks) for g in refs]
-        for code, ref in zip(codes, refs):
-            g = graph_from_code(n, code)
-            assert g == ref
-            assert all(type(m) is int for m in g.out_masks + g.in_masks)
 
     @pytest.mark.parametrize("n,codes", list(_code_cases()))
     def test_degree_columns_match_reference(self, n, codes):
@@ -165,32 +173,8 @@ class TestColumnDecoder:
 
     def test_codes_beyond_int64(self):
         # order 10 has 3^45 > 2^63 codes
-        for code in (0, num_oriented(10) - 1, *_sample_codes(10, 20, 10)):
-            assert graph_from_code(10, code) == brute_graph_from_code(10, code)
-
-    def test_enumeration_in_code_order(self):
-        for n in range(5):
-            expected = [brute_graph_from_code(n, code) for code in range(num_oriented(n))]
-            assert list(enumerate_all_oriented(n)) == expected
-
-
-class TestInducedSubgraph:
-    def test_triangle_pair(self):
-        g = from_edge_list(TRIANGLE, 3)
-        sub, relabel = induced_subgraph(g, {0, 1})
-        assert sub.n == 2
-        assert sub.edges() == [(relabel[0], relabel[1])]
-
-    def test_full_copy(self):
-        g = from_edge_list(TRIANGLE, 3)
-        sub, relabel = induced_subgraph(g, range(3))
-        assert sub.edges() == g.edges()
-        assert relabel == {0: 0, 1: 1, 2: 2}
-
-    def test_empty_keep(self):
-        g = from_edge_list(TRIANGLE, 3)
-        sub, _ = induced_subgraph(g, set())
-        assert sub.n == 0 and sub.edge_count == 0
+        codes = [0, num_oriented(10) - 1, *_sample_codes(10, 20, 10)]
+        assert _decoded(10, codes) == [brute_graph_from_code(10, code) for code in codes]
 
 
 class TestBlowup:
@@ -208,7 +192,7 @@ class TestBlowup:
     def test_regular_degrees(self):
         for t, b in [(3, 1), (3, 3), (5, 2)]:
             g = blowup_directed_cycle(t, b)
-            assert all(g.d_out(v) == b and g.d_in(v) == b for v in range(g.n))
+            assert all(degrees(g, v) == (b, b) for v in range(g.n))
 
     def test_bad_params(self):
         with pytest.raises(errors.BadParams):
@@ -240,28 +224,25 @@ class TestRandomOriented:
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(2, 3), (3, 27), (4, 729)])
     def test_counts_and_distinct(self, n, count):
-        seen = {tuple(g.out_masks) for g in enumerate_all_oriented(n)}
+        out_masks, _ = decode_codes(n, np.arange(num_oriented(n)))
+        seen = {tuple(row) for row in out_masks.tolist()}
         assert len(seen) == count == num_oriented(n)
 
     def test_n5_count(self):
-        assert sum(1 for _ in enumerate_all_oriented(5)) == 59049
-
-    def test_too_large(self):
-        with pytest.raises(errors.TooLarge):
-            next(enumerate_all_oriented(7))
+        out_masks, in_masks = decode_codes(5, np.arange(num_oriented(5)))
+        graphs = {(*outs, *ins) for outs, ins in zip(out_masks.tolist(), in_masks.tolist())}
+        assert len(graphs) == 59049
 
     def test_all_valid(self):
-        for g in enumerate_all_oriented(3):
+        for g in _decoded(3, np.arange(num_oriented(3))):
             check_invariants(g)
 
     def test_code_roundtrip_order(self):
         # digit order: absent < forward < backward over pairs (0,1),(0,2),(1,2)
-        g = graph_from_code(3, 1)
-        assert g.edges() == [(0, 1)]
-        g = graph_from_code(3, 2)
-        assert g.edges() == [(1, 0)]
-        g = graph_from_code(3, 3)
-        assert g.edges() == [(0, 2)]
+        g1, g2, g3 = _decoded(3, [1, 2, 3])
+        assert g1.edges() == [(0, 1)]
+        assert g2.edges() == [(1, 0)]
+        assert g3.edges() == [(0, 2)]
 
 
 class TestEdgelistFormat:
@@ -284,6 +265,11 @@ class TestEdgelistFormat:
     def test_bad_line(self):
         with pytest.raises(errors.FormatError):
             parse_edgelist("0 1 2\n")
+
+    def test_negative_header(self):
+        with pytest.raises(errors.FormatError):
+            parse_edgelist("n=-3\n")
+        assert parse_edgelist("n=0\n").n == 0
 
 
 class TestDigraph6:
@@ -330,7 +316,7 @@ class TestInvariantProperties:
     def test_pseudo_vs_semidegree(self, g):
         semi = min_semidegree(g)
         pseudo = min_pseudo_semidegree(g)
-        if all(g.d_out(v) > 0 and g.d_in(v) > 0 for v in range(g.n)):
+        if all(min(degrees(g, v)) > 0 for v in range(g.n)):
             assert pseudo == semi
         elif pseudo is not None and semi > 0:
             assert pseudo >= semi

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -11,13 +12,12 @@ import pytest
 from altpaths import errors
 from altpaths.cli import main
 from altpaths import harness
-from altpaths.graph_core import blowup_directed_cycle, graph_from_code, to_edgelist
+from altpaths.graph_core import blowup_directed_cycle, to_edgelist
 from altpaths.harness import (
     SweepConfig,
     SweepReport,
     emit_report,
     max_k_for,
-    read_report_csv,
     report_to_csv,
     report_to_json,
     run_blowup_suite,
@@ -28,6 +28,7 @@ from altpaths.harness import (
 )
 from altpaths.oracle import OracleBudget, longest_alt_path_exact
 from altpaths.rotation_engine import find_alternating_path
+from _brute import brute_graph_from_code
 
 
 class TestMaxKFor:
@@ -149,13 +150,12 @@ class TestReports:
         report = self._report()
         path = str(tmp_path / "out.csv")
         emit_report(report, "csv", path)
-        rows = read_report_csv(path)
+        with open(path, newline="", encoding="ascii") as f:
+            rows = list(csv.DictReader(f))
         assert len(rows) == len(report.records)
         for row, rec in zip(rows, report.records):
-            for col in row:
-                assert row[col] == ("" if rec[col] is None else rec[col]) or row[
-                    col
-                ] == rec[col]
+            assert list(row) == harness.CSV_COLUMNS
+            assert row == {col: "" if rec[col] is None else str(rec[col]) for col in row}
 
     def test_csv_header(self):
         text = report_to_csv(self._report())
@@ -249,7 +249,7 @@ class TestReportEncoder:
         # sha256 of the stable n=5 report as the json.dumps encoder wrote it
         report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=5, stable=True))
         digest = hashlib.sha256(report_to_json(report).encode("ascii")).hexdigest()
-        assert digest == "a49bd2ff4f644333db63ab94ed8714b8ce3fa379ac60357cc340203d15be9e49"
+        assert digest == "a8d657f640400ac7006c9679354194f962b25174697a08400aa7c01363a3c226"
 
     def test_exhaustive_n5_stable_csv_pinned(self):
         # sha256 of the stable n=5 CSV as the per-record writer wrote it
@@ -262,7 +262,7 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-N5_STABLE_SHA256 = "a49bd2ff4f644333db63ab94ed8714b8ce3fa379ac60357cc340203d15be9e49"
+N5_STABLE_SHA256 = "a8d657f640400ac7006c9679354194f962b25174697a08400aa7c01363a3c226"
 
 
 @cache
@@ -282,7 +282,7 @@ class TestColumnarExhaustive:
         assert len(report.records) == 729
         by_kmax = {0: 0, 1: 0, 2: 0}
         for rec in report.records:
-            g = graph_from_code(4, _code(rec))
+            g = brute_graph_from_code(4, _code(rec))
             kmax = max_k_for(rec["min_pseudo_semidegree"])
             by_kmax[min(kmax, 2)] += 1
             if kmax < 1:
@@ -300,9 +300,9 @@ class TestColumnarExhaustive:
             rec["violation"] == "skipped:TooLarge" and rec["oracle_L"] is None
             for rec in report.records
         )
-        # sha256 of the same sweep at its default chunking, as the per-graph sweep wrote it
+        # sha256 of the same sweep at its default chunking; the per-graph sweep wrote its records
         report = run_theorem_sweep(dataclasses.replace(cfg, chunk_size=2000))
-        digest = "25124177441681d79794af8539d18c226340f2ea0294c8e992900cd79a296831"
+        digest = "f686b55e140cdbd4ae149c243197a8763c550594264573ad19870db8016c8379"
         assert _sha256(report_to_json(report)) == digest
 
     def test_aggregate_only_n5(self):
@@ -312,9 +312,9 @@ class TestColumnarExhaustive:
         assert report.aggregates == _exhaustive_n5().aggregates
 
     def test_exhaustive_oddcase_n4_pinned(self):
-        # sha256 of the report as the per-graph sweep wrote it
+        # sha256 of the report; the per-graph sweep wrote its records
         report = run_oddcase_sweep(SweepConfig(mode="exhaustive", n=4, stable=True))
-        digest = "5060675171db86adb67db07222d80d302e0f9f33c74dbb54ffc38aecaaf7a391"
+        digest = "e2278e765fffc346c41cca383a11431ec0d41a4d10769dad3d40119f9d9da5ba"
         assert _sha256(report_to_json(report)) == digest
 
     @pytest.mark.parametrize("workers,chunk_size", [(1, 2000), (2, 2000), (2, 7)])
@@ -401,13 +401,13 @@ class TestSweepConfig:
         assert report.aggregates["instances"] == 5
 
 
-# sha256 of stable reports as the per-record sweep driver wrote them
-RANDOM_THEOREM_SHA256 = "51f8e699307da7a28dc51ac14d83b78f54de5997f03dff65ca3254ed28da4268"
+# sha256 of stable reports; the per-record sweep driver wrote their records
+RANDOM_THEOREM_SHA256 = "d1906013c594707e50ca11889b5c6a7bb7192895ce05ce9e1f6e1812988e91cd"
 RANDOM_THEOREM_CSV_SHA256 = "121c4da34c2c40b606acf76b56db2126825f38971cbdcec7524d82c476b6a22b"
-RANDOM_ODDCASE_SHA256 = "90f970fed22364778b4f12a0c550de1bd6f9430ee364c4adb7702bf2951ed081"
-COROLLARY_SHA256 = "7fa344ed027fb32d0f85caa3fcb5a8155ed177a7adb790db349c7b547104cbc9"
-BLOWUP_SHA256 = "08255df6ea372714172ea5f2705a1bedf8eb300a292a2cf803b74e2b4369fc0f"
-PAST_INT64_SHA256 = "093cdbe3e5b6b647da95e657a917400a03326edc48eca4c202cabd5095df4099"
+RANDOM_ODDCASE_SHA256 = "37b4c1bdc1d13df95dcb5ade5877c76e3de2a0fc22e6199d304c5ab43b6adfc5"
+COROLLARY_SHA256 = "e101fbb2f306eb587f90654bb1a3a13a7aa07de52b5e219d4806616fdc30db72"
+BLOWUP_SHA256 = "e5bd42c4d53360267b2d9de920ad350f8f52a2cb056e60a5467d0ad6f4a4cd0f"
+PAST_INT64_SHA256 = "66281fc59b73c90fe40c75a23d684c61dade1e915019cc595649927eb52f7653"
 
 
 class TestOneDriver:
@@ -517,6 +517,20 @@ class TestCli:
 
     def test_find_missing_file(self, capsys):
         assert main(["find", "/no/such/file", "--k", "2"]) == 3
+
+    @pytest.mark.parametrize("command", [["check"], ["find", "--k", "2"]])
+    def test_negative_order_header_is_format_error(self, tmp_path, capsys, command):
+        f = tmp_path / "g.el"
+        f.write_text("n=-3\n")
+        assert main([command[0], str(f), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert "negative order" in captured.err and not captured.out
+
+    def test_find_negative_budget_rounds_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "g.el"
+        f.write_text(to_edgelist(blowup_directed_cycle(3, 2)))
+        assert main(["find", str(f), "--k", "3", "--budget-rounds", "-5"]) == 2
+        assert "rounds must be >= 0" in capsys.readouterr().err
 
     def test_sweep_exhaustive(self, tmp_path, capsys):
         out = tmp_path / "r.json"

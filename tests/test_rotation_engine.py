@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
 from altpaths import errors
-from altpaths.altpath import ParityFrame, path_from_verts, validate
+from altpaths.altpath import ParityFrame, greedy_extend, path_from_verts, validate
 from altpaths.graph_core import (
     blowup_directed_cycle,
     from_edge_list,
@@ -17,19 +18,23 @@ from altpaths.rotation_engine import (
     AltSpanningCycle,
     Certificate,
     EngineBudget,
+    _end_closure_from,
     certificate_is_sound,
     condition_holds,
-    cycle_is_valid,
-    debug_stats,
     evenham_cycle,
     extension_scan_on_cycle,
     find_alternating_path,
-    is_respectable,
     lemma_forgotten_check,
     rotate_at_end,
     rotate_at_start,
     start_closure,
     two_sided_closure_extension,
+)
+from _brute import (
+    brute_bipartite_ham_cycle_exists,
+    brute_respectable_endpoints,
+    cycle_is_valid,
+    is_respectable,
 )
 
 # complete bipartite source->sink graph on {0,1} -> {2,3}
@@ -44,6 +49,91 @@ PATHY = from_edge_list([(0, 2), (1, 2), (1, 3)], 4)
 WORKED = from_edge_list(
     [(o, e) for o in (0, 1, 2) for e in (3, 4, 5)] + [(1, 0), (6, 0)], 7
 )
+
+
+# The bipartite graph H of a parity frame holds its source->sink arcs only.
+# Two things read H: the lemma count (the Moon-Moser count with every
+# threshold raised by one) and the spanning source->sink cycle that
+# evenham_cycle builds, which is a Hamilton cycle of H.
+
+
+def _frame(m):
+    return ParityFrame(frozenset(range(m)), frozenset(range(m, 2 * m)), m)
+
+
+def _frame_graph(adj_x, extra=()):
+    """Sources 0..m-1, sinks m..2m-1; bit j of adj_x[i] is the arc i -> m+j."""
+    m = len(adj_x)
+    edges = [(i, m + j) for i in range(m) for j in range(m) if (adj_x[i] >> j) & 1]
+    return from_edge_list(edges + list(extra), 2 * m + 1)
+
+
+def _adj_y(adj_x):
+    m = len(adj_x)
+    return [sum(1 << i for i in range(m) if (adj_x[i] >> j) & 1) for j in range(m)]
+
+
+def _seed_path(adj_x):
+    """A spanning source->sink path s, t, s, t, ... of H by DFS, or None."""
+    m = len(adj_x)
+    adj_y = _adj_y(adj_x)
+
+    def dfs(path, used_x, used_y):
+        if len(path) == 2 * m:
+            return path
+        last = path[-1]
+        if len(path) % 2:  # at a source: step to a new sink
+            options = [j for j in range(m) if (adj_x[last] >> j) & 1 and not (used_y >> j) & 1]
+            for j in options:
+                got = dfs(path + [j], used_x, used_y | 1 << j)
+                if got:
+                    return got
+        else:  # at a sink: step to a new source
+            options = [i for i in range(m) if (adj_y[last] >> i) & 1 and not (used_x >> i) & 1]
+            for i in options:
+                got = dfs(path + [i], used_x | 1 << i, used_y)
+                if got:
+                    return got
+        return None
+
+    for i in range(m):
+        got = dfs([i], 1 << i, 0)
+        if got:
+            return tuple(v if t % 2 == 0 else m + v for t, v in enumerate(got))
+    return None
+
+
+def _spanning_cycle(adj_x):
+    g = _frame_graph(adj_x)
+    frame = _frame(len(adj_x))
+    return g, frame, evenham_cycle(g, frame, start_closure(g, frame, _seed_path(adj_x)))
+
+
+def _seeded_frames():
+    """(graph, frame, respectable seed path): 30 seeded frames at each m = 2..5.
+
+    The seed path's arcs, source->sink arcs at density 0.5 or 0.8, other
+    arcs at 0.3 in random directions, and 0, 1 or 2 vertices outside the
+    frame, so closures both extend and stay inside.
+    """
+    rng = random.Random(12)
+    for m in range(2, 6):
+        for trial in range(30):
+            n = 2 * m + trial % 3
+            seed = tuple(rng.sample(range(n), 2 * m))
+            sources, sinks = frozenset(seed[0::2]), frozenset(seed[1::2])
+            arcs = {(a, b) if a in sources else (b, a) for a, b in zip(seed, seed[1:])}
+            dense = rng.choice((0.5, 0.8))
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if (u, v) in arcs or (v, u) in arcs:
+                        continue
+                    if {u, v} & sources and {u, v} & sinks:
+                        if rng.random() < dense:
+                            arcs.add((u, v) if u in sources else (v, u))
+                    elif rng.random() < 0.3:
+                        arcs.add((u, v) if rng.random() < 0.5 else (v, u))
+            yield from_edge_list(sorted(arcs), n), ParityFrame(sources, sinks, m), seed
 
 
 class TestRotations:
@@ -100,11 +190,45 @@ class TestStartClosure:
         res = start_closure(KB2, FRAME2, (3, 1, 2, 0))
         assert set(res.S_found) == {0, 1}
 
-    def test_debug_oracle_agreement(self):
-        debug_stats.reset()
-        start_closure(KB2, FRAME2, (0, 2, 1, 3), debug=True)
-        assert debug_stats.closures_checked == 1
-        assert debug_stats.rotations_checked > 0
+    def test_seeded_frames_within_brute_endpoints(self):
+        # every start and terminal the closure reaches is one of a respectable
+        # path, and its witness is such a path; an extension adds one outside vertex
+        extended = inside = 0
+        for g, frame, seed in _seeded_frames():
+            res = start_closure(g, frame, seed)
+            starts, ends = brute_respectable_endpoints(g, set(frame.sources), set(frame.sinks))
+            assert set(res.S_found) <= starts and set(res.T_found) <= ends
+            for u, wit in res.S_found.items():
+                assert wit[0] == u and is_respectable(g, frame, wit)
+            for t, wit in res.T_found.items():
+                assert wit[-1] == t and is_respectable(g, frame, wit)
+            if res.extension is None:
+                inside += 1
+                continue
+            ext_path, w, at_start = res.extension
+            assert w not in frame.all_verts and ext_path[0 if at_start else -1] == w
+            assert len(ext_path) == 2 * frame.m + 1
+            assert validate(g, path_from_verts(g, ext_path))
+            extended += 1
+        assert extended > 0 and inside > 0
+
+    def test_seeded_end_closures_respectable(self):
+        # the end-rotation closure from each witness keeps its start and
+        # reaches only terminals of respectable paths
+        closures = 0
+        for g, frame, seed in _seeded_frames():
+            res = start_closure(g, frame, seed)
+            if res.extension is not None:
+                continue
+            _, ends = brute_respectable_endpoints(g, set(frame.sources), set(frame.sinks))
+            for u, wit in res.S_found.items():
+                terminals = _end_closure_from(g, frame, wit)
+                assert set(terminals) <= ends
+                for t, path in terminals.items():
+                    assert path[0] == u and path[-1] == t
+                    assert is_respectable(g, frame, path)
+                closures += 1
+        assert closures > 0
 
 
 class TestEvenhamCycle:
@@ -135,6 +259,66 @@ class TestEvenhamCycle:
         cert = evenham_cycle(g, frame, start_closure(g, frame, (0, 1)))
         assert isinstance(cert, Certificate)
         assert cert.stage == "degenerate-m1"
+
+    def test_seeded_frames_cycles_valid(self):
+        cycles = certificates = 0
+        for g, frame, seed in _seeded_frames():
+            closure = start_closure(g, frame, seed)
+            if closure.extension is not None:
+                continue
+            out = evenham_cycle(g, frame, closure)
+            if isinstance(out, AltSpanningCycle):
+                assert cycle_is_valid(g, frame, out)
+                cycles += 1
+            else:
+                assert certificate_is_sound(g, out)
+                certificates += 1
+        assert cycles > 0 and certificates > 0
+
+    def test_impossible(self):
+        # sink 5 has the single source in-neighbor 2, so H has no Hamilton cycle
+        adj_x = [0b011, 0b011, 0b111]
+        g, _, out = _spanning_cycle(adj_x)
+        assert not brute_bipartite_ham_cycle_exists(adj_x, _adj_y(adj_x))
+        assert isinstance(out, Certificate)
+        assert (out.vertex, out.side, out.degree) == (5, "in", 1)
+        assert certificate_is_sound(g, out)
+
+    def test_matches_exact_referee(self):
+        # evenham_cycle may give up on a spanned frame, but its cycles are
+        # Hamilton cycles of H and its certificates recount in g
+        rng = random.Random(11)
+        cycles = 0
+        for _ in range(150):
+            m = rng.randrange(2, 6)
+            adj_x = [0] * m
+            for i in range(m):
+                for j in range(m):
+                    if rng.random() < 0.65:
+                        adj_x[i] |= 1 << j
+            if _seed_path(adj_x) is None:
+                continue
+            g, frame, out = _spanning_cycle(adj_x)
+            want = brute_bipartite_ham_cycle_exists(adj_x, _adj_y(adj_x))
+            if isinstance(out, AltSpanningCycle):
+                cycles += 1
+                assert want and cycle_is_valid(g, frame, out)
+            else:
+                assert certificate_is_sound(g, out)
+        assert cycles > 0
+
+    def test_dense_random_solved(self):
+        # dense balanced frames: each source misses a distinct sink, so both
+        # sides are (m-1)-regular and evenham_cycle must span them
+        rng = random.Random(23)
+        for _ in range(40):
+            m = rng.randrange(4, 11)
+            full = (1 << m) - 1
+            miss = rng.sample(range(m), m)
+            adj_x = [full & ~(1 << miss[i]) for i in range(m)]
+            g, frame, out = _spanning_cycle(adj_x)
+            assert isinstance(out, AltSpanningCycle)
+            assert cycle_is_valid(g, frame, out)
 
 
 class TestExtensionScan:
@@ -180,6 +364,48 @@ class TestLemmaCheck:
         assert cert.vertex == 0 and cert.degree == 2 and cert.bound == 2
         assert certificate_is_sound(g, cert)
 
+    def test_ignores_outside_and_reverse_edges(self):
+        # 4 -> 0 enters from outside the frame, 2 -> 1 runs sink -> source
+        g = from_edge_list([(0, 2), (1, 3), (4, 0), (2, 1)], 5)
+        frame = ParityFrame(frozenset({0, 1}), frozenset({2, 3}), 2)
+        cert = lemma_forgotten_check(g, frame)
+        assert cert == Certificate(0, "out", 1, 2, "lemma-count", (2, 3))
+        assert certificate_is_sound(g, cert)
+        # in H sink 2 has the one source in-neighbor 0
+        assert certificate_is_sound(g, Certificate(2, "in", 1, 2, "lemma-count", (0, 1)))
+        # 0 -> 2 <- 1 -> 3 -> 0 would need the arcs 1 -> 2 and 0 -> 3
+        assert not cycle_is_valid(g, frame, AltSpanningCycle((0, 2, 1, 3)))
+        assert cycle_is_valid(
+            from_edge_list([(0, 2), (1, 2), (1, 3), (0, 3)], 4), frame, AltSpanningCycle((0, 2, 1, 3))
+        )
+
+    def test_complete_passes(self):
+        for m in range(3, 7):
+            # an outside vertex 2m on both sides of the frame changes nothing
+            g = _frame_graph([(1 << m) - 1] * m, [(2 * m, 0), (m, 2 * m)])
+            assert lemma_forgotten_check(g, _frame(m)) is None
+
+    def test_matching_fails(self):
+        # perfect matching: every degree is 1, which trips l=1 (bound 2)
+        g = _frame_graph([0b001, 0b010, 0b100])
+        cert = lemma_forgotten_check(g, _frame(3))
+        assert cert == Certificate(0, "out", 1, 2, "lemma-count", (3, 4, 5))
+        assert certificate_is_sound(g, cert)
+
+    def test_second_level_failure(self):
+        # m=4, two sources of degree 3 pass l=1 and trip l=2 (bound 3)
+        g = _frame_graph([0b0111, 0b1110, 0b1111, 0b1111])
+        cert = lemma_forgotten_check(g, _frame(4))
+        assert cert == Certificate(0, "out", 3, 3, "lemma-count", (4, 5, 6, 7))
+        assert certificate_is_sound(g, cert)
+        # m=5, every source misses one sink, sinks 8 and 9 are missed twice:
+        # the sources pass l=2 and the sinks trip it
+        full = 0b11111
+        g = _frame_graph([full & ~(1 << 3)] * 2 + [full & ~(1 << 4)] * 2 + [full & ~(1 << 2)])
+        cert = lemma_forgotten_check(g, _frame(5))
+        assert cert == Certificate(8, "in", 3, 3, "lemma-count", (0, 1, 2, 3, 4))
+        assert certificate_is_sound(g, cert)
+
 
 class TestTwoSidedClosure:
     def test_direct_extension(self):
@@ -196,6 +422,21 @@ class TestTwoSidedClosure:
         ext = two_sided_closure_extension(g, (0, 2, 1))
         if ext is not None:
             assert validate(g, path_from_verts(g, ext))
+
+    def test_seeded_stuck_paths_extend_at_order_len_plus_one(self):
+        # greedy leaves each odd path with no direct extension, so every
+        # extension found here comes from rotations
+        extended = 0
+        for g, _, _ in _seeded_frames():
+            stuck = {greedy_extend(g, path_from_verts(g, arc), g.n).verts for arc in g.edges()}
+            for verts in sorted(p for p in stuck if len(p) % 2 == 1):
+                ext = two_sided_closure_extension(g, verts)
+                if ext is None:
+                    continue
+                assert len(ext) == len(verts) + 1 and set(verts) < set(ext)
+                assert validate(g, path_from_verts(g, ext))
+                extended += 1
+        assert extended > 0
 
 
 class TestFinder:
@@ -222,6 +463,12 @@ class TestFinder:
         with pytest.raises(errors.BadParams):
             find_alternating_path(from_edge_list([], 1), 0)
 
+    def test_bad_rounds(self):
+        with pytest.raises(errors.BadParams):
+            EngineBudget(rounds=-1)
+        out = find_alternating_path(KB2, 4, EngineBudget(rounds=0))
+        assert out.outcome == "found" and out.rounds == 0
+
     def test_odd_closure_out_of_budget(self):
         # 0 -> 1 <- 2 is stuck at odd order 3; k = 4 sends it to the two-sided closure
         g = from_edge_list([(0, 1), (2, 1)], 4)
@@ -240,7 +487,7 @@ class TestFinder:
 
     def test_blowup_at_kmax(self):
         g = blowup_directed_cycle(3, 2)
-        out = find_alternating_path(g, 3, EngineBudget(debug=True))
+        out = find_alternating_path(g, 3)
         assert out.outcome == "found" and out.path.order == 3
         assert out.condition_holds
 
@@ -264,7 +511,7 @@ class TestFinder:
             for k in (2, best, best + 1):
                 if k < 1 or k > g.n:
                     continue
-                out = find_alternating_path(g, k, EngineBudget(debug=True))
+                out = find_alternating_path(g, k)
                 if k > best:
                     assert out.outcome != "found"
                 elif condition_holds(g, k):
@@ -339,7 +586,7 @@ class TestFinder:
     def test_even_stuck_takes_the_oracle(self):
         # WORKED's spanning cycle has no outside neighbor and passes the
         # lemma count; its longest path has order 6, so k = 7 gives up
-        out = find_alternating_path(WORKED, 7, EngineBudget(debug=True))
+        out = find_alternating_path(WORKED, 7)
         assert (out.outcome, out.reason) == ("gave_up", "EvenStuck")
         assert out.path.order == longest_alt_path_exact(WORKED)[0] == 6
         assert validate(WORKED, out.path)
