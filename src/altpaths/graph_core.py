@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import (
+    AltPathError,
     BadParams,
     DuplicateEdge,
     EmptyGraph,
@@ -78,26 +79,90 @@ class OrientedGraph:
         return [(u, v) for u in range(self.n) for v in bits(self.out_masks[u])]
 
 
-def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> OrientedGraph:
-    edges = list(edges)
+MAX_EDGELIST_ORDER = 1 << 14
+"""Largest order of a graph built from arcs, so of one read from an edge list.
+
+It covers the graphs with thousands of vertices that the finder is meant
+for; the exact oracle stops at 22 vertices and the sweeps at a few dozen.
+An order-n graph's masks take up to n**2 / 4 bytes, 64 MB at the limit, and
+the packed rows they are built from half that again, so a two-line file
+cannot ask for more memory than that.
+"""
+
+
+def from_edge_list(
+    edges: np.ndarray | Iterable[tuple[int, int]], n: int | None = None
+) -> OrientedGraph:
+    """Graph of order n (1 + the largest endpoint when None) on the given arcs.
+
+    `edges` is an (m, 2) integer array or an iterable of (u, v) pairs.  A
+    faulty arc raises the error of the first one in order: out of range
+    (BadParams), a loop, a repeat, or the reverse of an earlier arc.
+    """
+    try:
+        arcs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    except OverflowError as exc:
+        raise BadParams(f"an endpoint is out of range: {exc}") from exc
+    if arcs.size == 0:
+        arcs = arcs.reshape(0, 2)
+    if arcs.ndim != 2 or arcs.shape[1] != 2:
+        raise BadParams(f"arcs must be (u, v) pairs, got an array of shape {arcs.shape}")
+    tails, heads = arcs[:, 0], arcs[:, 1]
     if n is None:
-        n = 1 + max((max(u, v) for u, v in edges), default=-1)
-    if n < 0:
-        raise BadParams(f"n must be >= 0, got {n}")
-    out_masks = [0] * n
-    in_masks = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise BadParams(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise LoopEdge(f"loop at vertex {u}")
-        if (out_masks[u] >> v) & 1:
-            raise DuplicateEdge(f"edge ({u},{v}) repeated")
-        if (out_masks[v] >> u) & 1:
-            raise TwoCycle(f"both ({u},{v}) and ({v},{u}) present")
-        out_masks[u] |= 1 << v
-        in_masks[v] |= 1 << u
-    return OrientedGraph(n, tuple(out_masks), tuple(in_masks))
+        n = 1 + int(arcs.max(initial=-1))
+    if not 0 <= n <= MAX_EDGELIST_ORDER:
+        raise BadParams(f"n must be in 0..{MAX_EDGELIST_ORDER}, got {n}")
+    if arcs.size and not 0 <= arcs.min() <= arcs.max() < n:
+        raise _first_arc_fault(tails, heads, n)
+    out_masks = _packed_rows(tails, heads, n)
+    in_masks = _packed_rows(heads, tails, n)
+    # every arc sets one bit, so a repeat shows as a bit short, and a 2-cycle
+    # as a vertex with the same neighbour on both sides
+    if (
+        (tails == heads).any()
+        or sum(mask.bit_count() for mask in out_masks) != len(arcs)
+        or any(out_mask & in_mask for out_mask, in_mask in zip(out_masks, in_masks))
+    ):
+        raise _first_arc_fault(tails, heads, n)
+    return OrientedGraph(n, out_masks, in_masks)
+
+
+def _packed_rows(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[int, ...]:
+    """Row masks of an n x n 0/1 matrix, one Python int per row, from its 1-cells."""
+    width = (n + 7) // 8
+    packed = np.zeros((n, width), dtype=np.uint8)
+    bit = np.left_shift(1, (cols & 7).astype(np.uint8), dtype=np.uint8)
+    np.bitwise_or.at(packed, (rows, cols >> 3), bit)
+    data = packed.tobytes()
+    return tuple(int.from_bytes(data[r * width : (r + 1) * width], "little") for r in range(n))
+
+
+def _first_arc_fault(tails: np.ndarray, heads: np.ndarray, n: int) -> AltPathError:
+    """Error of the first arc that is out of range, a loop, a repeat or an earlier arc's reverse."""
+    outside = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
+    stop = int(np.argmax(outside)) if outside.any() else len(tails)
+    loop = repeat = reverse = stop
+    if stop:
+        t, h = tails[:stop], heads[:stop]
+        key, reverse_key = t * n + h, h * n + t
+        # a stable sort puts each key's first arc at the head of its run
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        run_head = np.r_[True, sorted_key[1:] != sorted_key[:-1]]
+        keys, first_arc = sorted_key[run_head], order[run_head]
+        at = np.minimum(np.searchsorted(keys, reverse_key), len(keys) - 1)
+        is_reverse = (keys[at] == reverse_key) & (first_arc[at] < np.arange(stop))
+        loop, reverse = (int(np.argmax(f)) if f.any() else stop for f in (t == h, is_reverse))
+        repeat = int(order[~run_head].min(initial=stop))
+    i = min(stop, loop, repeat, reverse)
+    u, v = int(tails[i]), int(heads[i])
+    if i == stop:
+        return BadParams(f"edge ({u},{v}) out of range for n={n}")
+    if i == loop:
+        return LoopEdge(f"loop at vertex {u}")
+    if i == repeat:
+        return DuplicateEdge(f"edge ({u},{v}) repeated")
+    return TwoCycle(f"both ({u},{v}) and ({v},{u}) present")
 
 
 def min_semidegree(g: OrientedGraph) -> int:
@@ -210,33 +275,156 @@ def degree_columns(
 # --- file formats ---------------------------------------------------------
 
 
-def parse_edgelist(text: str) -> OrientedGraph:
-    """Edge-list format: optional `n=<int>` header (n >= 0), `u v` lines, `#` comments."""
-    n: int | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("n="):
-            if n is not None or edges:
-                raise FormatError(f"line {lineno}: header must come first")
-            try:
-                n = int(line[2:])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad header {line!r}") from exc
-            if n < 0:
-                raise FormatError(f"line {lineno}: negative order in {line!r}")
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: non-integer endpoint in {line!r}") from exc
-        edges.append((u, v))
-    return from_edge_list(edges, n)
+# Byte classes of the edge-list reader.  Its separators and line breaks are
+# the ASCII ones of Python's str.split and str.splitlines.
+_SEP, _BREAK, _DIGIT, _SIGN, _OTHER = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\x1f")] = _SEP
+_BYTE_CLASS[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = _BREAK
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"+-")] = _SIGN
+# an endpoint is decoded from its last 18 digits; a non-zero digit before
+# them makes it 10**18, out of range for any order
+_EXACT_DIGITS = 18
+
+
+def parse_edgelist(text: str | bytes) -> OrientedGraph:
+    """ASCII decimal `u v` lines, spaces/tabs, LF/CRLF, `#` comments, optional first `n=<order>`.
+
+    The order, given or implied, is at most MAX_EDGELIST_ORDER.  A malformed
+    line raises FormatError naming the first one; a faulty arc, the error of
+    from_edge_list naming the first one in file order.
+    """
+    arcs, n = _edgelist_columns(text.encode() if isinstance(text, str) else text)
+    return from_edge_list(arcs, n)
+
+
+def _edgelist_columns(data: bytes) -> tuple[np.ndarray, int | None]:
+    """(m, 2) arcs and header order of an edge list, read in one pass over its bytes."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    kind = _BYTE_CLASS[buf]
+    breaks = kind == _BREAK
+    # a CRLF is one line break, at its CR; its LF then separates like a space
+    after_cr = np.flatnonzero(buf[:-1] == ord("\r")) + 1
+    breaks[after_cr] &= buf[after_cr] != ord("\n")
+    starts, ends, nondigit = _tokens(buf, kind, breaks)
+    n, first = _check_lines(data, kind, breaks, starts, ends, nondigit)
+    values = _decimals(buf, starts[first:], ends[first:])
+    if n is None and values.size and values.max() >= MAX_EDGELIST_ORDER:
+        token = first + int(np.argmax(values >= MAX_EDGELIST_ORDER))
+        endpoint = data[starts[token] : ends[token]].decode()
+        raise FormatError(
+            f"line {_lineno(breaks, starts[token])}: endpoint {endpoint} "
+            f"needs an order above the limit {MAX_EDGELIST_ORDER}"
+        )
+    return values.reshape(-1, 2), n
+
+
+def _tokens(
+    buf: np.ndarray, kind: np.ndarray, breaks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starts and ends of the tokens outside comments, and where their non-digit bytes are."""
+    in_token = kind >= _DIGIT
+    hashes = np.flatnonzero(buf == ord("#"))
+    if hashes.size:
+        line_ends = np.flatnonzero(breaks)
+        # each line's first '#' opens a comment that runs to its line break
+        comment_end = np.append(line_ends, buf.size)[np.searchsorted(line_ends, hashes)]
+        opens = np.r_[True, comment_end[1:] != comment_end[:-1]]
+        depth = np.zeros(buf.size + 1, dtype=np.int8)
+        depth[hashes[opens]] = 1
+        depth[comment_end[opens]] = -1
+        in_token &= np.cumsum(depth[:-1], dtype=np.int8) == 0
+    bounds = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
+    return bounds[0::2], bounds[1::2], np.flatnonzero(in_token & (kind != _DIGIT))
+
+
+def _lineno(breaks: np.ndarray, position: int) -> int:
+    return 1 + int(np.count_nonzero(breaks[:position]))
+
+
+def _check_lines(
+    data: bytes,
+    kind: np.ndarray,
+    breaks: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    nondigit: np.ndarray,
+) -> tuple[int | None, int]:
+    """Header order (None without a header) and first arc token of a well-formed edge list.
+
+    Raises FormatError naming the first malformed line.
+    """
+    opens_line = np.ones(len(starts), dtype=bool)
+    if len(starts) > 1:
+        # a token opens a line when a break lies between it and the one before
+        gaps = np.column_stack((ends[:-1], starts[1:])).ravel()
+        opens_line[1:] = np.logical_or.reduceat(breaks, gaps)[0::2]
+    line_first = np.flatnonzero(opens_line)
+    line_tokens = np.diff(line_first, append=len(starts))
+
+    def line_text(line: int) -> str:
+        first = line_first[line]
+        return data[starts[first] : ends[first + line_tokens[line] - 1]].decode()
+
+    n = None
+    edge_lines = 0
+    if len(line_first) and line_text(0).startswith("n="):
+        n = _header_order(_lineno(breaks, starts[0]), line_text(0))
+        edge_lines = 1
+    # every later line holds two decimals, each with at most a leading sign
+    token = np.searchsorted(starts, nondigit, side="right") - 1
+    sign = (nondigit == starts[token]) & (kind[nondigit] == _SIGN) & (ends[token] - nondigit > 1)
+    bad_lines = np.searchsorted(line_first, token[~sign], side="right") - 1
+    bad_lines = np.r_[
+        bad_lines[bad_lines >= edge_lines],
+        np.flatnonzero(line_tokens[edge_lines:] != 2) + edge_lines,
+    ]
+    if bad_lines.size:
+        line = int(bad_lines.min())
+        raise _line_fault(_lineno(breaks, starts[line_first[line]]), line_text(line))
+    return n, int(line_first[edge_lines]) if edge_lines < len(line_first) else len(starts)
+
+
+def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """int64 values of the tokens, each digits with at most a leading sign."""
+    position = starts + ((buf[starts] == ord("-")) | (buf[starts] == ord("+")))
+    digits = np.minimum(ends - position, _EXACT_DIGITS + 1).astype(np.uint8)
+    long = np.flatnonzero(digits > _EXACT_DIGITS)
+    leading = np.column_stack((position[long], ends[long] - _EXACT_DIGITS)).ravel()
+    position[long] = ends[long] - _EXACT_DIGITS
+    # Horner's rule, left to right, one digit of every token at a time
+    values = np.zeros(len(starts), dtype=np.int64)
+    for offset in range(min(int(digits.max(initial=0)), _EXACT_DIGITS)):
+        more = digits > offset
+        np.multiply(values, 10, out=values, where=more)
+        np.add(values, buf.take(position, mode="clip") - ord("0"), out=values, where=more)
+        position += 1
+    if long.size:
+        values[long[np.logical_or.reduceat(buf != ord("0"), leading)[0::2]]] = 10**_EXACT_DIGITS
+    np.negative(values, out=values, where=buf[starts] == ord("-"))
+    return values
+
+
+def _header_order(lineno: int, line: str) -> int:
+    try:
+        n = int(line[2:])
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: bad header {line!r}") from exc
+    if n < 0:
+        raise FormatError(f"line {lineno}: negative order in {line!r}")
+    if n > MAX_EDGELIST_ORDER:
+        raise FormatError(f"line {lineno}: order {n} is above the limit {MAX_EDGELIST_ORDER}")
+    return n
+
+
+def _line_fault(lineno: int, line: str) -> FormatError:
+    """FormatError of a non-blank line after the first that is not two decimals."""
+    if line.startswith("n="):
+        return FormatError(f"line {lineno}: header must come first")
+    if len(line.split()) != 2:
+        return FormatError(f"line {lineno}: expected 'u v', got {line!r}")
+    return FormatError(f"line {lineno}: non-integer endpoint in {line!r}")
 
 
 def to_edgelist(g: OrientedGraph) -> str:
@@ -281,15 +469,15 @@ def parse_digraph6(line: str) -> OrientedGraph:
 
 
 def load_graph(path: str, fmt: str = "edgelist") -> OrientedGraph:
-    try:
-        with open(path, "r", encoding="ascii") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: non-ASCII byte at offset {exc.start}") from exc
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data.isascii():
+        offset = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
+        raise FormatError(f"{path}: non-ASCII byte at offset {offset}")
     if fmt == "edgelist":
-        return parse_edgelist(text)
+        return parse_edgelist(data)
     if fmt == "digraph6":
-        for line in text.splitlines():
+        for line in data.decode("ascii").splitlines():
             if line.strip():
                 return parse_digraph6(line)
         raise FormatError(f"no digraph6 line in {path}")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from altpaths import errors
 from altpaths.graph_core import (
+    MAX_EDGELIST_ORDER,
     DegreeSummary,
     bits,
     OrientedGraph,
@@ -65,6 +67,22 @@ class TestFromEdgeList:
     def test_negative_order(self):
         with pytest.raises(errors.BadParams):
             from_edge_list([], -3)
+
+    def test_order_above_limit(self):
+        with pytest.raises(errors.BadParams):
+            from_edge_list([], MAX_EDGELIST_ORDER + 1)
+        with pytest.raises(errors.BadParams):
+            from_edge_list([(0, MAX_EDGELIST_ORDER)])
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2, 3)], [(0, 2**70)], np.arange(4)])
+    def test_malformed_arcs(self, edges):
+        with pytest.raises(errors.BadParams):
+            from_edge_list(edges, 3)
+
+    def test_array_of_arcs(self):
+        arcs = np.array([[2, 0], [0, 1]])
+        assert from_edge_list(arcs, 3) == from_edge_list([(2, 0), (0, 1)], 3)
+        assert from_edge_list(np.zeros((0, 2), dtype=np.int64)).n == 0
 
 
 class TestDegrees:
@@ -271,6 +289,98 @@ class TestEdgelistFormat:
             parse_edgelist("n=-3\n")
         assert parse_edgelist("n=0\n").n == 0
 
+    @pytest.mark.parametrize(
+        "text, exc, names",
+        [
+            # graph faults name the first faulty arc in file order
+            ("n=3\n0 1\n2 2\n", errors.LoopEdge, "loop at vertex 2"),
+            ("0 1\n1 2\n0 1\n", errors.DuplicateEdge, "edge (0,1) repeated"),
+            ("0 1\n1 2\n1 0\n", errors.TwoCycle, "both (1,0) and (0,1) present"),
+            ("n=3\n0 1\n1 3\n", errors.BadParams, "edge (1,3) out of range for n=3"),
+            ("n=3\n0 -1\n", errors.BadParams, "edge (0,-1) out of range for n=3"),
+            ("0 1\n2 2\n0 1\n", errors.LoopEdge, "loop at vertex 2"),
+            ("0 1\n1 0\n0 0\n", errors.TwoCycle, "both (1,0) and (0,1) present"),
+            ("n=3\n0 1\n0 1\n0 5\n", errors.DuplicateEdge, "edge (0,1) repeated"),
+            ("n=3\n0 5\n1 1\n", errors.BadParams, "edge (0,5) out of range for n=3"),
+            # format faults name the first faulty line, before any graph fault
+            ("n=3\n0 x\n", errors.FormatError, "line 2: non-integer endpoint in '0 x'"),
+            ("0 1\n2\n", errors.FormatError, "line 2: expected 'u v', got '2'"),
+            ("0 1\n\n1 2 0  # c\n", errors.FormatError, "line 3: expected 'u v', got '1 2 0'"),
+            ("0 1\nn=3\n", errors.FormatError, "line 2: header must come first"),
+            ("n=3\nn=3\n", errors.FormatError, "line 2: header must come first"),
+            ("# c\nn=x\n", errors.FormatError, "line 2: bad header 'n=x'"),
+            ("n=-3\n", errors.FormatError, "line 1: negative order in 'n=-3'"),
+            ("0 0\n1 x\n", errors.FormatError, "line 2: non-integer endpoint in '1 x'"),
+            ("0 1\r\n\r\n1\t2 3\r\n", errors.FormatError, "line 3: expected 'u v', got '1\\t2 3'"),
+            (
+                "n=10001\n"
+                + "".join(f"{i} {i + 1}\n" + "# c\n\n" * (i % 7 == 0) for i in range(10_000))
+                + "7 7 7\n",
+                errors.FormatError,
+                "line 12860: expected 'u v', got '7 7 7'",
+            ),
+        ],
+    )
+    def test_error_names_first_fault(self, text, exc, names):
+        with pytest.raises(exc) as info:
+            parse_edgelist(text)
+        assert type(info.value) is exc and str(info.value) == names
+
+    @pytest.mark.parametrize(
+        "text, n, arcs",
+        [
+            ("", 0, []),
+            ("n=0\n", 0, []),
+            ("\n  \n# only a comment\n\n", 0, []),
+            ("# c\n\nn=3 # order\n\n0 1 # arc\n#\n1 2#x\n", 3, [(0, 1), (1, 2)]),
+            ("n=3\r\n0 1\r\n\r\n2 1\r\n", 3, [(0, 1), (2, 1)]),
+            ("n=3\n\t0\t1 \n 1  2\t\n", 3, [(0, 1), (1, 2)]),
+            ("n=3\n0 1\n1 2", 3, [(0, 1), (1, 2)]),
+            ("2 0\n0 4\n", 5, [(0, 4), (2, 0)]),
+            ("n=5\n0 1\n", 5, [(0, 1)]),
+            ("n= 4\n+3 0\n002 1\n", 4, [(2, 1), (3, 0)]),
+            ("n=5\n0 " + "0" * 30 + "1\n", 5, [(0, 1)]),
+        ],
+    )
+    def test_accepted_inputs(self, text, n, arcs):
+        g = parse_edgelist(text)
+        assert g == from_edge_list(arcs, n)
+        assert g.n == n and g.edges() == sorted(arcs)
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("n=1000000000\n0 1\n", "line 1: order 1000000000 is above the limit 16384"),
+            ("# c\nn=16385\n", "line 2: order 16385 is above the limit 16384"),
+            (
+                "0 1\n0 1000000000\n",
+                "line 2: endpoint 1000000000 needs an order above the limit 16384",
+            ),
+            ("\n16384 0\n", "line 2: endpoint 16384 needs an order above the limit 16384"),
+        ],
+    )
+    def test_order_limit(self, text, names):
+        # refused before anything of the order's size is allocated
+        began = time.perf_counter()
+        with pytest.raises(errors.FormatError) as info:
+            parse_edgelist(text)
+        assert str(info.value) == names
+        assert time.perf_counter() - began < 1.0
+
+    def test_order_at_limit(self):
+        g = parse_edgelist(f"{MAX_EDGELIST_ORDER - 1} 0\n")
+        assert g.n == MAX_EDGELIST_ORDER and g.edges() == [(MAX_EDGELIST_ORDER - 1, 0)]
+
+    def test_underscore_in_endpoint_is_refused(self):
+        # Python's int() reads "1_0" as 10; the edge-list grammar has no digit separators
+        with pytest.raises(errors.FormatError, match="^line 2: non-integer endpoint in '1_0 2'$"):
+            parse_edgelist("n=20\n1_0 2\n")
+
+    def test_overlong_endpoint_reads_as_out_of_range(self):
+        # an endpoint of more than 18 significant digits is named as 10**18
+        with pytest.raises(errors.BadParams, match=r"^edge \(0,1000000000000000000\) out of range"):
+            parse_edgelist("n=5\n0 1" + "0" * 30 + "\n")
+
 
 class TestDigraph6:
     def test_directed_triangle(self):
@@ -325,3 +435,20 @@ class TestInvariantProperties:
     @settings(max_examples=100, deadline=None)
     def test_edgelist_roundtrip(self, g):
         assert parse_edgelist(to_edgelist(g)) == g
+
+    @given(oriented_graphs(min_n=0), st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_edgelist_with_noise_matches_arcs(self, g, rng, header):
+        arcs = g.edges()
+        rng.shuffle(arcs)
+        lines = [f"n={g.n}"] if header else []
+        for u, v in arcs:
+            for _ in range(rng.randint(0, 2)):
+                lines.append(rng.choice(["", "  ", "# note", "\t# 1 2"]))
+            gap, comment = rng.choice([" ", "\t", "  "]), rng.choice(["", " ", " # arc"])
+            lines.append(f"{u}{gap}{v}{comment}")
+        text = "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+        n = g.n if header else 1 + max((max(arc) for arc in arcs), default=-1)
+        assert parse_edgelist(text) == from_edge_list(arcs, n)
+        if header:
+            assert parse_edgelist(text) == g

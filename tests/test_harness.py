@@ -507,6 +507,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(f) in err and "non-ASCII" in err
 
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("n=3\n0 1\n1 2\n0 1\n", "edge (0,1) repeated"),
+            ("n=1000000000\n0 1\n", "line 1: order 1000000000 is above the limit"),
+        ],
+    )
+    def test_check_bad_graph_is_usage_error(self, tmp_path, capsys, text, names):
+        f = tmp_path / "g.el"
+        f.write_text(text)
+        assert main(["check", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {names}") and not captured.out
+
     def test_find(self, tmp_path, capsys):
         f = tmp_path / "g.el"
         f.write_text(to_edgelist(blowup_directed_cycle(3, 2)))
