@@ -19,9 +19,24 @@ Plans are cached per order up to PLAN_ORDER (2.6 MB of plan at 16).  A
 larger order is cut into groups of masks that share their bits above
 PLAN_ORDER; each group's plan is built on the fly from the cached
 order-PLAN_ORDER plan of its low bits, and runs through the same step.
+
+The step allocates no block-sized array.  Its temporaries live in one
+workspace per thread (_Workspace) that grows to the largest block seen and
+is reused by every later block and call; fresh block-sized arrays would
+grow and trim the malloc heap on every call, so that a call's page faults
+and time would depend on what else the process had allocated.  Each block
+casts its compact plan slices into two reused intp buffers with
+np.copyto, computes the shift amounts in place there, and gathers with
+np.take(..., out=..., mode="clip"): under the default mode="raise" numpy
+buffers `out`, and the plan's indices are in range by construction, so
+"clip" changes nothing.  Whether a layer holds a state is read from the
+block results; the layers are gathered again only at the end, for
+best_mask, each one at most once and only for the graphs whose longest
+path ends in it.
 """
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -96,36 +111,99 @@ def _layer_blocks(n: int, c: int, batch: int):
             yield dst[lo:lo + rows], src[:, lo:lo + rows], members[:, lo:lo + rows]
 
 
+# Shift-and-mask steps that move bit v of a word below 2^32 to bit 2v.
+_SPREAD = (
+    (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333),
+    (1, 0x5555555555555555),
+)
+
+
+def _spread(words: np.ndarray) -> np.ndarray:
+    """words with bit v of each moved to bit 2v, in place."""
+    for shift, mask in _SPREAD:
+        words |= words << shift
+        words &= mask
+    return words
+
+
 def _predecessor_states(out_masks: np.ndarray, in_masks: np.ndarray) -> np.ndarray:
     """P[w, b]: the states in graph b from which w can be appended.
 
     A role-1 endpoint `last` needs the edge last -> w (last in in(w)); a
     role-0 endpoint needs w -> last (last in out(w)).
     """
-    pred = np.zeros(out_masks.T.shape, dtype=np.int64)
-    for last in range(out_masks.shape[1]):
-        pred |= ((out_masks.T >> last) & 1) << (2 * last)
-        pred |= ((in_masks.T >> last) & 1) << (2 * last + 1)
-    return pred
+    return _spread(in_masks.T.copy()) << 1 | _spread(out_masks.T.copy())
+
+
+class _Workspace(threading.local):
+    """The pull step's temporaries, one set per thread.
+
+    Each buffer grows to the largest block seen and is then reused by every
+    later block and call, so filling a layer allocates nothing per block.
+    The shaped views of the last few block shapes are kept too, since
+    slicing and reshaping five views costs more than a small block's
+    arithmetic.  A block writes every cell of its views before it reads
+    them, and run_dp copies what it returns out of them.
+    """
+
+    def __init__(self):
+        self.cells = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        self.index = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+        self.new = np.empty(0, dtype=np.int64)
+        self.shaped = {}  # (c, rows, batch) -> views of the current buffers
+
+    def views(self, c: int, rows: int, batch: int):
+        """(states, role1, src, shift, new) views shaped for a block of c x rows masks."""
+        key = (c, rows, batch)
+        views = self.shaped.get(key)
+        if views is not None:
+            return views
+        cells, index = c * rows * batch, c * rows
+        if cells > len(self.cells[0]) or index > len(self.index[0]) or rows * batch > len(self.new):
+            self.shaped.clear()  # its views would keep the old buffers alive
+            self.cells = tuple(np.empty(max(cells, len(a)), dtype=np.int64) for a in self.cells)
+            self.index = tuple(np.empty(max(index, len(a)), dtype=np.intp) for a in self.index)
+            self.new = np.empty(max(rows * batch, len(self.new)), dtype=np.int64)
+        elif len(self.shaped) >= 64:  # batch sizes vary from call to call
+            self.shaped.clear()
+        views = self.shaped[key] = (
+            *(a[:cells].reshape(c, rows, batch) for a in self.cells),
+            *(a[:index].reshape(c, rows) for a in self.index),
+            self.new[:rows * batch].reshape(rows, batch),
+        )
+        return views
+
+
+_WORKSPACE = _Workspace()
 
 
 def _pull(reach: np.ndarray, pred: np.ndarray, src: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """New states of the block's masks, as (rows, B).
+    """New states of the block's masks, as (rows, B), in a workspace view.
 
     A role-0 predecessor of member w gives w role 1 (bit 2w + 1), a role-1
     predecessor gives it role 0 (bit 2w).
     """
-    members = members.astype(np.intp)
-    states = np.take(reach, src, axis=0)  # (c, rows, B)
-    states &= np.take(pred, members, axis=0)
+    states, role1, src_ip, shift, new = _WORKSPACE.views(*src.shape, reach.shape[1])
+    np.copyto(src_ip, src)
+    np.copyto(shift, members)
+    # plan indices are in range, so "clip" never clips; it lets take write
+    # straight into `out`, where "raise" would buffer it
+    np.take(reach, src_ip, axis=0, out=states, mode="clip")  # (c, rows, B)
+    np.take(pred, shift, axis=0, out=role1, mode="clip")
+    states &= role1
     # state words are non-negative, so min(x, 1) is 1 exactly when x != 0
-    role1 = np.minimum(states & _ROLE1, 1)
+    np.bitwise_and(states, _ROLE1, out=role1)
+    np.minimum(role1, 1, out=role1)
     states &= _ROLE0
     np.minimum(states, 1, out=states)
     states <<= 1
     states |= role1
-    states <<= 2 * members[..., None]
-    return np.bitwise_or.reduce(states, axis=0)
+    shift <<= 1
+    states <<= shift[..., None]
+    return np.bitwise_or.reduce(states, axis=0, out=new)
 
 
 def run_dp(out_masks, in_masks, n: int, want_k: int = 0):
@@ -152,18 +230,21 @@ def run_dp(out_masks, in_masks, n: int, want_k: int = 0):
     for v in range(n):
         reach[1 << v] = 3 << (2 * v)
     best[:] = 1
-    best_mask[:] = 1
     for c in range(2, n + 1):
         if 0 < want_k < c:
             break
+        has = np.zeros(batch, dtype=bool)
         for dst, src, members in _layer_blocks(n, c, batch):
-            reach[dst] = _pull(reach, pred, src, members)
-        held = reach[layers[c]] != 0  # (|layer|, B)
-        has = held.any(axis=0)
+            new = _pull(reach, pred, src, members)
+            reach[dst] = new
+            has |= new.any(axis=0)
         if not has.any():
             break
         best[has] = c
-        best_mask[has] = layers[c][held[:, has].argmax(axis=0)]
+    for c in np.flatnonzero(np.bincount(best)).tolist():  # each order some graph reached
+        graphs = np.flatnonzero(best == c)
+        held = reach[layers[c][:, None], graphs] != 0  # (|layer|, graphs)
+        best_mask[graphs] = layers[c][held.argmax(axis=0)]
     lowest = reach[best_mask, np.arange(batch)]
     best_state[:] = np.frexp((lowest & -lowest).astype(np.float64))[1] - 1
     return best, best_mask, best_state, reach.T

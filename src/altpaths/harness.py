@@ -398,7 +398,7 @@ def _blowup_chunk(args) -> tuple[tuple[list, ...], dict]:
 
 
 def _config_dict(cfg: SweepConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
+    doc = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     if cfg.stable:
         # execution-only knobs; normalized so stable reports are byte
         # identical under any worker count and chunking

@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -242,6 +245,107 @@ class TestPullBlocks:
         best, path = longest_alt_path_exact(g)
         assert best == path.order == 14
         assert validate(g, path)
+
+
+class TestPredecessorStates:
+    @pytest.mark.parametrize("n", [1, 5, 14, 31])
+    def test_matches_vertex_loop(self, n):
+        rng = np.random.default_rng(n)
+        full = (1 << n) - 1
+        out_masks = rng.integers(0, full + 1, size=(6, n), dtype=np.int64)
+        in_masks = rng.integers(0, full + 1, size=(6, n), dtype=np.int64)
+        out_masks[0] = in_masks[1] = full  # every bit set, bit 30 at n = 31
+        expected = np.zeros((n, 6), dtype=np.int64)
+        for last in range(n):
+            expected |= ((out_masks.T >> last) & 1) << (2 * last)
+            expected |= ((in_masks.T >> last) & 1) << (2 * last + 1)
+        pred = _dp_kernels._predecessor_states(out_masks, in_masks)
+        assert pred.dtype == np.int64
+        assert pred.tolist() == expected.tolist()
+
+
+class TestWorkspace:
+    """The pull step's reused buffers never leak into results."""
+
+    @staticmethod
+    def _buffers():
+        ws = _dp_kernels._WORKSPACE
+        return (*ws.cells, *ws.index, ws.new)
+
+    @staticmethod
+    def _batch(n, batch, p, seed):
+        graphs = [random_oriented(n, p, seed + i) for i in range(batch)]
+        return [g.out_masks for g in graphs], [g.in_masks for g in graphs]
+
+    def test_outputs_share_no_memory_with_workspace(self):
+        for n, batch in [(1, 1), (5, 2000), (9, 3), (14, 1)]:
+            outputs = run_dp(*self._batch(n, batch, 0.6, 10 * n), n)
+            for out in outputs:
+                for buf in self._buffers():
+                    assert not np.shares_memory(out, buf)
+
+    def test_reuse_across_shapes(self, monkeypatch):
+        # (14, 1), (5, 2000), then one-mask blocks that grow the workspace,
+        # then (14, 1) again on the grown buffers
+        monkeypatch.setattr(_dp_kernels, "_WORKSPACE", _dp_kernels._Workspace())
+        check = TestPullBlocks._assert_matches_reference
+        tournament = self._batch(14, 1, 1.0, 1414)
+        check(*tournament, 14)
+        check(*decode_codes(5, np.random.default_rng(5).integers(0, 3 ** 10, size=2000)), 5)
+        sizes = [len(buf) for buf in self._buffers()]
+        one_mask = _dp_kernels.BLOCK_CELLS // 2 + 1
+        check(*decode_codes(4, np.resize(np.arange(3 ** 6), one_mask)), 4)
+        grown = [len(buf) for buf in self._buffers()]
+        assert grown[0] > sizes[0]
+        check(*tournament, 14)
+        assert [len(buf) for buf in self._buffers()] == grown
+        # kept views see the grown buffers only, so the old ones are freed
+        for views in _dp_kernels._WORKSPACE.shaped.values():
+            assert all(any(view.base is buf for buf in self._buffers()) for view in views)
+
+    def test_no_per_block_temporaries(self):
+        # one layer block of an order-14 tournament holds up to 24,024 cells
+        # (192 KB of int64); a warm call may allocate reach plus small
+        # per-layer and per-call arrays, well under one such block
+        slack = 16 * 1024
+        tournament = self._batch(14, 1, 1.0, 1414)
+        run_dp(*tournament, 14)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                reach = run_dp(*tournament, 14)[3]
+                assert tracemalloc.get_traced_memory()[1] - before < reach.nbytes + slack
+                del reach
+        finally:
+            tracemalloc.stop()
+
+    def test_threads_keep_their_own_workspace(self):
+        # more threads than cores, each checking its results against one
+        # single-threaded run, with a short switch interval to interleave blocks
+        inputs = [self._batch(10, 4, 0.2 + 0.2 * t, 50 * t) for t in range(4)]
+        expected = [run_dp(*masks, 10) for masks in inputs]
+        mismatches = []
+
+        def work(t):
+            for _ in range(5):
+                got = run_dp(*inputs[t], 10)
+                if not all(np.array_equal(a, b) for a, b in zip(got, expected[t])):
+                    mismatches.append(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
 
 class TestDegreeBoundSmallCases:
