@@ -10,9 +10,11 @@ Every sweep kind runs through one driver, _check_order.  A chunk source
 instances into (B, n) mask batches, one per order; the driver takes the
 degrees from degree_columns and L from alt_path_lengths, and runs the
 kind's check column by column.  Only the theorem check builds graphs,
-for the finder where kmax >= 2.  Reports stay columnar: the parent extends
-one list per record field from each chunk, and the renderers read those
-lists.
+for the finder where kmax >= 2.  Reports stay columnar from the workers
+to the file: a chunk returns one numpy array per record field, the parent
+writes them into report columns allocated once, and report_batches
+renders the columns in batches of records, which emit_report writes as
+they come.
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ import json
 import multiprocessing
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -57,6 +59,10 @@ CSV_COLUMNS = [
 ]
 # every field of a report record, in the order a record dict lists them
 RECORD_FIELDS = (*CSV_COLUMNS, "violation")
+# the str fields; every other field is an int
+_STR_FIELDS = {"graph_id", "finder_outcome", "violation"}
+# the fields that may be null: None in a str field, -1 in an int field
+_NULLABLE = {"min_pseudo_semidegree", "min_semidegree", "oracle_L", "violation"}
 
 
 @dataclass
@@ -103,29 +109,41 @@ class SweepConfig:
 class SweepReport:
     """A sweep's config, aggregates and records.
 
-    columns maps each RECORD_FIELDS name to one list with a value per
-    record; None stands for null.
+    columns maps each RECORD_FIELDS name to a column with one value per
+    record.  n, edges, min_pseudo_semidegree, min_semidegree, oracle_L,
+    rounds and micros are int64 arrays; in the nullable ones (the two degree
+    fields and oracle_L) -1 stands for null.  finder_outcome and violation
+    are object arrays of str, with None for a null violation, and graph_id
+    is a list of str.  A caller may give any column as a list of int, str
+    and None; the renderers convert and check it.
+
+    The JSON renderer groups rows by body, every field but graph_id (and
+    micros when rows differ in it): it formats each distinct body once and
+    writes the document in batches of rows, each row its body's text
+    around its graph_id.
     """
 
     config: dict
-    columns: dict[str, list]
+    columns: dict[str, np.ndarray | list]
     aggregates: dict = field(default_factory=dict)
 
     @property
     def records(self) -> list[dict]:
-        """The records as dicts, built on each call.
+        """The records as dicts of int, str and None, built on each call.
 
         Mutating the returned list or its dicts does not change the report.
         """
         columns = _checked_columns(self)
-        rows = zip(*(columns[name] for name in RECORD_FIELDS))
+        rows = zip(*(_native(name, columns[name]) for name in RECORD_FIELDS))
         return [dict(zip(RECORD_FIELDS, row)) for row in rows]
 
 
-def _checked_columns(report: SweepReport) -> dict[str, list]:
-    """report.columns, once it holds one column per RECORD_FIELDS name, all of one length.
+def _checked_columns(report: SweepReport) -> dict[str, np.ndarray]:
+    """report.columns as typed arrays, one per RECORD_FIELDS name, all of one length.
 
-    Anything else raises TypeError.
+    Missing or extra fields, unequal lengths and a value off its field's
+    type (a bool, a float, a str in an int field, a negative int, a null
+    where the field is not nullable) raise TypeError.
     """
     columns = report.columns
     if columns.keys() != set(RECORD_FIELDS):
@@ -133,7 +151,51 @@ def _checked_columns(report: SweepReport) -> dict[str, list]:
     lengths = {name: len(column) for name, column in columns.items()}
     if len(set(lengths.values())) > 1:
         raise TypeError(f"report columns have unequal lengths {lengths}")
-    return columns
+    return {name: _typed(name, columns[name]) for name in RECORD_FIELDS}
+
+
+def _typed(name: str, column) -> np.ndarray:
+    """One report column as an int64 array (-1 for null) or an object array of str and None."""
+    nullable = name in _NULLABLE
+    kind = str if name in _STR_FIELDS else int
+    if isinstance(column, np.ndarray):
+        if column.ndim != 1:
+            raise TypeError(f"report column {name!r} is not one-dimensional")
+        if kind is int and column.dtype.kind in "iu":
+            # uint64 values past int64 wrap to negative and fail the check
+            typed = column.astype(np.int64, copy=False)
+            if typed.size and typed.min() < (-1 if nullable else 0):
+                raise TypeError(f"report column {name!r} holds a negative int")
+            return typed
+        values = column.tolist()
+    else:
+        values = list(column)
+    off = set(map(type, values)) - {kind} - ({type(None)} if nullable else set())
+    if kind is int:  # numpy's integer scalars, as list() of an int array gives them
+        off = {t for t in off if not issubclass(t, np.integer)}
+    if off:
+        raise TypeError(f"report column {name!r} holds {sorted(t.__name__ for t in off)}")
+    if kind is str:
+        if isinstance(column, np.ndarray) and column.dtype == object:
+            return column
+        typed = np.empty(len(values), dtype=object)
+        typed[:] = values
+        return typed
+    if any(value < 0 for value in values if value is not None):
+        raise TypeError(f"report column {name!r} holds a negative int")
+    try:
+        return np.array([-1 if value is None else value for value in values], dtype=np.int64)
+    except OverflowError as exc:
+        raise TypeError(f"report column {name!r} holds an int beyond int64") from exc
+
+
+def _native(name: str, column: np.ndarray) -> list:
+    """A typed column's values as int, str and None."""
+    if column.dtype == object or name not in _NULLABLE:
+        return column.tolist()
+    values = column.astype(object)
+    values[column < 0] = None
+    return values.tolist()
 
 
 def max_k_for(pseudo: int | None) -> int:
@@ -291,50 +353,70 @@ def _check_order(
     return cols
 
 
-def _nullable(column: np.ndarray) -> list[int | None]:
-    return [None if x < 0 else x for x in column.tolist()]
+# the _Columns attribute that holds each record field after graph_id and n
+_FIELD_COLUMNS = {
+    "edges": "edges",
+    "min_pseudo_semidegree": "pseudo",
+    "min_semidegree": "semi",
+    "oracle_L": "length",
+    "finder_outcome": "outcome",
+    "rounds": "rounds",
+    "micros": "micros",
+}
+
+
+def _empty_fields(size: int) -> dict[str, np.ndarray]:
+    """One uninitialised column per record field after graph_id; the str ones hold None."""
+    return {
+        name: np.empty(size, dtype=object if name in _STR_FIELDS else np.int64)
+        for name in RECORD_FIELDS[1:]
+    }
 
 
 def _chunk_result(
     cfg: SweepConfig, lo: int, parts: list[tuple[np.ndarray, _Columns]]
-) -> tuple[list, ...]:
-    """Lists for instances lo.., in index order: indexes, then each record field after graph_id.
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Instances lo.. in index order: their indexes, and one array per record field after graph_id.
 
     parts pairs each order's columns with the chunk rows they hold.  Every
-    row is kept, or only the violating ones when aggregate_only.
+    row is kept, or only the violating ones when aggregate_only.  Int
+    columns are int64, with -1 for null where the field is nullable.
     """
-    rows = np.concatenate([r for r, _ in parts])
-    violation: dict[int, str] = {}
-    for r, cols in parts:
-        violation.update(zip(r[list(cols.violation)].tolist(), cols.violation.values()))
+    fields = _empty_fields(sum(rows.size for rows, _ in parts))
+    for rows, cols in parts:
+        fields["n"][rows] = cols.n
+        for name, attr in _FIELD_COLUMNS.items():
+            fields[name][rows] = getattr(cols, attr)
+        fields["violation"][rows[list(cols.violation)]] = list(cols.violation.values())
+    violation = fields["violation"]
     if cfg.aggregate_only:
-        keep = np.array(sorted(violation), dtype=np.int64)
-    else:
-        keep = np.arange(rows.size)
-    take = np.argsort(rows)[keep]
+        keep = np.flatnonzero(np.not_equal(violation, None))
+        return lo + keep, {name: column[keep] for name, column in fields.items()}
+    return lo + np.arange(violation.size), fields
 
-    def column(name: str) -> np.ndarray:
-        return np.concatenate([getattr(cols, name) for _, cols in parts])[take]
 
-    orders = np.concatenate([np.full(r.size, cols.n) for r, cols in parts])
-    return (
-        (lo + keep).tolist(),
-        orders[take].tolist(),
-        column("edges").tolist(),
-        _nullable(column("pseudo")),
-        _nullable(column("semi")),
-        _nullable(column("length")),
-        column("outcome").tolist(),
-        column("rounds").tolist(),
-        column("micros").tolist(),
-        [violation.get(i) for i in keep.tolist()],
-    )
+def _pooled(task: tuple) -> tuple[tuple[np.ndarray, dict], dict]:
+    """(worker, chunk) run in a pool worker, its int columns in the smallest dtype holding them.
+
+    At n=5 that sends a sixth of the int64 bytes to the parent, which then
+    kept less memory and collected faster; the parent's columns stay int64.
+    """
+    worker, chunk = task
+    (index, fields), agg = worker(chunk)
+    return (_narrow(index), {name: _narrow(column) for name, column in fields.items()}), agg
+
+
+def _narrow(column: np.ndarray) -> np.ndarray:
+    if column.dtype == object or not column.size:
+        return column
+    low, high = np.min_scalar_type(column.min()), np.min_scalar_type(column.max())
+    return column.astype(np.result_type(low, high), copy=False)
 
 
 # --- chunk sources: each turns instances lo..hi-1 into mask batches ---------
 
 
-def _exhaustive_chunk(args) -> tuple[tuple[list, ...], dict]:
+def _exhaustive_chunk(args) -> tuple[tuple[np.ndarray, dict], dict]:
     """Codes lo..hi-1 of order cfg.n, decoded into one batch."""
     cfg, lo, hi, kind = args
     agg = _new_agg()
@@ -344,7 +426,7 @@ def _exhaustive_chunk(args) -> tuple[tuple[list, ...], dict]:
 
 def _graphs_chunk(
     cfg: SweepConfig, kind: str, lo: int, graphs: list[OrientedGraph], b=None
-) -> tuple[tuple[list, ...], dict]:
+) -> tuple[tuple[np.ndarray, dict], dict]:
     """Instances lo.. from their graphs, one batch per order."""
     agg = _new_agg()
     orders = np.array([g.n for g in graphs])
@@ -369,12 +451,12 @@ def _random_graph(cfg: SweepConfig, idx: int) -> OrientedGraph:
     return random_oriented(n, cfg.p, inst_seed + 1)
 
 
-def _random_chunk(args) -> tuple[tuple[list, ...], dict]:
+def _random_chunk(args) -> tuple[tuple[np.ndarray, dict], dict]:
     cfg, lo, hi, kind = args
     return _graphs_chunk(cfg, kind, lo, [_random_graph(cfg, idx) for idx in range(lo, hi)])
 
 
-def _corollary_chunk(args) -> tuple[tuple[list, ...], dict]:
+def _corollary_chunk(args) -> tuple[tuple[np.ndarray, dict], dict]:
     cfg, lo, hi, kind = args
     ns = cfg.ns()
     graphs = [
@@ -390,7 +472,7 @@ def _blowup_params(cfg: SweepConfig) -> list[tuple[int, int]]:
     return [(t, b) for t in range(t_lo, t_hi + 1) for b in range(b_lo, b_hi + 1)]
 
 
-def _blowup_chunk(args) -> tuple[tuple[list, ...], dict]:
+def _blowup_chunk(args) -> tuple[tuple[np.ndarray, dict], dict]:
     cfg, lo, hi, kind = args
     params = _blowup_params(cfg)[lo:hi]
     graphs = [blowup_directed_cycle(t, b) for t, b in params]
@@ -410,29 +492,49 @@ def _config_dict(cfg: SweepConfig) -> dict:
 def _run_chunked(cfg: SweepConfig, total: int, worker, kind: str, graph_id) -> SweepReport:
     """Run instances 0..total-1 in chunks on cfg.workers processes, in chunk order.
 
-    The parent extends the report's columns from each chunk's; graph_id names an index.
+    The parent writes each chunk's arrays into report columns allocated
+    once for all total rows; an aggregate_only sweep, whose row count is
+    not known ahead, concatenates its kept rows instead.  graph_id names
+    an index, once per kept row.
     """
     chunks = [
         (cfg, lo, min(lo + cfg.chunk_size, total), kind) for lo in range(0, total, cfg.chunk_size)
     ]
     agg = _new_agg()
-    columns: dict[str, list] = {name: [] for name in RECORD_FIELDS}
-    after_id = [columns[name] for name in RECORD_FIELDS[1:]]
+    columns = _empty_fields(0 if cfg.aggregate_only else total)
+    kept = [(np.arange(0), columns)]  # an aggregate_only sweep's chunks, after no rows
 
     def collect(results) -> None:
-        for (index, *values), part in results:
-            columns["graph_id"].extend(map(graph_id, index))
-            for column, chunk_values in zip(after_id, values):
-                column.extend(chunk_values)
+        for (index, fields), part in results:
+            if cfg.aggregate_only:
+                kept.append((index, fields))
+            else:
+                for name, column in fields.items():
+                    columns[name][index] = column
             _merge_agg(agg, part)
 
     if cfg.workers <= 1 or len(chunks) <= 1:
         collect(map(worker, chunks))
     else:
         with multiprocessing.Pool(cfg.workers) as pool:
-            # in chunk order, so the parent collects columns while the workers run
-            collect(pool.imap(worker, chunks))
-    return SweepReport(_config_dict(cfg), columns, agg)
+            # in chunk order, so the parent collects columns while the workers
+            # run; tasks of several chunks, by Pool.map's rule
+            batch = max(1, len(chunks) // (4 * cfg.workers))
+            collect(pool.imap(_pooled, [(worker, chunk) for chunk in chunks], chunksize=batch))
+    if cfg.aggregate_only:
+        index = np.concatenate([rows for rows, _ in kept]).tolist()
+        columns = {
+            name: np.concatenate([fields[name] for _, fields in kept], dtype=column.dtype)
+            for name, column in columns.items()
+        }
+    else:
+        index = range(total)
+    # a list frees its strings last to first, which lets Python's small-object
+    # allocator hand their memory back; an object array frees them first to
+    # first, and the process then kept about 20 MB more over 30 n=5 sweeps,
+    # each followed by json.load of its report
+    ids = list(map(graph_id, index))
+    return SweepReport(_config_dict(cfg), {"graph_id": ids, **columns}, agg)
 
 
 def _run_exhaustive(cfg: SweepConfig, kind: str) -> SweepReport:
@@ -504,68 +606,155 @@ def run_corollary_sweep(cfg: SweepConfig) -> SweepReport:
 # --- report emission -------------------------------------------------------
 
 
-# the JSON text of a record value, by its exact type
-_JSON_SCALARS = {
-    type(None): lambda _: "null",
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-}
+# rows per batch of rendered text
+_BATCH_ROWS = 4096
 
 
-def _json_lines(key: str, column: list, tail: str) -> list[str]:
-    """Each row's `"key": value` line as json.dumps(indent=2) nests it in the report, plus tail.
+def _json_scalar(value: int | str | None) -> str:
+    if value is None:
+        return "null"
+    return encode_basestring_ascii(value) if isinstance(value, str) else int.__repr__(value)
 
-    A value's text is built once per distinct value.  A value of a type
-    outside _JSON_SCALARS raises TypeError.
+
+def _dense(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, first): rows of equal values share a code c, and first[c] is the first such row."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    codes = np.empty(values.size, dtype=np.int64)
+    codes[order] = np.cumsum(starts) - 1
+    return codes, order[starts]
+
+
+def _codes(name: str, column: np.ndarray) -> tuple[np.ndarray, int]:
+    """(codes, count): a code in 0..count-1 per row, equal exactly where the values are."""
+    if column.dtype == object:
+        # a nullable str field is null on most rows: None is code 0, and only
+        # the other rows are looked up
+        rows = np.flatnonzero(np.not_equal(column, None)) if name in _NULLABLE else slice(None)
+        values = column[rows].tolist()
+        index = {value: code for code, value in enumerate(dict.fromkeys(values), 1)}
+        codes = np.zeros(column.size, dtype=np.int64)
+        codes[rows] = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+        return codes, len(index) + 1
+    low = int(column.min())
+    count = int(column.max()) - low + 1
+    if count > column.size:
+        codes, first = _dense(column)
+        return codes, first.size
+    return column - low, count
+
+
+def _bodies(columns: dict[str, np.ndarray], keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """_dense of the rows by their values in the keys' columns."""
+    key, span = np.zeros(len(columns[keys[0]]), dtype=np.int64), 1
+    for name in keys:
+        codes, count = _codes(name, columns[name])
+        if span * count > 2**62:
+            key, first = _dense(key)
+            span = first.size
+        key *= count
+        key += codes
+        span *= count
+    return _dense(key)
+
+
+def _body_lines(columns: dict[str, np.ndarray], keys: list[str], first: np.ndarray, line: str):
+    """Per body, `line` formatted with each key and its value in the body's first row, joined.
+
+    A value's text is built once per distinct value.
     """
-    head = f"      {encode_basestring_ascii(key)}: "
-    if key == "graph_id":  # a distinct string on every row
-        return [f"{head}{text}{tail}" for text in map(encode_basestring_ascii, column)]
-    types = set(map(type, column))
-    if not types <= _JSON_SCALARS.keys():
-        raise TypeError(f"report column {key!r} holds {sorted(t.__name__ for t in types)}")
-    table = {value: head + _JSON_SCALARS[type(value)](value) + tail for value in set(column)}
-    return list(map(table.__getitem__, column))
+    per_key = []
+    for key in keys:
+        values = _native(key, columns[key][first])
+        json_key = encode_basestring_ascii(key)
+        table = {value: line.format(json_key, _json_scalar(value)) for value in set(values)}
+        per_key.append(map(table.__getitem__, values))
+    return map("".join, zip(*per_key))
 
 
-def report_to_json(report: SweepReport) -> str:
-    """The report exactly as json.dumps(doc, sort_keys=True, indent=2) writes it, plus a newline."""
+def _json_text(head: str, columns: dict[str, np.ndarray]):
+    # head ends with the closing "\n}"; "records" sorts after both keys
+    ids, micros = columns["graph_id"], columns["micros"]
+    if not ids.size:
+        yield head[:-2] + ',\n  "records": []\n}\n'
+        return
+    yield head[:-2] + ',\n  "records": [\n'
+    keys = sorted(RECORD_FIELDS)
+    cut = keys.index("graph_id")
+    before, after = keys[:cut], keys[cut + 1:]
+    timed = micros.min() != micros.max()
+    if timed:  # micros sorts right after graph_id, so each row writes its own after its id
+        after.remove("micros")
+    codes, first = _bodies(columns, before + after)
+    # each body's text before and after its rows' graph ids
+    opening = _body_lines(columns, before, first, "      {}: {},\n")
+    closing = _body_lines(columns, after, first, ",\n      {}: {}")
+    heads = np.array([f'    {{\n{text}      "graph_id": ' for text in opening], dtype=object)
+    tails = np.array([f"{text}\n    }},\n" for text in closing], dtype=object)
+    width = 5 if timed else 3
+    for lo in range(0, ids.size, _BATCH_ROWS):
+        hi = min(lo + _BATCH_ROWS, ids.size)
+        rows = codes[lo:hi]
+        pieces = [""] * (width * (hi - lo))
+        pieces[0::width] = heads[rows].tolist()
+        pieces[1::width] = map(encode_basestring_ascii, ids[lo:hi].tolist())
+        if timed:
+            pieces[2::width] = [',\n      "micros": '] * (hi - lo)
+            pieces[3::width] = map(int.__repr__, micros[lo:hi].tolist())
+        pieces[width - 1::width] = tails[rows].tolist()
+        text = "".join(pieces)
+        # the last record closes the list and the document instead
+        yield text if hi < ids.size else text[:-2] + "\n  ]\n}\n"
+
+
+def _csv_text(columns: dict[str, np.ndarray]):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+
+    def flush() -> str:
+        text = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        return text
+
+    writer.writerow(CSV_COLUMNS)
+    yield flush()
+    size = len(columns["graph_id"])
+    for lo in range(0, size, _BATCH_ROWS):
+        # the csv writer writes None as the empty string
+        batch = (_native(name, columns[name][lo:lo + _BATCH_ROWS]) for name in CSV_COLUMNS)
+        writer.writerows(zip(*batch))
+        yield flush()
+
+
+def report_batches(report: SweepReport, fmt: str) -> Iterator[str]:
+    """The report's text in the format, "json" or "csv", in batches of _BATCH_ROWS records.
+
+    The JSON is exactly what json.dumps(doc, sort_keys=True, indent=2) writes,
+    plus a newline.  The format and the columns are checked before the first
+    batch is asked for.
+    """
+    if fmt not in ("json", "csv"):
+        raise BadParams(f"unknown report format {fmt!r}")
     columns = _checked_columns(report)
+    if fmt == "csv":
+        return _csv_text(columns)
     head = json.dumps(
         {"config": report.config, "aggregates": report.aggregates}, sort_keys=True, indent=2
     )
-    # head ends with the closing "\n}"; "records" sorts after both keys
-    if not columns["graph_id"]:
-        return head[:-2] + ',\n  "records": []\n}\n'
-    *keys, last = sorted(RECORD_FIELDS)
-    lines = [_json_lines(key, columns[key], ",\n") for key in keys]
-    # the last key's line closes its record and opens the next; the final one closes the document
-    lines.append(_json_lines(last, columns[last], "\n    },\n    {\n"))
-    lines[-1][-1] = _json_lines(last, columns[last][-1:], "\n    }\n  ]\n}\n")[0]
-    opening = [head[:-2], ',\n  "records": [\n    {\n']
-    return "".join(chain(opening, chain.from_iterable(zip(*lines))))
-
-
-def report_to_csv(report: SweepReport) -> str:
-    columns = _checked_columns(report)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    # the csv writer writes None as the empty string
-    writer.writerows(zip(*(columns[name] for name in CSV_COLUMNS)))
-    return buf.getvalue()
+    return _json_text(head, columns)
 
 
 def emit_report(report: SweepReport, fmt: str, path: str) -> None:
-    if fmt == "json":
-        text = report_to_json(report)
-    elif fmt == "csv":
-        text = report_to_csv(report)
-    else:
-        raise BadParams(f"unknown report format {fmt!r}")
+    """Write the report batch by batch as ASCII, so no whole document is held."""
+    batches = report_batches(report, fmt)
     try:
-        with open(path, "w", encoding="ascii") as f:
-            f.write(text)
+        with open(path, "wb") as f:
+            for text in batches:
+                f.write(text.encode("ascii"))
     except OSError as exc:
         raise IoFailure(f"cannot write report to {path}: {exc}") from exc
 

@@ -1,0 +1,10 @@
+"""Whole report documents, joined from the batches that emit_report writes."""
+from altpaths.harness import report_batches
+
+
+def report_to_json(report) -> str:
+    return "".join(report_batches(report, "json"))
+
+
+def report_to_csv(report) -> str:
+    return "".join(report_batches(report, "csv"))

@@ -14,8 +14,6 @@ from altpaths.harness import (
     SweepConfig,
     _mix_seed,
     max_k_for,
-    report_to_csv,
-    report_to_json,
     run_blowup_suite,
     run_corollary_sweep,
     run_oddcase_sweep,
@@ -30,6 +28,7 @@ from altpaths.rotation_engine import (
     two_sided_closure_extension,
 )
 from _brute import brute_respectable_endpoints, cycle_is_valid, is_respectable
+from _reports import report_to_csv, report_to_json
 
 
 def _announce(num: int, text: str) -> None:

@@ -1,13 +1,18 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altpaths import errors
 from altpaths.cli import main
@@ -18,8 +23,6 @@ from altpaths.harness import (
     SweepReport,
     emit_report,
     max_k_for,
-    report_to_csv,
-    report_to_json,
     run_blowup_suite,
     run_corollary_sweep,
     run_oddcase_sweep,
@@ -29,6 +32,7 @@ from altpaths.harness import (
 from altpaths.oracle import OracleBudget, longest_alt_path_exact
 from altpaths.rotation_engine import find_alternating_path
 from _brute import brute_graph_from_code
+from _reports import report_to_csv, report_to_json
 
 
 class TestMaxKFor:
@@ -211,7 +215,7 @@ class TestReportEncoder:
 
     def test_string_escapes(self):
         base = run_blowup_suite(t_range=(3, 3), b_range=(1, 1), stable=True)
-        columns = {name: column * 2 for name, column in base.columns.items()}
+        columns = {name: list(column) * 2 for name, column in base.columns.items()}
         columns["violation"] = [None, 'a"b\\c\nd\u00e9\u2603']
         report = SweepReport(base.config, columns, base.aggregates)
         text = report_to_json(report)
@@ -220,7 +224,7 @@ class TestReportEncoder:
 
     def test_record_off_template_raises(self):
         base = run_blowup_suite(t_range=(3, 3), b_range=(1, 1), stable=True)
-        columns = {name: column * 2 for name, column in base.columns.items()}
+        columns = {name: list(column) * 2 for name, column in base.columns.items()}
         missing = {name: column for name, column in columns.items() if name != "micros"}
         bad_columns = [
             dict(columns, extra=[1, 1]),
@@ -256,6 +260,174 @@ class TestReportEncoder:
         report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=5, stable=True))
         digest = hashlib.sha256(report_to_csv(report).encode("ascii")).hexdigest()
         assert digest == "9da2cb1e2d455807c281e36a4d95c3ecc22013bd0a35f37caee7a21ddd934b78"
+
+
+# the str fields and the nullable ones; every other record field is an int
+STR_FIELDS = {"graph_id", "finder_outcome", "violation"}
+NULLABLE = {"min_pseudo_semidegree", "min_semidegree", "oracle_L", "violation"}
+INT_FIELDS = [name for name in harness.RECORD_FIELDS if name not in STR_FIELDS]
+
+
+@st.composite
+def record_columns(draw):
+    """(config, columns as lists): 0, 1 or many rows, nulls, escapes and non-ASCII text."""
+    size = draw(st.sampled_from([0, 1, draw(st.integers(2, 40))]))
+
+    def column(values, **kw):
+        return draw(st.lists(values, min_size=size, max_size=size, **kw))
+
+    # few small values, so that rows share bodies, and some past 32 bits
+    ints = st.one_of(st.integers(0, 3), st.integers(0, 2**62))
+    text = st.one_of(st.sampled_from(["", "found", 'a"b\\c\nd\u00e9\u2603']), st.text(max_size=8))
+    columns = {
+        name: column(st.one_of(st.none(), ints) if name in NULLABLE else ints)
+        for name in INT_FIELDS
+    }
+    if draw(st.booleans()):  # every row times its own finder call
+        columns["micros"] = column(st.integers(0, 2**62), unique=True)
+    columns["graph_id"] = column(text, unique=True)
+    columns["finder_outcome"] = column(text)
+    columns["violation"] = column(st.one_of(st.none(), text))
+    aggregate_only = draw(st.booleans())
+    if aggregate_only:  # an aggregate_only sweep keeps the violating rows
+        keep = [i for i, text in enumerate(columns["violation"]) if text is not None]
+        columns = {name: [values[i] for i in keep] for name, values in columns.items()}
+    return {"mode": "random", "aggregate_only": aggregate_only}, columns
+
+
+def _as_arrays(columns: dict) -> dict:
+    """The columns as a sweep holds them: int64 with -1 for null, and object arrays of str."""
+    arrays = {}
+    for name, values in columns.items():
+        if name in STR_FIELDS:
+            arrays[name] = np.empty(len(values), dtype=object)
+            arrays[name][:] = values
+        else:
+            arrays[name] = np.array([-1 if v is None else v for v in values], dtype=np.int64)
+    return arrays
+
+
+def _reference_csv(report):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(harness.CSV_COLUMNS)
+    writer.writerows([rec[name] for name in harness.CSV_COLUMNS] for rec in report.records)
+    return buf.getvalue()
+
+
+AGGREGATES = {"instances": 3, "frontier": {"2": 4}}
+
+
+class TestTypedColumns:
+    @given(record_columns())
+    @settings(max_examples=100, deadline=None)
+    def test_renderers_match_the_reference(self, drawn):
+        config, columns = drawn
+        from_lists = SweepReport(config, columns, AGGREGATES)
+        records = [dict(zip(harness.RECORD_FIELDS, row))
+                   for row in zip(*(columns[name] for name in harness.RECORD_FIELDS))]
+        assert from_lists.records == records
+        json_text, csv_text = _reference_json(from_lists), _reference_csv(from_lists)
+        for report in (from_lists, SweepReport(config, _as_arrays(columns), AGGREGATES)):
+            assert report.records == records
+            assert report_to_json(report) == json_text
+            assert report_to_csv(report) == csv_text
+
+    def _columns(self):
+        base = run_blowup_suite(t_range=(3, 3), b_range=(1, 2), stable=True)
+        return base, {name: list(column) for name, column in base.columns.items()}
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("rounds", [True, 0]),
+            ("micros", [0, 1.5]),
+            ("edges", [3, "3"]),
+            ("oracle_L", [None, "2"]),
+            ("n", np.array([True, False])),
+            ("min_semidegree", np.array([1.0, 2.0])),
+            ("rounds", [0, -2]),
+            ("oracle_L", np.array([-2, 4])),
+            ("micros", [0, None]),
+            ("graph_id", ["blowup-3x1", 7]),
+            ("finder_outcome", ["found", None]),
+            ("violation", [None, b"x"]),
+            ("edges", np.zeros((2, 1), dtype=np.int64)),
+        ],
+    )
+    def test_off_template_raises_in_both_renderers(self, tmp_path, name, bad):
+        base, columns = self._columns()
+        report = SweepReport(base.config, dict(columns, **{name: bad}), base.aggregates)
+        for render in (report_to_json, report_to_csv):
+            with pytest.raises(TypeError):
+                render(report)
+        # the columns are checked before the file is opened
+        path = tmp_path / "r.json"
+        with pytest.raises(TypeError):
+            emit_report(report, "json", str(path))
+        assert not path.exists()
+
+    def test_bad_shapes_raise_in_both_renderers(self):
+        base, columns = self._columns()
+        missing = {name: column for name, column in columns.items() if name != "micros"}
+        for bad in (dict(columns, rounds=[0]), missing, dict(columns, extra=[1, 1])):
+            report = SweepReport(base.config, bad, base.aggregates)
+            for render in (report_to_json, report_to_csv):
+                with pytest.raises(TypeError):
+                    render(report)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: run_theorem_sweep(SweepConfig(mode="exhaustive", n=4, stable=True)),
+            lambda: run_theorem_sweep(
+                SweepConfig(mode="random", n_range=(8, 10), p=0.9, samples=20, seed=2)
+            ),
+            lambda: run_corollary_sweep(
+                SweepConfig(mode="corollary", k=4, n=14, samples=2, seed=5, stable=True)
+            ),
+            lambda: run_blowup_suite(t_range=(3, 5), b_range=(1, 5), stable=True),
+        ],
+        ids=["exhaustive", "random", "corollary", "blowup"],
+    )
+    def test_records_hold_native_values(self, make):
+        records = make().records
+        assert records
+        json.dumps(records)  # a numpy scalar would raise TypeError here
+        types = {type(value) for rec in records for value in rec.values()}
+        assert types <= {int, str, type(None)}
+
+
+# the stable n=5 JSON is 14.3 MB; written whole, emit_report peaked 28.6 MB above the report
+EMIT_PEAK_BOUND = 6 * 2**20
+
+
+class TestEmitReport:
+    def test_batches_bound_memory_and_match_the_renderers(self, tmp_path):
+        report = _exhaustive_n5()
+        for fmt, render in (("json", report_to_json), ("csv", report_to_csv)):
+            path = tmp_path / f"n5.{fmt}"
+            tracemalloc.start()
+            try:
+                emit_report(report, fmt, str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < EMIT_PEAK_BOUND, (fmt, peak)
+            assert path.read_bytes() == render(report).encode("ascii")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_write_failure_is_io_failure(self, tmp_path, fmt):
+        report = run_blowup_suite(stable=True)
+        with pytest.raises(errors.IoFailure):
+            emit_report(report, fmt, str(tmp_path))  # a directory
+        if os.path.exists("/dev/full"):  # opens, then every write fails
+            with pytest.raises(errors.IoFailure):
+                emit_report(report, fmt, "/dev/full")
+
+    def test_unknown_format_is_bad_params(self, tmp_path):
+        with pytest.raises(errors.BadParams):
+            emit_report(run_blowup_suite(stable=True), "xml", str(tmp_path / "r.xml"))
 
 
 def _sha256(text: str) -> str:
