@@ -44,7 +44,7 @@ from .graph_core import (  # noqa: F401 - the benchmark's trace hooks look up th
     random_oriented,
 )
 from .oracle import OracleBudget, alt_path_lengths
-from .rotation_engine import EngineBudget, find_alternating_path
+from .rotation_engine import EngineBudget, find_alternating_path, max_k_for
 
 CSV_COLUMNS = [
     "graph_id",
@@ -198,13 +198,6 @@ def _native(name: str, column: np.ndarray) -> list:
     return values.tolist()
 
 
-def max_k_for(pseudo: int | None) -> int:
-    """Largest k with pseudo-semidegree > 5k/8; 0 when undefined."""
-    if pseudo is None:
-        return 0
-    return (8 * pseudo - 1) // 5
-
-
 def _mix_seed(seed: int, idx: int) -> int:
     return (seed << 24) ^ (idx * 0x9E3779B1) ^ idx
 
@@ -267,7 +260,7 @@ def _flag(cols: _Columns, agg: dict, key: str, bad: np.ndarray, text: str, *valu
 
 def _theorem_check(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
     """L >= kmax on every row, and a valid order-kmax path from the finder where kmax >= 2."""
-    kmax = np.where(cols.pseudo > 0, (8 * cols.pseudo - 1) // 5, 0)  # max_k_for by column
+    kmax = np.where(cols.pseudo > 0, max_k_for(cols.pseudo), 0)
     text = "counterexample:L={}<k={}"
     _flag(cols, agg, "counterexamples", cols.length < kmax, text, cols.length, kmax)
     # find_alternating_path at k = 1 returns a one-vertex path after 0 rounds

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .altpath import (
     AlternatingPath,
@@ -63,19 +62,11 @@ def certificate_is_sound(g: OrientedGraph, cert: Certificate) -> bool:
     return masks is not None and (masks[cert.vertex] & scope).bit_count() == cert.degree
 
 
-@dataclass(frozen=True)
-class AltSpanningCycle:
-    verts: tuple[int, ...]  # cyclic order, length 2m
-
-
-Extension = tuple[tuple[int, ...], int, bool]  # (extended path, outside vertex, at_start)
-
-
 @dataclass
 class ClosureResult:
     S_found: dict[int, tuple[int, ...]]  # start vertex -> witness respectable path
     T_found: dict[int, tuple[int, ...]]
-    extension: Optional[Extension] = None
+    extension: tuple[int, ...] | None = None  # the path plus one outside vertex
 
 
 @dataclass(frozen=True)
@@ -174,14 +165,14 @@ def start_closure(
             cand = g.out_masks[u] & outside_mask
             if cand:
                 w = (cand & -cand).bit_length() - 1
-                result.extension = ((w,) + path, w, True)
+                result.extension = (w,) + path
                 return True
         if t not in result.T_found:
             result.T_found[t] = path
             cand = g.in_masks[t] & outside_mask
             if cand:
                 w = (cand & -cand).bit_length() - 1
-                result.extension = (path + (w,), w, False)
+                result.extension = path + (w,)
                 return True
         return False
 
@@ -240,8 +231,12 @@ def _end_closure_from(
 
 def evenham_cycle(
     g: OrientedGraph, frame: ParityFrame, closure: ClosureResult
-) -> AltSpanningCycle | Certificate:
-    """Alternating spanning source->sink cycle on the frame, or a certificate."""
+) -> Certificate | None:
+    """The counts for an alternating spanning source->sink cycle; None on pass.
+
+    The cycle is not built: wherever the counts pass, the closure holds every
+    source and sink, none with an outside neighbor to cut the cycle open at.
+    """
     if closure.extension is not None:
         raise BadParams("evenham_cycle requires a closure without extension")
     if not closure.S_found:
@@ -278,31 +273,8 @@ def evenham_cycle(
             and rb[j + 1] in frame.sinks
             and g.has_edge(a, rb[j + 1])
         ):
-            return AltSpanningCycle(rotate_at_end(g, frame, rb, j))
+            return None
     return Certificate(a, "out", d_sink_out(a), m / 2, "pigeonhole", sinks_scope)
-
-
-def extension_scan_on_cycle(
-    g: OrientedGraph, frame: ParityFrame, cyc: AltSpanningCycle
-) -> tuple[int, ...] | None:
-    """Cut the cycle beside a vertex with an outside neighbor; order 2m+1 path."""
-    vs = cyc.verts
-    n_cycle = len(vs)
-    outside_mask = ((1 << g.n) - 1) & ~_mask_of(frame.all_verts)
-    for j, c in enumerate(vs):
-        if c in frame.sources:
-            cand = g.out_masks[c] & outside_mask
-            if cand:
-                w = (cand & -cand).bit_length() - 1
-                seq = tuple(vs[(j - t) % n_cycle] for t in range(n_cycle))
-                return (w,) + seq
-        else:
-            cand = g.in_masks[c] & outside_mask
-            if cand:
-                w = (cand & -cand).bit_length() - 1
-                seq = tuple(vs[(j + t) % n_cycle] for t in range(1, n_cycle + 1))
-                return seq + (w,)
-    return None
 
 
 def lemma_forgotten_check(g: OrientedGraph, frame: ParityFrame) -> Certificate | None:
@@ -405,9 +377,15 @@ class EngineBudget:
             raise BadParams(f"rounds must be >= 0, got {self.rounds}")
 
 
+def max_k_for(pseudo: int | None) -> int:
+    """Largest k with pseudo-semidegree > 5k/8 (also elementwise); 0 when undefined."""
+    if pseudo is None:
+        return 0
+    return (8 * pseudo - 1) // 5
+
+
 def condition_holds(g: OrientedGraph, k: int) -> bool:
-    pseudo = min_pseudo_semidegree(g)
-    return pseudo is not None and 8 * pseudo > 5 * k
+    return k <= max_k_for(min_pseudo_semidegree(g))
 
 
 def find_alternating_path(
@@ -463,17 +441,9 @@ def find_alternating_path(
         else:
             frame = frame_of(path_from_verts(g, verts))
             closure = start_closure(g, frame, verts)
-            if closure.extension is not None:
-                ext = closure.extension[0]
-            else:
-                cyc = evenham_cycle(g, frame, closure)
-                if isinstance(cyc, Certificate):
-                    return diagnostic(cyc)
-                ext = extension_scan_on_cycle(g, frame, cyc)
-                if ext is None:
-                    lem = lemma_forgotten_check(g, frame)
-                    if lem is not None:
-                        return diagnostic(lem)
-                    return stuck("EvenStuck")
+            ext = closure.extension
+            if ext is None:
+                cert = evenham_cycle(g, frame, closure) or lemma_forgotten_check(g, frame)
+                return diagnostic(cert) if cert else stuck("EvenStuck")
         verts = greedy_extend(g, path_from_verts(g, ext), k).verts
     return found(verts)

@@ -6,12 +6,11 @@ alt_path_dp_py, the plain-int subset DP that the numpy kernel must
 reproduce exactly, reach table included.  The per-vertex degree minima
 are the references for the graph's cached one-pass degree summary, and
 the digit-by-digit decoder is the reference for the column decoder.  The
-respectable-path and spanning-cycle checks judge the finder's stage
-outputs, and check_invariants the graphs every constructor builds.
+respectable-path check and the bipartite Hamilton-cycle search judge the
+finder's stage outputs, and check_invariants the graphs every
+constructor builds.
 """
 from __future__ import annotations
-
-from itertools import permutations
 
 from altpaths.errors import LoopEdge, TwoCycle
 from altpaths.graph_core import OrientedGraph, pair_order
@@ -39,18 +38,6 @@ def is_respectable(g, frame, verts) -> bool:
     for a, b in zip(verts, verts[1:]):
         u, w = (a, b) if g.has_edge(a, b) else (b, a)
         if u not in frame.sources or w not in frame.sinks:
-            return False
-    return True
-
-
-def cycle_is_valid(g, frame, cyc) -> bool:
-    """True iff cyc spans the frame and each cyclic step is a source->sink arc of g."""
-    vs = cyc.verts
-    if len(vs) != 2 * frame.m or set(vs) != frame.all_verts:
-        return False
-    for a, b in zip(vs, vs[1:] + vs[:1]):
-        u, w = (a, b) if a in frame.sources else (b, a)
-        if u not in frame.sources or w not in frame.sinks or not g.has_edge(u, w):
             return False
     return True
 
@@ -168,25 +155,26 @@ def brute_respectable_endpoints(g, sources, sinks):
 
 
 def brute_bipartite_ham_cycle_exists(adj_x, adj_y) -> bool:
-    """Permutation search over Y orders; exact for small parts."""
+    """DFS over cycles x0, y, x, y, ..., back to x0 through every vertex; exact.
+
+    Bit j of adj_x[i] is the edge x_i - y_j, bit i of adj_y[j] the same edge.
+    """
     m = len(adj_x)
-    for perm in permutations(range(m)):
-        # cycle x0, y_{perm0}, x1, y_{perm1}, ... requires all x in order 0..m-1
-        for xperm in permutations(range(1, m)):
-            xs = [0] + list(xperm)
-            ok = True
-            for i in range(m):
-                y = perm[i]
-                if not (adj_x[xs[i]] >> y) & 1:
-                    ok = False
-                    break
-                nxt = xs[(i + 1) % m]
-                if not (adj_y[y] >> nxt) & 1:
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+
+    def extend(x, used_x, used_y) -> bool:
+        for y in range(m):
+            if (adj_x[x] >> y) & 1 and not (used_y >> y) & 1:
+                if used_x == (1 << m) - 1:
+                    if (adj_y[y] & 1) and used_y | 1 << y == (1 << m) - 1:
+                        return True
+                    continue
+                for nxt in range(m):
+                    if (adj_y[y] >> nxt) & 1 and not (used_x >> nxt) & 1:
+                        if extend(nxt, used_x | 1 << nxt, used_y | 1 << y):
+                            return True
+        return False
+
+    return m > 0 and extend(0, 1, 0)
 
 
 def alt_path_dp_py(out_masks, in_masks, reach, want_k):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from altpaths import errors
+from altpaths import errors, rotation_engine
 from altpaths.altpath import ParityFrame, greedy_extend, path_from_verts, validate
 from altpaths.graph_core import (
     blowup_directed_cycle,
@@ -15,14 +15,12 @@ from altpaths.graph_core import (
 )
 from altpaths.oracle import OracleBudget, longest_alt_path_exact
 from altpaths.rotation_engine import (
-    AltSpanningCycle,
     Certificate,
     EngineBudget,
     _end_closure_from,
     certificate_is_sound,
     condition_holds,
     evenham_cycle,
-    extension_scan_on_cycle,
     find_alternating_path,
     lemma_forgotten_check,
     rotate_at_end,
@@ -30,12 +28,7 @@ from altpaths.rotation_engine import (
     start_closure,
     two_sided_closure_extension,
 )
-from _brute import (
-    brute_bipartite_ham_cycle_exists,
-    brute_respectable_endpoints,
-    cycle_is_valid,
-    is_respectable,
-)
+from _brute import brute_bipartite_ham_cycle_exists, brute_respectable_endpoints, is_respectable
 
 # complete bipartite source->sink graph on {0,1} -> {2,3}
 KB2 = from_edge_list([(0, 2), (0, 3), (1, 2), (1, 3)], 4)
@@ -53,8 +46,9 @@ WORKED = from_edge_list(
 
 # The bipartite graph H of a parity frame holds its source->sink arcs only.
 # Two things read H: the lemma count (the Moon-Moser count with every
-# threshold raised by one) and the spanning source->sink cycle that
-# evenham_cycle builds, which is a Hamilton cycle of H.
+# threshold raised by one) and evenham_cycle's counts, which pass only
+# where an end-rotation closes a spanning source->sink cycle, a Hamilton
+# cycle of H.
 
 
 def _frame(m):
@@ -73,40 +67,46 @@ def _adj_y(adj_x):
     return [sum(1 << i for i in range(m) if (adj_x[i] >> j) & 1) for j in range(m)]
 
 
-def _seed_path(adj_x):
-    """A spanning source->sink path s, t, s, t, ... of H by DFS, or None."""
+def _seed_paths(adj_x):
+    """Every spanning source->sink path s, t, s, t, ... of H, in DFS order."""
     m = len(adj_x)
     adj_y = _adj_y(adj_x)
 
     def dfs(path, used_x, used_y):
         if len(path) == 2 * m:
-            return path
+            yield tuple(v if t % 2 == 0 else m + v for t, v in enumerate(path))
+            return
         last = path[-1]
         if len(path) % 2:  # at a source: step to a new sink
-            options = [j for j in range(m) if (adj_x[last] >> j) & 1 and not (used_y >> j) & 1]
-            for j in options:
-                got = dfs(path + [j], used_x, used_y | 1 << j)
-                if got:
-                    return got
+            for j in range(m):
+                if (adj_x[last] >> j) & 1 and not (used_y >> j) & 1:
+                    yield from dfs(path + [j], used_x, used_y | 1 << j)
         else:  # at a sink: step to a new source
-            options = [i for i in range(m) if (adj_y[last] >> i) & 1 and not (used_x >> i) & 1]
-            for i in options:
-                got = dfs(path + [i], used_x | 1 << i, used_y)
-                if got:
-                    return got
-        return None
+            for i in range(m):
+                if (adj_y[last] >> i) & 1 and not (used_x >> i) & 1:
+                    yield from dfs(path + [i], used_x | 1 << i, used_y)
 
     for i in range(m):
-        got = dfs([i], 1 << i, 0)
-        if got:
-            return tuple(v if t % 2 == 0 else m + v for t, v in enumerate(got))
-    return None
+        yield from dfs([i], 1 << i, 0)
 
 
-def _spanning_cycle(adj_x):
+def _seed_path(adj_x):
+    """The first spanning source->sink path of H, or None."""
+    return next(_seed_paths(adj_x), None)
+
+
+def _evenham(adj_x):
+    """(frame graph, evenham_cycle's result) from H's first seed path."""
     g = _frame_graph(adj_x)
     frame = _frame(len(adj_x))
-    return g, frame, evenham_cycle(g, frame, start_closure(g, frame, _seed_path(adj_x)))
+    return g, evenham_cycle(g, frame, start_closure(g, frame, _seed_path(adj_x)))
+
+
+def _h_of(g, frame):
+    """(adj_x, adj_y) of the frame's H, sources and sinks indexed in sorted order."""
+    sources, sinks = sorted(frame.sources), sorted(frame.sinks)
+    adj_x = [sum(1 << j for j, t in enumerate(sinks) if g.has_edge(s, t)) for s in sources]
+    return adj_x, _adj_y(adj_x)
 
 
 def _seeded_frames():
@@ -181,10 +181,8 @@ class TestStartClosure:
             [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4)], 5
         )
         res = start_closure(g, FRAME2, (0, 2, 1, 3))
-        ext_path, w, at_start = res.extension
-        assert w == 4 and at_start
-        assert validate(g, path_from_verts(g, ext_path))
-        assert len(ext_path) == 5
+        assert res.extension == (4, 0, 2, 1, 3)
+        assert validate(g, path_from_verts(g, res.extension))
 
     def test_sink_reversed_seed_accepted(self):
         res = start_closure(KB2, FRAME2, (3, 1, 2, 0))
@@ -205,8 +203,9 @@ class TestStartClosure:
             if res.extension is None:
                 inside += 1
                 continue
-            ext_path, w, at_start = res.extension
-            assert w not in frame.all_verts and ext_path[0 if at_start else -1] == w
+            ext_path = res.extension
+            (w,) = set(ext_path) - frame.all_verts
+            assert w in (ext_path[0], ext_path[-1])
             assert len(ext_path) == 2 * frame.m + 1
             assert validate(g, path_from_verts(g, ext_path))
             extended += 1
@@ -234,9 +233,8 @@ class TestStartClosure:
 class TestEvenhamCycle:
     def test_complete_frame_cycle(self):
         closure = start_closure(KB2, FRAME2, (0, 2, 1, 3))
-        cyc = evenham_cycle(KB2, FRAME2, closure)
-        assert isinstance(cyc, AltSpanningCycle)
-        assert cycle_is_valid(KB2, FRAME2, cyc)
+        assert evenham_cycle(KB2, FRAME2, closure) is None
+        assert brute_bipartite_ham_cycle_exists(*_h_of(KB2, FRAME2))
 
     def test_sparse_frame_a_count_certificate(self):
         closure = start_closure(PATHY, FRAME2, (0, 2, 1, 3))
@@ -261,32 +259,64 @@ class TestEvenhamCycle:
         assert cert.stage == "degenerate-m1"
 
     def test_seeded_frames_cycles_valid(self):
+        # a pass means H has a Hamilton cycle; a certificate recounts in g
         cycles = certificates = 0
         for g, frame, seed in _seeded_frames():
             closure = start_closure(g, frame, seed)
             if closure.extension is not None:
                 continue
             out = evenham_cycle(g, frame, closure)
-            if isinstance(out, AltSpanningCycle):
-                assert cycle_is_valid(g, frame, out)
+            if out is None:
+                assert brute_bipartite_ham_cycle_exists(*_h_of(g, frame))
                 cycles += 1
             else:
                 assert certificate_is_sound(g, out)
                 certificates += 1
         assert cycles > 0 and certificates > 0
 
+    def test_counts_pass_only_on_full_closures(self):
+        # wherever the counts pass, the closure reached every source and sink
+        # and tested each for an outside neighbor, so cutting the spanning
+        # cycle open could not extend the path any further
+        def cases():
+            for m in range(1, 4):
+                for code in range(1 << (m * m)):
+                    adj_x = [(code >> (m * i)) & ((1 << m) - 1) for i in range(m)]
+                    g, frame = _frame_graph(adj_x), _frame(m)
+                    for seed in _seed_paths(adj_x):
+                        yield g, frame, seed
+            for g, frame, seed in _seeded_frames():
+                yield g, frame, seed
+            rng = random.Random(31)
+            for _ in range(60):
+                m = rng.randrange(4, 9)
+                dense = rng.choice((0.6, 0.8, 0.9))
+                adj_x = [sum(1 << j for j in range(m) if rng.random() < dense) for _ in range(m)]
+                seed = _seed_path(adj_x)
+                if seed is not None:
+                    yield _frame_graph(adj_x), _frame(m), seed
+
+        passed = 0
+        for g, frame, seed in cases():
+            closure = start_closure(g, frame, seed)
+            if closure.extension is None and evenham_cycle(g, frame, closure) is None:
+                assert set(closure.S_found) == frame.sources
+                assert set(closure.T_found) == frame.sinks
+                passed += 1
+        assert passed > 0
+
     def test_impossible(self):
         # sink 5 has the single source in-neighbor 2, so H has no Hamilton cycle
         adj_x = [0b011, 0b011, 0b111]
-        g, _, out = _spanning_cycle(adj_x)
+        g, out = _evenham(adj_x)
         assert not brute_bipartite_ham_cycle_exists(adj_x, _adj_y(adj_x))
         assert isinstance(out, Certificate)
         assert (out.vertex, out.side, out.degree) == (5, "in", 1)
         assert certificate_is_sound(g, out)
 
     def test_matches_exact_referee(self):
-        # evenham_cycle may give up on a spanned frame, but its cycles are
-        # Hamilton cycles of H and its certificates recount in g
+        # evenham_cycle may give up on a spanned frame, but it passes only
+        # where H has a Hamilton cycle, and its certificates recount in g
         rng = random.Random(11)
         cycles = 0
         for _ in range(150):
@@ -298,11 +328,10 @@ class TestEvenhamCycle:
                         adj_x[i] |= 1 << j
             if _seed_path(adj_x) is None:
                 continue
-            g, frame, out = _spanning_cycle(adj_x)
-            want = brute_bipartite_ham_cycle_exists(adj_x, _adj_y(adj_x))
-            if isinstance(out, AltSpanningCycle):
+            g, out = _evenham(adj_x)
+            if out is None:
                 cycles += 1
-                assert want and cycle_is_valid(g, frame, out)
+                assert brute_bipartite_ham_cycle_exists(adj_x, _adj_y(adj_x))
             else:
                 assert certificate_is_sound(g, out)
         assert cycles > 0
@@ -316,33 +345,8 @@ class TestEvenhamCycle:
             full = (1 << m) - 1
             miss = rng.sample(range(m), m)
             adj_x = [full & ~(1 << miss[i]) for i in range(m)]
-            g, frame, out = _spanning_cycle(adj_x)
-            assert isinstance(out, AltSpanningCycle)
-            assert cycle_is_valid(g, frame, out)
-
-
-class TestExtensionScan:
-    def test_source_outside_neighbor(self):
-        g = from_edge_list([(0, 2), (0, 3), (1, 2), (1, 3), (0, 4)], 5)
-        closure = start_closure(g, FRAME2, (1, 2, 0, 3))
-        # build the cycle on the extension-free subframe directly
-        cyc = evenham_cycle(KB2, FRAME2, start_closure(KB2, FRAME2, (0, 2, 1, 3)))
-        ext = extension_scan_on_cycle(g, FRAME2, cyc)
-        assert ext is not None and len(ext) == 5
-        assert ext[0] == 4
-        assert validate(g, path_from_verts(g, ext))
-
-    def test_sink_outside_neighbor(self):
-        g = from_edge_list([(0, 2), (0, 3), (1, 2), (1, 3), (4, 2)], 5)
-        cyc = evenham_cycle(KB2, FRAME2, start_closure(KB2, FRAME2, (0, 2, 1, 3)))
-        ext = extension_scan_on_cycle(g, FRAME2, cyc)
-        assert ext is not None and len(ext) == 5
-        assert ext[-1] == 4
-        assert validate(g, path_from_verts(g, ext))
-
-    def test_no_outside_vertex(self):
-        cyc = evenham_cycle(KB2, FRAME2, start_closure(KB2, FRAME2, (0, 2, 1, 3)))
-        assert extension_scan_on_cycle(KB2, FRAME2, cyc) is None
+            assert _evenham(adj_x)[1] is None
+            assert brute_bipartite_ham_cycle_exists(adj_x, _adj_y(adj_x))
 
 
 class TestLemmaCheck:
@@ -373,11 +377,9 @@ class TestLemmaCheck:
         assert certificate_is_sound(g, cert)
         # in H sink 2 has the one source in-neighbor 0
         assert certificate_is_sound(g, Certificate(2, "in", 1, 2, "lemma-count", (0, 1)))
-        # 0 -> 2 <- 1 -> 3 -> 0 would need the arcs 1 -> 2 and 0 -> 3
-        assert not cycle_is_valid(g, frame, AltSpanningCycle((0, 2, 1, 3)))
-        assert cycle_is_valid(
-            from_edge_list([(0, 2), (1, 2), (1, 3), (0, 3)], 4), frame, AltSpanningCycle((0, 2, 1, 3))
-        )
+        # H is the matching 0 -> 2, 1 -> 3: a spanning cycle needs 1 -> 2 and 0 -> 3
+        assert not brute_bipartite_ham_cycle_exists(*_h_of(g, frame))
+        assert brute_bipartite_ham_cycle_exists(*_h_of(KB2, frame))
 
     def test_complete_passes(self):
         for m in range(3, 7):
@@ -520,7 +522,7 @@ class TestFinder:
                     assert out.path.order == k and validate(g, out.path)
 
     def test_outcomes_beyond_kmax_pinned(self):
-        # above the threshold the finder runs its closures, spanning cycles,
+        # above the threshold the finder runs its closures, cycle counts,
         # lemma count and oracle fallback; pin every outcome byte for byte.
         # The path-free digest drops the witness of each found outcome, so it
         # pins outcome, rounds, reason, certificate and condition alone; the
@@ -584,8 +586,9 @@ class TestFinder:
             assert checked > 0
 
     def test_even_stuck_takes_the_oracle(self):
-        # WORKED's spanning cycle has no outside neighbor and passes the
-        # lemma count; its longest path has order 6, so k = 7 gives up
+        # WORKED's frame passes the cycle counts and the lemma count, and its
+        # closure finds no outside neighbor; its longest path has order 6,
+        # so k = 7 gives up
         out = find_alternating_path(WORKED, 7)
         assert (out.outcome, out.reason) == ("gave_up", "EvenStuck")
         assert out.path.order == longest_alt_path_exact(WORKED)[0] == 6
@@ -610,12 +613,63 @@ class TestFinder:
         assert out.path.order == 6 and validate(WORKED, out.path)
 
 
+class TestStageReach:
+    """Each stage past greedy reaches a find of a production workload and yields there."""
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Record every result of rotation_engine.<name> during the finds that follow."""
+        results = []
+        stage = getattr(rotation_engine, name)
+
+        def spy(*args):
+            results.append(stage(*args))
+            return results[-1]
+
+        monkeypatch.setattr(rotation_engine, name, spy)
+        return results
+
+    def test_start_closure_finishes_the_n7_witness(self, monkeypatch):
+        # the regular tournament on 7 vertices: greedy stops at order 4 and
+        # one start_closure round reaches order 5
+        masks = (14, 28, 88, 112, 97, 7, 35)
+        g = from_edge_list([(u, v) for u in range(7) for v in range(7) if masks[u] >> v & 1], 7)
+        assert g.out_masks == masks and min_pseudo_semidegree(g) == 3
+        assert greedy_extend(g, path_from_verts(g, (0, 1)), 5).order == 4
+        closures = self._spy(monkeypatch, "start_closure")
+        out = find_alternating_path(g, 5)
+        assert (out.outcome, out.rounds, out.path.order) == ("found", 1, 5)
+        assert validate(g, out.path)
+        assert [c.extension for c in closures] == [(3, 0, 1, 5, 2)]
+
+    def test_two_sided_closure_lengthens_a_pinned_find(self, monkeypatch):
+        g = _family_graph(9, 3, 0.8)
+        extensions = self._spy(monkeypatch, "two_sided_closure_extension")
+        out = find_alternating_path(g, 8)
+        assert (out.outcome, out.rounds, out.path.order) == ("found", 1, 8)
+        assert validate(g, out.path)
+        assert len(extensions) == 1 and len(extensions[0]) == 8
+
+    def test_lemma_count_certifies_a_pinned_find(self, monkeypatch):
+        g = _family_graph(9, 2, 0.3)
+        lemma = self._spy(monkeypatch, "lemma_forgotten_check")
+        out = find_alternating_path(g, 5)
+        assert (out.outcome, out.rounds) == ("diagnostic", 1)
+        assert out.certificate == Certificate(0, "out", 2, 2, "lemma-count", (6, 7))
+        assert lemma == [out.certificate] and certificate_is_sound(g, out.certificate)
+
+
+def _family_graph(n, seed, p):
+    """The _beyond_kmax_family graph of order n, seed index seed and density p."""
+    return random_oriented(n, p, 4000 + 100 * n + 10 * seed + int(10 * p))
+
+
 def _beyond_kmax_family():
     """(graph, k) for every k from kmax + 1 (at least 2) to n, 1,211 finds in all."""
     for n in range(8, 15):
         for seed in range(6):
             for p in (0.3, 0.5, 0.8):
-                g = random_oriented(n, p, 4000 + 100 * n + 10 * seed + int(10 * p))
+                g = _family_graph(n, seed, p)
                 pseudo = min_pseudo_semidegree(g)
                 kmax = 0 if pseudo is None else (8 * pseudo - 1) // 5
                 for k in range(max(kmax + 1, 2), n + 1):
