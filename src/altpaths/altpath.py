@@ -33,10 +33,6 @@ class ParityFrame:
     sinks: frozenset[int]
     m: int
 
-    @property
-    def all_verts(self) -> frozenset[int]:
-        return self.sources | self.sinks
-
 
 def path_from_verts(g: OrientedGraph, verts) -> AlternatingPath:
     verts = tuple(verts)
@@ -89,13 +85,6 @@ def frame_of(p: AlternatingPath) -> ParityFrame:
     sources = frozenset(v for v, s in zip(p.verts, is_src) if s)
     sinks = frozenset(v for v, s in zip(p.verts, is_src) if not s)
     return ParityFrame(sources, sinks, p.order // 2)
-
-
-def endpoint_is_source(g: OrientedGraph, verts, at_tail: bool) -> bool:
-    """Whether the endpoint's single path edge leaves it (order >= 2)."""
-    if at_tail:
-        return g.has_edge(verts[-1], verts[-2])
-    return g.has_edge(verts[0], verts[1])
 
 
 def greedy_extend(g: OrientedGraph, p: AlternatingPath, k: int) -> AlternatingPath:

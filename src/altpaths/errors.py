@@ -41,10 +41,6 @@ class TooShort(AltPathError):
     pass
 
 
-class BadPivot(AltPathError):
-    pass
-
-
 class VacuousParams(AltPathError):
     pass
 

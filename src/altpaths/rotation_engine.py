@@ -1,10 +1,11 @@
-"""Respectable-path rotation closures and the certificate-producing finder.
+"""The rotation closure of alternating paths and the certificate-producing finder.
 
 The finder mirrors a contradiction argument as a terminating loop: every
-round either lengthens the current alternating path or fails a concrete
-counting check and returns a vertex-level certificate.  A path that no
-stage can lengthen goes to the exact oracle, which decides within its
-order bound; beyond it the finder gives up.
+round rotates the current alternating path at its ends until an end sees a
+vertex outside it, or, on an even path, fails a concrete counting check and
+returns a vertex-level certificate.  A path that no stage can lengthen goes
+to the exact oracle, which decides within its order bound; beyond it the
+finder gives up.
 """
 from __future__ import annotations
 
@@ -14,13 +15,12 @@ from dataclasses import dataclass, field
 from .altpath import (
     AlternatingPath,
     ParityFrame,
-    endpoint_is_source,
     frame_of,
     greedy_extend,
     path_from_verts,
     trim,
 )
-from .errors import BadParams, BadPivot
+from .errors import BadParams
 from .graph_core import OrientedGraph, bits, min_pseudo_semidegree
 from .oracle import OracleBudget, longest_alt_path_exact
 
@@ -64,7 +64,7 @@ def certificate_is_sound(g: OrientedGraph, cert: Certificate) -> bool:
 
 @dataclass
 class ClosureResult:
-    S_found: dict[int, tuple[int, ...]]  # start vertex -> witness respectable path
+    S_found: dict[int, tuple[int, ...]]  # start vertex -> witness path on the seed's vertices
     T_found: dict[int, tuple[int, ...]]
     extension: tuple[int, ...] | None = None  # the path plus one outside vertex
 
@@ -107,53 +107,30 @@ def _mask_of(verts) -> int:
     return m
 
 
-# --- rotations -------------------------------------------------------------
-
-
-def rotate_at_start(
-    g: OrientedGraph, frame: ParityFrame, verts: tuple[int, ...], pivot_index: int
-) -> tuple[int, ...]:
-    """Reverse the prefix before the pivot; pivot must be a sink out-neighbor of the start."""
-    if not 1 <= pivot_index < len(verts):
-        raise BadPivot(f"pivot index {pivot_index} out of range")
-    v = verts[pivot_index]
-    if v not in frame.sinks or not g.has_edge(verts[0], v):
-        raise BadPivot(f"vertex {v} is not a sink out-neighbor of the start")
-    return tuple(reversed(verts[:pivot_index])) + verts[pivot_index:]
-
-
-def rotate_at_end(
-    g: OrientedGraph, frame: ParityFrame, verts: tuple[int, ...], pivot_index: int
-) -> tuple[int, ...]:
-    """Reverse the suffix after the pivot; pivot must be a source in-neighbor of the terminal."""
-    if not 0 <= pivot_index < len(verts) - 1:
-        raise BadPivot(f"pivot index {pivot_index} out of range")
-    v = verts[pivot_index]
-    if v not in frame.sources or not g.has_edge(v, verts[-1]):
-        raise BadPivot(f"vertex {v} is not a source in-neighbor of the terminal")
-    return verts[: pivot_index + 1] + tuple(reversed(verts[pivot_index + 1 :]))
-
-
 # --- closures --------------------------------------------------------------
 
 
-def start_closure(
-    g: OrientedGraph, frame: ParityFrame, seed: tuple[int, ...]
-) -> ClosureResult:
-    """BFS over rotations at both ends, one witness per (start, terminal) pair.
+def start_closure(g: OrientedGraph, verts: tuple[int, ...]) -> ClosureResult:
+    """BFS over rotations at both ends of an alternating path, one witness per endpoint pair.
 
-    Every newly reached start is scanned for an out-neighbor outside the
-    frame (terminals for outside in-neighbors); the first hit is recorded
-    as an extension and the search stops early.  Each state is a (source,
-    sink) endpoint pair, so the search visits at most m^2 states.
+    An even path is first turned source end first.  A head rotation follows
+    a chord from the head to position j and reverses the prefix before it; a
+    tail rotation reverses the suffix likewise.  Rotations keep the vertex
+    set and each end's class, so an end always extends on the side its path
+    arc leaves it by, and a chord pivots only at an odd distance >= 3 from
+    its end.  Every newly reached start is scanned for a neighbor outside the
+    path on its side (terminals likewise); the first hit is recorded as the
+    extension and the search stops.  The search visits at most
+    len * (len - 1) endpoint pairs.
     """
-    seed = tuple(seed)
-    if seed[0] in frame.sinks:
-        seed = tuple(reversed(seed))  # canonical orientation: source endpoint first
-    frame_mask = _mask_of(frame.all_verts)
-    outside_mask = ((1 << g.n) - 1) & ~frame_mask
-    source_mask = _mask_of(frame.sources)
-    sink_mask = _mask_of(frame.sinks)
+    seed = tuple(verts)
+    if len(seed) % 2 == 0 and not g.has_edge(seed[0], seed[1]):
+        seed = seed[::-1]
+    used_mask = _mask_of(seed)
+    outside_mask = ((1 << g.n) - 1) & ~used_mask
+    head_masks = g.out_masks if g.has_edge(seed[0], seed[1]) else g.in_masks
+    tail_masks = g.out_masks if g.has_edge(seed[-1], seed[-2]) else g.in_masks
+    last = len(seed) - 1
 
     result = ClosureResult({}, {})
 
@@ -162,46 +139,41 @@ def start_closure(
         u, t = path[0], path[-1]
         if u not in result.S_found:
             result.S_found[u] = path
-            cand = g.out_masks[u] & outside_mask
+            cand = head_masks[u] & outside_mask
             if cand:
                 w = (cand & -cand).bit_length() - 1
                 result.extension = (w,) + path
                 return True
         if t not in result.T_found:
             result.T_found[t] = path
-            cand = g.in_masks[t] & outside_mask
+            cand = tail_masks[t] & outside_mask
             if cand:
                 w = (cand & -cand).bit_length() - 1
                 result.extension = path + (w,)
                 return True
         return False
 
-    seen: dict[tuple[int, int], tuple[int, ...]] = {(seed[0], seed[-1]): seed}
-    queue: deque[tuple[int, ...]] = deque([seed])
-    stopped = note_endpoints(seed)
-    while queue and not stopped:
+    seen = {(seed[0], seed[-1])}
+    queue = deque([seed])
+    if note_endpoints(seed):
+        return result
+    while queue:
         path = queue.popleft()
         pos = {v: i for i, v in enumerate(path)}
-        candidates: list[tuple[int, ...]] = []
-        for v in bits(g.out_masks[path[0]] & sink_mask):
-            j = pos[v]
-            if j == 1:
-                continue  # degenerate rotation along the first edge
-            candidates.append(rotate_at_start(g, frame, path, j))
-        for v in bits(g.in_masks[path[-1]] & source_mask):
-            j = pos[v]
-            if j == len(path) - 2:
-                continue
-            candidates.append(rotate_at_end(g, frame, path, j))
+        heads = [pos[v] for v in bits(head_masks[path[0]] & used_mask)]
+        tails = [pos[v] for v in bits(tail_masks[path[-1]] & used_mask)]
+        candidates = [path[j - 1 :: -1] + path[j:] for j in heads if j >= 3 and j % 2]
+        candidates += [
+            path[: j + 1] + path[:j:-1] for j in tails if last - j >= 3 and (last - j) % 2
+        ]
         for new in candidates:
             key = (new[0], new[-1])
             if key in seen:
                 continue
-            seen[key] = new
+            seen.add(key)
             queue.append(new)
             if note_endpoints(new):
-                stopped = True
-                break
+                return result
     return result
 
 
@@ -219,7 +191,7 @@ def _end_closure_from(
             j = pos[v]
             if j == len(path) - 2:
                 continue
-            new = rotate_at_end(g, frame, path, j)
+            new = path[: j + 1] + path[:j:-1]
             if new[-1] not in found:
                 found[new[-1]] = new
                 queue.append(new)
@@ -302,68 +274,6 @@ def lemma_forgotten_check(g: OrientedGraph, frame: ParityFrame) -> Certificate |
     return None
 
 
-# --- generic two-sided closure (odd stuck paths) ---------------------------
-
-
-def two_sided_closure_extension(g: OrientedGraph, verts: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Rotation closure of an arbitrary stuck alternating path.
-
-    Explores prefix/suffix reversals through chords at both endpoints,
-    deduplicating by endpoint pair, and returns the first one-vertex
-    extension discovered (or None).  Every rotation keeps the vertex set,
-    so the search visits at most len * (len - 1) endpoint pairs.
-    """
-    verts = tuple(verts)
-    if len(verts) < 2:
-        return None
-    used_mask = _mask_of(verts)
-    outside_mask = ((1 << g.n) - 1) & ~used_mask
-
-    def try_extend(path: tuple[int, ...]) -> tuple[int, ...] | None:
-        for at_tail in (False, True):
-            end = path[-1] if at_tail else path[0]
-            src = endpoint_is_source(g, path, at_tail)
-            cand = (g.out_masks[end] if src else g.in_masks[end]) & outside_mask
-            if cand:
-                w = (cand & -cand).bit_length() - 1
-                return path + (w,) if at_tail else (w,) + path
-        return None
-
-    def head_rotations(path: tuple[int, ...]) -> list[tuple[int, ...]]:
-        u = path[0]
-        src = endpoint_is_source(g, path, at_tail=False)
-        chords = g.out_masks[u] if src else g.in_masks[u]
-        pos = {v: i for i, v in enumerate(path)}
-        out = []
-        for v in bits(chords & used_mask):
-            j = pos[v]
-            # the pivot must sit at opposite parity to the head, past the first edge
-            if j < 3 or j % 2 == 0:
-                continue
-            out.append(tuple(reversed(path[:j])) + path[j:])
-        return out
-
-    ext = try_extend(verts)
-    if ext is not None:
-        return ext
-    seen = {(verts[0], verts[-1])}
-    queue = deque([verts])
-    while queue:
-        path = queue.popleft()
-        for new in head_rotations(path) + [
-            tuple(reversed(p)) for p in head_rotations(tuple(reversed(path)))
-        ]:
-            key = (new[0], new[-1])
-            if key in seen:
-                continue
-            seen.add(key)
-            ext = try_extend(new)
-            if ext is not None:
-                return ext
-            queue.append(new)
-    return None
-
-
 # --- the top-level finder --------------------------------------------------
 
 
@@ -434,16 +344,12 @@ def find_alternating_path(
         rounds += 1
         if rounds > rounds_cap:
             return gave_up("BudgetExceeded", verts)
-        if len(verts) % 2 == 1:
-            ext = two_sided_closure_extension(g, verts)
-            if ext is None:
+        closure = start_closure(g, verts)
+        if closure.extension is None:
+            if len(verts) % 2 == 1:
                 return stuck("OddStuck")
-        else:
             frame = frame_of(path_from_verts(g, verts))
-            closure = start_closure(g, frame, verts)
-            ext = closure.extension
-            if ext is None:
-                cert = evenham_cycle(g, frame, closure) or lemma_forgotten_check(g, frame)
-                return diagnostic(cert) if cert else stuck("EvenStuck")
-        verts = greedy_extend(g, path_from_verts(g, ext), k).verts
+            cert = evenham_cycle(g, frame, closure) or lemma_forgotten_check(g, frame)
+            return diagnostic(cert) if cert else stuck("EvenStuck")
+        verts = greedy_extend(g, path_from_verts(g, closure.extension), k).verts
     return found(verts)

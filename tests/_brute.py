@@ -33,7 +33,7 @@ def is_alt_sequence(g, verts) -> bool:
 
 def is_respectable(g, frame, verts) -> bool:
     """Alternating path spanning the frame, every edge source -> sink."""
-    if set(verts) != frame.all_verts or not is_alt_sequence(g, list(verts)):
+    if set(verts) != frame.sources | frame.sinks or not is_alt_sequence(g, list(verts)):
         return False
     for a, b in zip(verts, verts[1:]):
         u, w = (a, b) if g.has_edge(a, b) else (b, a)

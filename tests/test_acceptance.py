@@ -24,7 +24,6 @@ from altpaths.rotation_engine import (
     find_alternating_path,
     lemma_forgotten_check,
     start_closure,
-    two_sided_closure_extension,
 )
 from _brute import brute_bipartite_ham_cycle_exists, brute_respectable_endpoints, is_respectable
 from _reports import report_to_csv, report_to_json
@@ -129,7 +128,7 @@ class TestCriterion5StageSoundness:
         # accept; tests/test_rotation_engine.py checks the same on seeded frames
         kb2 = from_edge_list([(0, 2), (0, 3), (1, 2), (1, 3)], 4)
         frame2 = ParityFrame(frozenset({0, 1}), frozenset({2, 3}), 2)
-        closure = start_closure(kb2, frame2, (0, 2, 1, 3))
+        closure = start_closure(kb2, (0, 2, 1, 3))
         assert (set(closure.S_found), set(closure.T_found)) == brute_respectable_endpoints(
             kb2, set(frame2.sources), set(frame2.sinks)
         )
@@ -148,7 +147,7 @@ class TestCriterion5StageSoundness:
         g6 = from_edge_list(
             [(1, 0), (1, 3), (1, 4), (1, 5), (2, 5), (3, 4), (3, 5), (4, 5)], 6
         )
-        ext = two_sided_closure_extension(g6, (4, 3, 5, 1, 0))
+        ext = start_closure(g6, (4, 3, 5, 1, 0)).extension
         assert len(ext) == 6 and validate(g6, path_from_verts(g6, ext))
         _announce(5, "closure, end-rotation, cycle-count, lemma and two-sided stages sound")
 

@@ -23,10 +23,8 @@ from altpaths.rotation_engine import (
     evenham_cycle,
     find_alternating_path,
     lemma_forgotten_check,
-    rotate_at_end,
-    rotate_at_start,
+    max_k_for,
     start_closure,
-    two_sided_closure_extension,
 )
 from _brute import brute_bipartite_ham_cycle_exists, brute_respectable_endpoints, is_respectable
 
@@ -99,7 +97,7 @@ def _evenham(adj_x):
     """(frame graph, evenham_cycle's result) from H's first seed path."""
     g = _frame_graph(adj_x)
     frame = _frame(len(adj_x))
-    return g, evenham_cycle(g, frame, start_closure(g, frame, _seed_path(adj_x)))
+    return g, evenham_cycle(g, frame, start_closure(g, _seed_path(adj_x)))
 
 
 def _h_of(g, frame):
@@ -137,33 +135,30 @@ def _seeded_frames():
 
 
 class TestRotations:
+    # from 0 2 1 3 in KB2 the chord 0 -> 3 rotates once at each end; the arcs
+    # 0 -> 2 and 1 -> 3 run along the path's first and last edges and do not
+
     def test_start_rotation(self):
-        out = rotate_at_start(KB2, FRAME2, (0, 2, 1, 3), 3)
+        out = start_closure(KB2, (0, 2, 1, 3)).S_found[1]
         assert out == (1, 2, 0, 3)
         assert is_respectable(KB2, FRAME2, out)
 
     def test_start_degenerate_pivot_is_identity(self):
-        assert rotate_at_start(KB2, FRAME2, (0, 2, 1, 3), 1) == (0, 2, 1, 3)
-
-    def test_start_bad_pivot(self):
-        with pytest.raises(errors.BadPivot):
-            rotate_at_start(KB2, FRAME2, (0, 2, 1, 3), 2)  # vertex 1 is a source
-        with pytest.raises(errors.BadPivot):
-            rotate_at_start(KB2, FRAME2, (0, 2, 1, 3), 0)
+        res = start_closure(KB2, (0, 2, 1, 3))
+        assert res.S_found == {0: (0, 2, 1, 3), 1: (1, 2, 0, 3)}
+        assert res.T_found == {3: (0, 2, 1, 3), 2: (0, 3, 1, 2)}
+        res = start_closure(PATHY, (0, 2, 1, 3))
+        assert res.S_found == {0: (0, 2, 1, 3)} and res.T_found == {3: (0, 2, 1, 3)}
 
     def test_end_rotation(self):
-        out = rotate_at_end(KB2, FRAME2, (0, 2, 1, 3), 0)
+        out = start_closure(KB2, (0, 2, 1, 3)).T_found[2]
         assert out == (0, 3, 1, 2)
         assert is_respectable(KB2, FRAME2, out)
-
-    def test_end_bad_pivot(self):
-        with pytest.raises(errors.BadPivot):
-            rotate_at_end(KB2, FRAME2, (0, 2, 1, 3), 1)  # vertex 2 is a sink
 
 
 class TestStartClosure:
     def test_complete_frame_all_endpoints(self):
-        res = start_closure(KB2, FRAME2, (0, 2, 1, 3))
+        res = start_closure(KB2, (0, 2, 1, 3))
         assert set(res.S_found) == {0, 1}
         assert set(res.T_found) == {2, 3}
         assert res.extension is None
@@ -171,7 +166,7 @@ class TestStartClosure:
             assert wit[0] == start and is_respectable(KB2, FRAME2, wit)
 
     def test_rotation_free_path(self):
-        res = start_closure(PATHY, FRAME2, (0, 2, 1, 3))
+        res = start_closure(PATHY, (0, 2, 1, 3))
         assert set(res.S_found) == {0}
         assert set(res.T_found) == {3}
         assert res.extension is None
@@ -180,12 +175,12 @@ class TestStartClosure:
         g = from_edge_list(
             [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4)], 5
         )
-        res = start_closure(g, FRAME2, (0, 2, 1, 3))
+        res = start_closure(g, (0, 2, 1, 3))
         assert res.extension == (4, 0, 2, 1, 3)
         assert validate(g, path_from_verts(g, res.extension))
 
     def test_sink_reversed_seed_accepted(self):
-        res = start_closure(KB2, FRAME2, (3, 1, 2, 0))
+        res = start_closure(KB2, (3, 1, 2, 0))
         assert set(res.S_found) == {0, 1}
 
     def test_seeded_frames_within_brute_endpoints(self):
@@ -193,7 +188,7 @@ class TestStartClosure:
         # path, and its witness is such a path; an extension adds one outside vertex
         extended = inside = 0
         for g, frame, seed in _seeded_frames():
-            res = start_closure(g, frame, seed)
+            res = start_closure(g, seed)
             starts, ends = brute_respectable_endpoints(g, set(frame.sources), set(frame.sinks))
             assert set(res.S_found) <= starts and set(res.T_found) <= ends
             for u, wit in res.S_found.items():
@@ -204,7 +199,7 @@ class TestStartClosure:
                 inside += 1
                 continue
             ext_path = res.extension
-            (w,) = set(ext_path) - frame.all_verts
+            (w,) = set(ext_path) - frame.sources - frame.sinks
             assert w in (ext_path[0], ext_path[-1])
             assert len(ext_path) == 2 * frame.m + 1
             assert validate(g, path_from_verts(g, ext_path))
@@ -216,7 +211,7 @@ class TestStartClosure:
         # reaches only terminals of respectable paths
         closures = 0
         for g, frame, seed in _seeded_frames():
-            res = start_closure(g, frame, seed)
+            res = start_closure(g, seed)
             if res.extension is not None:
                 continue
             _, ends = brute_respectable_endpoints(g, set(frame.sources), set(frame.sinks))
@@ -232,12 +227,12 @@ class TestStartClosure:
 
 class TestEvenhamCycle:
     def test_complete_frame_cycle(self):
-        closure = start_closure(KB2, FRAME2, (0, 2, 1, 3))
+        closure = start_closure(KB2, (0, 2, 1, 3))
         assert evenham_cycle(KB2, FRAME2, closure) is None
         assert brute_bipartite_ham_cycle_exists(*_h_of(KB2, FRAME2))
 
     def test_sparse_frame_a_count_certificate(self):
-        closure = start_closure(PATHY, FRAME2, (0, 2, 1, 3))
+        closure = start_closure(PATHY, (0, 2, 1, 3))
         cert = evenham_cycle(PATHY, FRAME2, closure)
         assert isinstance(cert, Certificate)
         assert cert.stage == "A-count"
@@ -247,14 +242,14 @@ class TestEvenhamCycle:
 
     def test_rejects_closure_with_extension(self):
         g = from_edge_list([(0, 2), (0, 3), (1, 2), (1, 3), (0, 4)], 5)
-        closure = start_closure(g, FRAME2, (0, 2, 1, 3))
+        closure = start_closure(g, (0, 2, 1, 3))
         with pytest.raises(errors.BadParams):
             evenham_cycle(g, FRAME2, closure)
 
     def test_degenerate_m1_certificate(self):
         g = from_edge_list([(0, 1)], 2)
         frame = ParityFrame(frozenset({0}), frozenset({1}), 1)
-        cert = evenham_cycle(g, frame, start_closure(g, frame, (0, 1)))
+        cert = evenham_cycle(g, frame, start_closure(g, (0, 1)))
         assert isinstance(cert, Certificate)
         assert cert.stage == "degenerate-m1"
 
@@ -262,7 +257,7 @@ class TestEvenhamCycle:
         # a pass means H has a Hamilton cycle; a certificate recounts in g
         cycles = certificates = 0
         for g, frame, seed in _seeded_frames():
-            closure = start_closure(g, frame, seed)
+            closure = start_closure(g, seed)
             if closure.extension is not None:
                 continue
             out = evenham_cycle(g, frame, closure)
@@ -298,7 +293,7 @@ class TestEvenhamCycle:
 
         passed = 0
         for g, frame, seed in cases():
-            closure = start_closure(g, frame, seed)
+            closure = start_closure(g, seed)
             if closure.extension is None and evenham_cycle(g, frame, closure) is None:
                 assert set(closure.S_found) == frame.sources
                 assert set(closure.T_found) == frame.sinks
@@ -412,27 +407,35 @@ class TestLemmaCheck:
 class TestTwoSidedClosure:
     def test_direct_extension(self):
         g = from_edge_list([(0, 1), (2, 1), (2, 3)], 4)
-        ext = two_sided_closure_extension(g, (0, 1, 2))
+        ext = start_closure(g, (0, 1, 2)).extension
         assert ext == (0, 1, 2, 3)
 
     def test_stuck_path(self):
         g = from_edge_list([(0, 1), (2, 1)], 4)
-        assert two_sided_closure_extension(g, (0, 1, 2)) is None
+        assert start_closure(g, (0, 1, 2)).extension is None
 
     def test_extension_validates(self):
         g = blowup_directed_cycle(4, 2)
-        ext = two_sided_closure_extension(g, (0, 2, 1))
+        ext = start_closure(g, (0, 2, 1)).extension
         if ext is not None:
             assert validate(g, path_from_verts(g, ext))
 
     def test_seeded_stuck_paths_extend_at_order_len_plus_one(self):
         # greedy leaves each odd path with no direct extension, so every
-        # extension found here comes from rotations
+        # extension found here comes from rotations; every witness is an
+        # alternating path on the seed's vertices whose ends keep their class
         extended = 0
         for g, _, _ in _seeded_frames():
             stuck = {greedy_extend(g, path_from_verts(g, arc), g.n).verts for arc in g.edges()}
             for verts in sorted(p for p in stuck if len(p) % 2 == 1):
-                ext = two_sided_closure_extension(g, verts)
+                res = start_closure(g, verts)
+                assert all(wit[0] == u for u, wit in res.S_found.items())
+                assert all(wit[-1] == t for t, wit in res.T_found.items())
+                head_src = g.has_edge(verts[0], verts[1])
+                for wit in [*res.S_found.values(), *res.T_found.values()]:
+                    assert set(wit) == set(verts) and validate(g, path_from_verts(g, wit))
+                    assert g.has_edge(wit[0], wit[1]) == head_src
+                ext = res.extension
                 if ext is None:
                     continue
                 assert len(ext) == len(verts) + 1 and set(verts) < set(ext)
@@ -547,6 +550,25 @@ class TestFinder:
             "64964030cc3846e0a9b511d85a02616c4c7dc735cae5955dc49f17903ade72a5"
         )
 
+    @pytest.mark.slow
+    def test_random_finds_pinned(self):
+        # every find from max(kmax, 1) to n on 3,240 random graphs, n = 6..14:
+        # one sorted-key outcome line per find, pinned byte for byte
+        digest = hashlib.sha256()
+        finds = 0
+        for n in range(6, 15):
+            for p in (0.3, 0.5, 0.7, 0.9):
+                for s in range(90):
+                    g = random_oriented(n, p, 77_000 + 1000 * n + 100 * int(10 * p) + s)
+                    for k in range(max(max_k_for(min_pseudo_semidegree(g)), 1), n + 1):
+                        doc = find_alternating_path(g, k).to_json()
+                        digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+                        finds += 1
+        assert finds == 31_217
+        assert digest.hexdigest() == (
+            "4e88cd9e9a9dd470bd47d9e491882823402d814aa2d461c6326e05b5d686ce81"
+        )
+
     def test_outcome_json_shape(self):
         out = find_alternating_path(KB2, 4)
         doc = out.to_json()
@@ -557,7 +579,7 @@ class TestFinder:
         json.dumps(doc)  # serializable
 
     def test_diagnostic_json_shape(self):
-        cert = evenham_cycle(PATHY, FRAME2, start_closure(PATHY, FRAME2, (0, 2, 1, 3)))
+        cert = evenham_cycle(PATHY, FRAME2, start_closure(PATHY, (0, 2, 1, 3)))
         doc = Certificate.to_json(cert)
         assert set(doc) == {"vertex", "side", "degree", "bound", "stage", "scope"}
 
@@ -618,20 +640,20 @@ class TestStageReach:
 
     @staticmethod
     def _spy(monkeypatch, name):
-        """Record every result of rotation_engine.<name> during the finds that follow."""
+        """Record (args, result) of every rotation_engine.<name> call in the finds that follow."""
         results = []
         stage = getattr(rotation_engine, name)
 
         def spy(*args):
-            results.append(stage(*args))
-            return results[-1]
+            results.append((args, stage(*args)))
+            return results[-1][1]
 
         monkeypatch.setattr(rotation_engine, name, spy)
         return results
 
     def test_start_closure_finishes_the_n7_witness(self, monkeypatch):
         # the regular tournament on 7 vertices: greedy stops at order 4 and
-        # one start_closure round reaches order 5
+        # one start_closure round on that even path reaches order 5
         masks = (14, 28, 88, 112, 97, 7, 35)
         g = from_edge_list([(u, v) for u in range(7) for v in range(7) if masks[u] >> v & 1], 7)
         assert g.out_masks == masks and min_pseudo_semidegree(g) == 3
@@ -640,15 +662,18 @@ class TestStageReach:
         out = find_alternating_path(g, 5)
         assert (out.outcome, out.rounds, out.path.order) == ("found", 1, 5)
         assert validate(g, out.path)
-        assert [c.extension for c in closures] == [(3, 0, 1, 5, 2)]
+        [((_, verts), closure)] = closures
+        assert len(verts) % 2 == 0 and closure.extension == (3, 0, 1, 5, 2)
 
     def test_two_sided_closure_lengthens_a_pinned_find(self, monkeypatch):
+        # greedy stops at odd order 7, and one start_closure round reaches 8
         g = _family_graph(9, 3, 0.8)
-        extensions = self._spy(monkeypatch, "two_sided_closure_extension")
+        closures = self._spy(monkeypatch, "start_closure")
         out = find_alternating_path(g, 8)
         assert (out.outcome, out.rounds, out.path.order) == ("found", 1, 8)
         assert validate(g, out.path)
-        assert len(extensions) == 1 and len(extensions[0]) == 8
+        [((_, verts), closure)] = closures
+        assert len(verts) == 7 and len(closure.extension) == 8
 
     def test_lemma_count_certifies_a_pinned_find(self, monkeypatch):
         g = _family_graph(9, 2, 0.3)
@@ -656,7 +681,8 @@ class TestStageReach:
         out = find_alternating_path(g, 5)
         assert (out.outcome, out.rounds) == ("diagnostic", 1)
         assert out.certificate == Certificate(0, "out", 2, 2, "lemma-count", (6, 7))
-        assert lemma == [out.certificate] and certificate_is_sound(g, out.certificate)
+        assert [cert for _, cert in lemma] == [out.certificate]
+        assert certificate_is_sound(g, out.certificate)
 
 
 def _family_graph(n, seed, p):
