@@ -30,9 +30,10 @@ np.copyto, computes the shift amounts in place there, and gathers with
 np.take(..., out=..., mode="clip"): under the default mode="raise" numpy
 buffers `out`, and the plan's indices are in range by construction, so
 "clip" changes nothing.  Whether a layer holds a state is read from the
-block results; the layers are gathered again only at the end, for
-best_mask, each one at most once and only for the graphs whose longest
-path ends in it.
+block results.  run_dp returns the longest order and the filled table;
+witness_ends reads where a longest path ends from that table, for the
+callers that rebuild a witness, gathering each layer at most once and
+only for the graphs whose longest path ends in it.
 """
 from __future__ import annotations
 
@@ -209,23 +210,18 @@ def _pull(reach: np.ndarray, pred: np.ndarray, src: np.ndarray, members: np.ndar
 def run_dp(out_masks, in_masks, n: int, want_k: int = 0):
     """Subset DP over a batch of order-n graphs given as (B, n) mask arrays.
 
-    Returns (best, best_mask, best_state, reach), the first three as (B,)
-    int64 arrays and reach as a (B, 2^n) int64 array.  best is the maximum
-    path order; best_mask is the smallest mask of that order holding a
-    state, and best_state its lowest state bit, 2*last + role.  With
-    want_k > 0 the layers stop at the first one >= want_k that holds a
-    state, so best is then min(L, want_k) and reach is filled only up to it.
+    Returns (best, reach): best as a (B,) int64 array, the maximum path
+    order, and reach as a (B, 2^n) int64 array.  With want_k > 0 the layers
+    stop at the first one >= want_k that holds a state, so best is then
+    min(L, want_k) and reach is filled only up to it.
     """
     out_masks = np.asarray(out_masks, dtype=np.int64)
     in_masks = np.asarray(in_masks, dtype=np.int64)
     batch = out_masks.shape[0]
     reach = np.zeros((1 << n, batch), dtype=np.int64)  # row per mask: gathers stay contiguous
     best = np.zeros(batch, dtype=np.int64)
-    best_mask = np.zeros(batch, dtype=np.int64)
-    best_state = np.zeros(batch, dtype=np.int64)
     if n == 0:
-        return best, best_mask, best_state, reach.T
-    layers = _layers(n)
+        return best, reach.T
     pred = _predecessor_states(out_masks, in_masks)
     for v in range(n):
         reach[1 << v] = 3 << (2 * v)
@@ -241,10 +237,27 @@ def run_dp(out_masks, in_masks, n: int, want_k: int = 0):
         if not has.any():
             break
         best[has] = c
+    return best, reach.T
+
+
+def witness_ends(best: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(best_mask, best_state) of run_dp's (best, reach), each as a (B,) int64 array.
+
+    best_mask is the smallest mask of order best holding a state, and
+    best_state its lowest state bit, 2*last + role; both are 0 at order 0.
+    """
+    reach = reach.T  # back to one row per mask
+    batch = reach.shape[1]
+    n = reach.shape[0].bit_length() - 1
+    best_mask = np.zeros(batch, dtype=np.int64)
+    best_state = np.zeros(batch, dtype=np.int64)
+    if n == 0:
+        return best_mask, best_state
+    layers = _layers(n)
     for c in np.flatnonzero(np.bincount(best)).tolist():  # each order some graph reached
         graphs = np.flatnonzero(best == c)
         held = reach[layers[c][:, None], graphs] != 0  # (|layer|, graphs)
         best_mask[graphs] = layers[c][held.argmax(axis=0)]
     lowest = reach[best_mask, np.arange(batch)]
     best_state[:] = np.frexp((lowest & -lowest).astype(np.float64))[1] - 1
-    return best, best_mask, best_state, reach.T
+    return best_mask, best_state

@@ -1,15 +1,20 @@
-"""Exact brute-force ground truth: the subset-DP longest alternating path.
+"""Exact ground truth: the longest alternating path of a graph.
 
-It is exact or refuses via TooLarge.
+Every answer is exact.  A witness and the has-k test come from the subset
+DP.  alt_path_lengths gives L = n to each graph of order at least
+SPAN_CERTIFICATE_ORDER on which a greedy spanning path passes validate
+(no path has more than n vertices), and runs the subset DP on the rest.
+Single-graph calls refuse an order above their budget via TooLarge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from ._dp_kernels import BATCH_CELLS, MAX_DP_ORDER, run_dp
-from .altpath import AlternatingPath, path_from_verts
+from ._dp_kernels import BATCH_CELLS, MAX_DP_ORDER, run_dp, witness_ends
+from .altpath import AlternatingPath, greedy_extend, path_from_verts, validate
 from .errors import BadParams, TooLarge
 from .graph_core import OrientedGraph, bits
 
@@ -62,22 +67,61 @@ def longest_alt_path_exact(
     _check_budget(g, budget)
     if g.n == 0:
         return 0, AlternatingPath((), None)
-    best, bm, bs, reach = run_dp([g.out_masks], [g.in_masks], g.n)
+    best, reach = run_dp([g.out_masks], [g.in_masks], g.n)
+    bm, bs = witness_ends(best, reach)
     seq = _reconstruct(g, reach[0], int(bm[0]), int(bs[0]))
-    best = int(best[0])
-    return best, path_from_verts(g, seq)
+    return int(best[0]), path_from_verts(g, seq)
+
+
+# From this order up, alt_path_lengths tries to certify L = n before the DP.
+# The attempts pay off on dense graphs at every order, but where they all
+# fail they add to a DP that costs less the smaller n is.  Interleaved
+# in-process timings per graph, certificate on against off, two runs
+# (2 cores, no numba; BENCH_span_certificate.json): p=0.25 graphs, where
+# almost none certify, +20-21% at n=12, +15% at 13, +7-9% at 14, +6-9% at
+# 15 and +1-3% at 16; tournaments -97% at n=14 (0.039 against 1.28-1.46 ms)
+# and p=0.5 graphs -24 to -30% at n=14 and -45 to -48% at n=16.
+SPAN_CERTIFICATE_ORDER = 14
+
+
+def _greedy_spans(g: OrientedGraph) -> bool:
+    """Whether greedy extension from one of g's first n arcs (u, v), in
+    increasing (u, v) order, gives a valid alternating path of order n."""
+    arcs = ((u, v) for u in range(g.n) for v in bits(g.out_masks[u]))
+    for arc in islice(arcs, g.n):
+        path = greedy_extend(g, AlternatingPath(arc, True), g.n)
+        if path.order == g.n and validate(g, path):
+            return True
+    return False
+
+
+def _dp_lengths(out_masks: np.ndarray, in_masks: np.ndarray, n: int) -> np.ndarray:
+    """L of each graph from the subset DP, in slices of about BATCH_CELLS reach cells."""
+    size = max(1, BATCH_CELLS >> n)
+    lengths = np.zeros(len(out_masks), dtype=np.int64)
+    for lo in range(0, len(out_masks), size):
+        lengths[lo:lo + size] = run_dp(out_masks[lo:lo + size], in_masks[lo:lo + size], n)[0]
+    return lengths
 
 
 def alt_path_lengths(out_masks: np.ndarray, in_masks: np.ndarray, n: int) -> np.ndarray:
     """Maximum alternating-path order of each graph in a (B, n) mask batch, as (B,) int64.
 
-    The batch runs through the kernel in slices of about BATCH_CELLS reach
-    cells; the order is not checked against any budget.
+    Exact on every row.  From order SPAN_CERTIFICATE_ORDER up, a row whose
+    greedy spanning path validates gets L = n, and only the other rows go
+    to the subset DP; below it every row does.  The order is not checked
+    against any budget.
     """
-    size = max(1, BATCH_CELLS >> n)
-    lengths = np.zeros(len(out_masks), dtype=np.int64)
-    for lo in range(0, len(out_masks), size):
-        lengths[lo:lo + size] = run_dp(out_masks[lo:lo + size], in_masks[lo:lo + size], n)[0]
+    if n < SPAN_CERTIFICATE_ORDER:
+        return _dp_lengths(out_masks, in_masks, n)
+    spans = np.array(
+        [_greedy_spans(OrientedGraph(n, tuple(o), tuple(i)))
+         for o, i in zip(out_masks.tolist(), in_masks.tolist())],
+        dtype=bool,
+    )
+    rest = ~spans
+    lengths = np.full(len(out_masks), n, dtype=np.int64)
+    lengths[rest] = _dp_lengths(out_masks[rest], in_masks[rest], n)
     return lengths
 
 
@@ -87,6 +131,6 @@ def has_alt_path_k(g: OrientedGraph, k: int, budget: OracleBudget = DEFAULT_BUDG
         return True
     if k > g.n:
         return False
-    best, _, _, _ = run_dp([g.out_masks], [g.in_masks], g.n, want_k=k)
+    best, _ = run_dp([g.out_masks], [g.in_masks], g.n, want_k=k)
     return int(best[0]) >= k
 

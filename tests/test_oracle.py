@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from altpaths import _dp_kernels, errors
-from altpaths.altpath import validate
+from altpaths import _dp_kernels, errors, oracle
+from altpaths.altpath import AlternatingPath, validate
 from altpaths.graph_core import (
     blowup_directed_cycle,
     decode_codes,
@@ -107,6 +107,12 @@ class TestRespectableEndpoints:
         assert brute_respectable_endpoints(g, {0, 1}, {2, 3}) == (set(), set())
 
 
+def run_dp_ends(out_masks, in_masks, n, want_k=0):
+    """run_dp with witness_ends' tail: (best, best_mask, best_state, reach)."""
+    best, reach = run_dp(out_masks, in_masks, n, want_k=want_k)
+    return (best, *_dp_kernels.witness_ends(best, reach), reach)
+
+
 class TestKernelTwins:
     """The numpy kernel against the plain-int reference DP in _brute."""
 
@@ -124,7 +130,7 @@ class TestKernelTwins:
 
     def test_matches_reference(self):
         for g in self._graphs():
-            best, bm, bs, reach = run_dp([g.out_masks], [g.in_masks], g.n)
+            best, bm, bs, reach = run_dp_ends([g.out_masks], [g.in_masks], g.n)
             ref_best, ref_bm, ref_bs, ref_reach = self._reference(g)
             assert reach.shape == (1, 1 << g.n)
             assert reach[0].tolist() == ref_reach
@@ -137,11 +143,11 @@ class TestKernelTwins:
     def test_mixed_batch_matches_single_calls(self):
         # densities 0 to 0.9, so the batch holds graphs whose layers stop early
         graphs = [random_oriented(7, 0.1 * (i % 10), 40 + i) for i in range(30)]
-        best, bm, bs, reach = run_dp(
+        best, bm, bs, reach = run_dp_ends(
             [g.out_masks for g in graphs], [g.in_masks for g in graphs], 7
         )
         for i, g in enumerate(graphs):
-            one = run_dp([g.out_masks], [g.in_masks], 7)
+            one = run_dp_ends([g.out_masks], [g.in_masks], 7)
             assert (best[i], bm[i], bs[i]) == (one[0][0], one[1][0], one[2][0])
             assert reach[i].tolist() == one[3][0].tolist()
         out_masks = np.array([g.out_masks for g in graphs])
@@ -152,10 +158,10 @@ class TestKernelTwins:
         for g in self._graphs():
             if g.n == 0:
                 continue
-            full_best, full_bm, full_bs, full_reach = run_dp([g.out_masks], [g.in_masks], g.n)
+            full_best, full_bm, full_bs, full_reach = run_dp_ends([g.out_masks], [g.in_masks], g.n)
             length = int(full_best[0])
             for want_k in range(1, g.n + 2):
-                best, bm, bs, reach = run_dp([g.out_masks], [g.in_masks], g.n, want_k=want_k)
+                best, bm, bs, reach = run_dp_ends([g.out_masks], [g.in_masks], g.n, want_k=want_k)
                 assert best[0] == min(length, want_k)
                 assert (best[0] >= want_k) == (self._reference(g, want_k)[0] >= want_k)
                 if length <= want_k:
@@ -186,12 +192,12 @@ class TestPullBlocks:
                 refs[key] = alt_path_dp_py(list(key[0]), list(key[1]), reach, 0), reach
         rows = [refs[(tuple(o.tolist()), tuple(i.tolist()))] for o, i in zip(out_masks, in_masks)]
         popcount = np.array([m.bit_count() for m in range(1 << n)])
-        best, bm, bs, reach = run_dp(out_masks, in_masks, n)
+        best, bm, bs, reach = run_dp_ends(out_masks, in_masks, n)
         for b, ((ref_best, ref_bm, ref_bs), ref_reach) in enumerate(rows):
             assert (best[b], bm[b], bs[b]) == (ref_best, ref_bm, ref_bs)
             assert reach[b].tolist() == ref_reach
         for want_k in range(1, n + 2):
-            k_best, k_bm, k_bs, k_reach = run_dp(out_masks, in_masks, n, want_k=want_k)
+            k_best, k_bm, k_bs, k_reach = run_dp_ends(out_masks, in_masks, n, want_k=want_k)
             assert k_best.tolist() == np.minimum(best, want_k).tolist()
             done = best <= want_k
             assert k_bm[done].tolist() == bm[done].tolist()
@@ -245,6 +251,85 @@ class TestPullBlocks:
         best, path = longest_alt_path_exact(g)
         assert best == path.order == 14
         assert validate(g, path)
+
+
+def _masks(graphs):
+    return (
+        np.array([g.out_masks for g in graphs], dtype=np.int64),
+        np.array([g.in_masks for g in graphs], dtype=np.int64),
+    )
+
+
+class TestSpanCertificate:
+    """alt_path_lengths' validated spanning path at orders >= SPAN_CERTIFICATE_ORDER."""
+
+    # order 14 with L = 14, but greedy extension from none of its first 14
+    # arcs reaches order 14, so only the DP can give its L
+    UNCERTIFIED_SPANNING = (14, 0.5, 1)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        batches = []
+        real = oracle.run_dp
+
+        def spy(out_masks, in_masks, n, want_k=0):
+            batches.append(np.array(out_masks))
+            return real(out_masks, in_masks, n, want_k)
+
+        monkeypatch.setattr(oracle, "run_dp", spy)
+        return batches
+
+    def test_matches_dp(self):
+        for n in range(13, 17):
+            for p in (0.25, 0.5, 1.0):
+                seed = 5000 + 100 * n + 10 * int(4 * p)
+                graphs = [random_oriented(n, p, seed + i) for i in range(8)]
+                out_masks, in_masks = _masks(graphs)
+                assert alt_path_lengths(out_masks, in_masks, n).tolist() == \
+                    run_dp(out_masks, in_masks, n)[0].tolist()
+
+    def test_small_cases(self):
+        edgeless = from_edge_list([], 14)
+        one_arc = from_edge_list([(3, 9)], 14)
+        assert alt_path_lengths(*_masks([edgeless, one_arc]), 14).tolist() == [1, 2]
+        none = np.zeros((0, 14), dtype=np.int64)
+        empty = alt_path_lengths(none, none, 14)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+
+    def test_uncertified_spanning_graph_goes_to_dp(self, monkeypatch):
+        g = random_oriented(*self.UNCERTIFIED_SPANNING)
+        assert not oracle._greedy_spans(g)
+        length, path = longest_alt_path_exact(g)
+        assert length == path.order == 14 and validate(g, path)
+        batches = self._spy(monkeypatch)
+        assert alt_path_lengths(*_masks([g]), 14).tolist() == [14]
+        assert [b.tolist() for b in batches] == [[list(g.out_masks)]]
+
+    def test_tournaments_skip_dp(self, monkeypatch):
+        assert oracle.SPAN_CERTIFICATE_ORDER <= 14
+        tournaments = [random_oriented(14, 1.0, 1971 + i) for i in range(16)]
+        sparse = [random_oriented(14, 0.25, 40 + i) for i in range(8)]
+        graphs = [g for pair in zip(tournaments, sparse) for g in pair]
+        expected = run_dp(*_masks(graphs), 14)[0]
+        batches = self._spy(monkeypatch)
+        assert alt_path_lengths(*_masks(tournaments), 14).tolist() == [14] * 16
+        assert batches == []
+        assert alt_path_lengths(*_masks(graphs), 14).tolist() == expected.tolist()
+        # every row below order n, and no tournament, reached the DP
+        assert (expected[1::2] < 14).all()
+        reached = {tuple(row) for batch in batches for row in batch.tolist()}
+        assert reached == {g.out_masks for g in sparse}
+
+    def test_unvalidated_spanning_sequence_is_ignored(self, monkeypatch):
+        # every attempt returns order n, but 0..n-1 does not alternate in these graphs
+        monkeypatch.setattr(
+            oracle, "greedy_extend", lambda g, p, k: AlternatingPath(tuple(range(k)), True)
+        )
+        graphs = [random_oriented(14, 0.25, 40 + i) for i in range(8)]
+        out_masks, in_masks = _masks(graphs)
+        lengths = alt_path_lengths(out_masks, in_masks, 14)
+        assert lengths.tolist() == run_dp(out_masks, in_masks, 14)[0].tolist()
+        assert (lengths < 14).all()
 
 
 class TestPredecessorStates:
@@ -315,7 +400,7 @@ class TestWorkspace:
             for _ in range(3):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                reach = run_dp(*tournament, 14)[3]
+                reach = run_dp(*tournament, 14)[1]
                 assert tracemalloc.get_traced_memory()[1] - before < reach.nbytes + slack
                 del reach
         finally:
