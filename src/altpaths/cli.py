@@ -128,9 +128,7 @@ def _cmd_sweep(args) -> int:
     elif args.mode in ("oddcase", "oddcase-exhaustive"):
         report = harness.run_oddcase_sweep(cfg)
     elif args.mode == "blowup":
-        report = harness.run_blowup_suite(
-            cfg.t_range, cfg.b_range, cfg.stable, cfg.workers, cfg.aggregate_only
-        )
+        report = harness.run_blowup_suite(cfg)
     else:
         report = harness.run_corollary_sweep(cfg)
     if args.out:

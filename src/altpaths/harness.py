@@ -10,9 +10,10 @@ Every sweep kind runs through one driver, _check_order.  A chunk source
 instances into (B, n) mask batches, one per order; the driver takes the
 degrees from degree_columns and L from alt_path_lengths, and runs the
 kind's check column by column.  Only the theorem check builds graphs,
-for the finder where kmax >= 2.  Reports stay columnar from the workers
-to the file: a chunk returns one numpy array per record field, the parent
-writes them into report columns allocated once, and report_batches
+for the finder where kmax >= 2.  Reports have one layout (SweepReport)
+from the driver to the file: the checks write the record-field columns
+themselves, a chunk returns them, the parent writes them into report
+columns allocated once, and report_batches checks the layout once and
 renders the columns in batches of records, which emit_report writes as
 they come.
 """
@@ -107,15 +108,14 @@ class SweepConfig:
 
 @dataclass
 class SweepReport:
-    """A sweep's config, aggregates and records.
+    """A sweep's config, aggregates and records, in the layout _run_chunked makes.
 
     columns maps each RECORD_FIELDS name to a column with one value per
-    record.  n, edges, min_pseudo_semidegree, min_semidegree, oracle_L,
-    rounds and micros are int64 arrays; in the nullable ones (the two degree
-    fields and oracle_L) -1 stands for null.  finder_outcome and violation
-    are object arrays of str, with None for a null violation, and graph_id
-    is a list of str.  A caller may give any column as a list of int, str
-    and None; the renderers convert and check it.
+    record.  graph_id is a list of str.  finder_outcome and violation are
+    object arrays of str, with None for a null violation.  Every other field
+    is an int64 array; in the nullable ones (the two degree fields and
+    oracle_L) -1 stands for null.  records reads the columns as they are;
+    report_batches checks this layout once, before its first batch.
 
     The JSON renderer groups rows by body, every field but graph_id (and
     micros when rows differ in it): it formats each distinct body once and
@@ -133,64 +133,49 @@ class SweepReport:
 
         Mutating the returned list or its dicts does not change the report.
         """
-        columns = _checked_columns(self)
-        rows = zip(*(_native(name, columns[name]) for name in RECORD_FIELDS))
+        rows = zip(*(_native(name, self.columns[name]) for name in RECORD_FIELDS))
         return [dict(zip(RECORD_FIELDS, row)) for row in rows]
 
 
-def _checked_columns(report: SweepReport) -> dict[str, np.ndarray]:
-    """report.columns as typed arrays, one per RECORD_FIELDS name, all of one length.
+def _check_columns(columns: dict) -> None:
+    """Raise TypeError unless the columns have SweepReport's layout.
 
-    Missing or extra fields, unequal lengths and a value off its field's
-    type (a bool, a float, a str in an int field, a negative int, a null
-    where the field is not nullable) raise TypeError.
+    Missing or extra fields, unequal lengths, a list where an array belongs
+    (or an array for graph_id), an array that is not one-dimensional or not
+    of its field's dtype, a negative int (below -1 where the field is
+    nullable) and a str column holding anything but str (or None in
+    violation) all raise.
     """
-    columns = report.columns
     if columns.keys() != set(RECORD_FIELDS):
         raise TypeError(f"report columns {sorted(columns)} are not the record fields")
     lengths = {name: len(column) for name, column in columns.items()}
     if len(set(lengths.values())) > 1:
         raise TypeError(f"report columns have unequal lengths {lengths}")
-    return {name: _typed(name, columns[name]) for name in RECORD_FIELDS}
+    for name in RECORD_FIELDS:
+        column = columns[name]
+        if name == "graph_id":
+            if not isinstance(column, list):
+                raise TypeError(f"report column 'graph_id' is {type(column).__name__}, not a list")
+            values = column
+        else:
+            if not isinstance(column, np.ndarray) or column.ndim != 1:
+                raise TypeError(f"report column {name!r} is not a one-dimensional array")
+            if column.dtype != (object if name in _STR_FIELDS else np.int64):
+                raise TypeError(f"report column {name!r} has dtype {column.dtype}")
+            if name not in _STR_FIELDS:
+                if column.size and column.min() < (-1 if name in _NULLABLE else 0):
+                    raise TypeError(f"report column {name!r} holds a negative int")
+                continue
+            values = column.tolist()
+        off = set(map(type, values)) - {str} - ({type(None)} if name in _NULLABLE else set())
+        if off:
+            raise TypeError(f"report column {name!r} holds {sorted(t.__name__ for t in off)}")
 
 
-def _typed(name: str, column) -> np.ndarray:
-    """One report column as an int64 array (-1 for null) or an object array of str and None."""
-    nullable = name in _NULLABLE
-    kind = str if name in _STR_FIELDS else int
-    if isinstance(column, np.ndarray):
-        if column.ndim != 1:
-            raise TypeError(f"report column {name!r} is not one-dimensional")
-        if kind is int and column.dtype.kind in "iu":
-            # uint64 values past int64 wrap to negative and fail the check
-            typed = column.astype(np.int64, copy=False)
-            if typed.size and typed.min() < (-1 if nullable else 0):
-                raise TypeError(f"report column {name!r} holds a negative int")
-            return typed
-        values = column.tolist()
-    else:
-        values = list(column)
-    off = set(map(type, values)) - {kind} - ({type(None)} if nullable else set())
-    if kind is int:  # numpy's integer scalars, as list() of an int array gives them
-        off = {t for t in off if not issubclass(t, np.integer)}
-    if off:
-        raise TypeError(f"report column {name!r} holds {sorted(t.__name__ for t in off)}")
-    if kind is str:
-        if isinstance(column, np.ndarray) and column.dtype == object:
-            return column
-        typed = np.empty(len(values), dtype=object)
-        typed[:] = values
-        return typed
-    if any(value < 0 for value in values if value is not None):
-        raise TypeError(f"report column {name!r} holds a negative int")
-    try:
-        return np.array([-1 if value is None else value for value in values], dtype=np.int64)
-    except OverflowError as exc:
-        raise TypeError(f"report column {name!r} holds an int beyond int64") from exc
-
-
-def _native(name: str, column: np.ndarray) -> list:
-    """A typed column's values as int, str and None."""
+def _native(name: str, column: np.ndarray | list) -> list:
+    """A report column's values as int, str and None."""
+    if isinstance(column, list):
+        return column
     if column.dtype == object or name not in _NULLABLE:
         return column.tolist()
     values = column.astype(object)
@@ -232,77 +217,61 @@ def _merge_agg(into: dict, other: dict) -> None:
 # --- the sweep driver: one order at a time, column by column ---------------
 
 
-@dataclass
-class _Columns:
-    """Graphs of one order as (B,) columns; -1 stands for None in the int columns."""
-
-    n: int
-    out_masks: np.ndarray
-    in_masks: np.ndarray
-    b: np.ndarray | None  # blow-up class size of each row
-    semi: np.ndarray
-    pseudo: np.ndarray
-    edges: np.ndarray
-    length: np.ndarray
-    outcome: np.ndarray  # finder_outcome strings, dtype object
-    rounds: np.ndarray
-    micros: np.ndarray
-    violation: dict[int, str]
-
-
-def _flag(cols: _Columns, agg: dict, key: str, bad: np.ndarray, text: str, *values) -> None:
+def _flag(cols: dict, agg: dict, key: str, bad: np.ndarray, text: str, *values) -> None:
     """Rows where bad holds get text.format(their values) as violation; agg[key] counts them."""
     rows = np.flatnonzero(bad)
-    for i, *row in zip(rows.tolist(), *(column[rows].tolist() for column in values)):
-        cols.violation[i] = text.format(*row)
+    cols["violation"][rows] = [
+        text.format(*row) for row in zip(*(column[rows].tolist() for column in values))
+    ]
     agg[key] += rows.size
 
 
-def _theorem_check(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
+def _theorem_check(cfg: SweepConfig, cols: dict, agg: dict, out_masks, in_masks, b) -> None:
     """L >= kmax on every row, and a valid order-kmax path from the finder where kmax >= 2."""
-    kmax = np.where(cols.pseudo > 0, max_k_for(cols.pseudo), 0)
-    text = "counterexample:L={}<k={}"
-    _flag(cols, agg, "counterexamples", cols.length < kmax, text, cols.length, kmax)
+    pseudo, length = cols["min_pseudo_semidegree"], cols["oracle_L"]
+    kmax = np.where(pseudo > 0, max_k_for(pseudo), 0)
+    _flag(cols, agg, "counterexamples", length < kmax, "counterexample:L={}<k={}", length, kmax)
     # find_alternating_path at k = 1 returns a one-vertex path after 0 rounds
-    cols.outcome[kmax == 1] = "found"
+    cols["finder_outcome"][kmax == 1] = "found"
     budget = EngineBudget(oracle=OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp))
     timed = not cfg.stable
+    n = out_masks.shape[1]
     rows = np.flatnonzero(kmax >= 2)
-    outs, ins = cols.out_masks[rows].tolist(), cols.in_masks[rows].tolist()
-    for i, out_masks, in_masks, k in zip(rows.tolist(), outs, ins, kmax[rows].tolist()):
-        g = OrientedGraph(cols.n, tuple(out_masks), tuple(in_masks))
+    outs, ins = out_masks[rows].tolist(), in_masks[rows].tolist()
+    for i, row_out, row_in, k in zip(rows.tolist(), outs, ins, kmax[rows].tolist()):
+        g = OrientedGraph(n, tuple(row_out), tuple(row_in))
         t0 = _now_micros() if timed else 0
         out = find_alternating_path(g, k, budget)
         ok = out.outcome == "found" and out.path.order == k and validate(g, out.path)
         if timed:
-            cols.micros[i] = _now_micros() - t0
-        cols.outcome[i], cols.rounds[i] = out.outcome, out.rounds
+            cols["micros"][i] = _now_micros() - t0
+        cols["finder_outcome"][i], cols["rounds"][i] = out.outcome, out.rounds
         if not ok:
-            cols.violation[i] = cols.violation.get(i, "") + f"|finder:{out.outcome}"
+            cols["violation"][i] = (cols["violation"][i] or "") + f"|finder:{out.outcome}"
             agg["finder_failures"] += 1
 
 
-def _oddcase_check(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
+def _oddcase_check(cfg: SweepConfig, cols: dict, agg: dict, out_masks, in_masks, b) -> None:
     """An odd L is at least twice the pseudo-semidegree minus one."""
-    pseudo, length = cols.pseudo, cols.length
+    pseudo, length = cols["min_pseudo_semidegree"], cols["oracle_L"]
     bad = (pseudo >= 0) & (length % 2 == 1) & (length < 2 * pseudo - 1)
     _flag(cols, agg, "violations", bad, "oddcase:L={}<2*{}-1", length, pseudo)
 
 
-def _corollary_check(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
+def _corollary_check(cfg: SweepConfig, cols: dict, agg: dict, out_masks, in_masks, b) -> None:
     """L >= k; every row is a tournament that clears the edge bound (run_corollary_sweep)."""
-    text = f"corollary:L={{}}<k={cfg.k}"
-    _flag(cols, agg, "violations", cols.length < cfg.k, text, cols.length)
+    length = cols["oracle_L"]
+    _flag(cols, agg, "violations", length < cfg.k, f"corollary:L={{}}<k={cfg.k}", length)
 
 
-def _blowup_check(cfg: SweepConfig, cols: _Columns, agg: dict) -> None:
+def _blowup_check(cfg: SweepConfig, cols: dict, agg: dict, out_masks, in_masks, b) -> None:
     """Class size b gives minimum semidegree b and L = 2b."""
-    semi, length, b = cols.semi, cols.length, cols.b
+    semi, length = cols["min_semidegree"], cols["oracle_L"]
     bad = (semi != b) | (length != 2 * b)
     _flag(cols, agg, "violations", bad, "blowup:semideg={},L={},b={}", semi, length, b)
 
 
-# instance kind -> its check, given every column and L
+# instance kind -> its check, given the record columns with L, the masks and the class sizes
 _CHECKS = {
     "theorem": _theorem_check,
     "oddcase": _oddcase_check,
@@ -313,49 +282,42 @@ _CHECKS = {
 
 def _check_order(
     cfg: SweepConfig, kind: str, out_masks: np.ndarray, in_masks: np.ndarray, agg: dict, b=None
-) -> _Columns:
+) -> dict[str, np.ndarray]:
     """Degrees, L and the kind's check for a (B, n) mask batch of one order.
 
-    An order above max_n_subset_dp is skipped whole, without L.  A row's
-    non-stable `micros` is its finder time, 0 where no finder runs.
+    Returns one (B,) column per record field after graph_id, keyed by its
+    name; _chunk_result gathers them into the report's dtypes.  An order
+    above max_n_subset_dp is skipped whole, without L.  A row's non-stable
+    `micros` is its finder time, 0 where no finder runs.
     """
     size, n = out_masks.shape
     semi, pseudo, edges = degree_columns(out_masks, in_masks)
-    cols = _Columns(
-        n, out_masks, in_masks, b, semi, pseudo, edges,
-        length=np.full(size, -1),
-        outcome=np.full(size, "", dtype=object),
-        rounds=np.zeros(size, dtype=np.int64),
-        micros=np.zeros(size, dtype=np.int64),
-        violation={},
-    )
+    cols = {
+        "n": np.full(size, n, dtype=np.int64),
+        "edges": edges,
+        "min_pseudo_semidegree": pseudo,
+        "min_semidegree": semi,
+        "oracle_L": np.full(size, -1, dtype=np.int64),
+        "finder_outcome": np.full(size, "", dtype=object),
+        "rounds": np.zeros(size, dtype=np.int64),
+        "micros": np.zeros(size, dtype=np.int64),
+        "violation": np.full(size, None, dtype=object),
+    }
     agg["instances"] += size
     if n > cfg.max_n_subset_dp:
-        cols.violation = dict.fromkeys(range(size), "skipped:TooLarge")
+        cols["violation"][:] = "skipped:TooLarge"
         agg["skipped"] += size
         return cols
-    cols.length = alt_path_lengths(out_masks, in_masks, n)
+    length = cols["oracle_L"] = alt_path_lengths(out_masks, in_masks, n)
     # least L at each pseudo-semidegree; L <= n marks one that occurs.  (np.unique
     # would import numpy.ma in every pool worker.)
     least = np.full(n + 1, n + 1)
     defined = pseudo >= 0
-    np.minimum.at(least, pseudo[defined], cols.length[defined])
+    np.minimum.at(least, pseudo[defined], length[defined])
     for p in np.flatnonzero(least <= n).tolist():
         _lower_frontier(agg["frontier"], str(p), int(least[p]))
-    _CHECKS[kind](cfg, cols, agg)
+    _CHECKS[kind](cfg, cols, agg, out_masks, in_masks, b)
     return cols
-
-
-# the _Columns attribute that holds each record field after graph_id and n
-_FIELD_COLUMNS = {
-    "edges": "edges",
-    "min_pseudo_semidegree": "pseudo",
-    "min_semidegree": "semi",
-    "oracle_L": "length",
-    "finder_outcome": "outcome",
-    "rounds": "rounds",
-    "micros": "micros",
-}
 
 
 def _empty_fields(size: int) -> dict[str, np.ndarray]:
@@ -367,20 +329,17 @@ def _empty_fields(size: int) -> dict[str, np.ndarray]:
 
 
 def _chunk_result(
-    cfg: SweepConfig, lo: int, parts: list[tuple[np.ndarray, _Columns]]
+    cfg: SweepConfig, lo: int, parts: list[tuple[np.ndarray, dict[str, np.ndarray]]]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Instances lo.. in index order: their indexes, and one array per record field after graph_id.
 
     parts pairs each order's columns with the chunk rows they hold.  Every
-    row is kept, or only the violating ones when aggregate_only.  Int
-    columns are int64, with -1 for null where the field is nullable.
+    row is kept, or only the violating ones when aggregate_only.
     """
     fields = _empty_fields(sum(rows.size for rows, _ in parts))
     for rows, cols in parts:
-        fields["n"][rows] = cols.n
-        for name, attr in _FIELD_COLUMNS.items():
-            fields[name][rows] = getattr(cols, attr)
-        fields["violation"][rows[list(cols.violation)]] = list(cols.violation.values())
+        for name, column in cols.items():
+            fields[name][rows] = column
     violation = fields["violation"]
     if cfg.aggregate_only:
         keep = np.flatnonzero(np.not_equal(violation, None))
@@ -561,18 +520,10 @@ def run_oddcase_sweep(cfg: SweepConfig) -> SweepReport:
     raise BadParams(f"odd-case sweep does not support mode {cfg.mode!r}")
 
 
-def run_blowup_suite(
-    t_range: tuple[int, int] = (3, 5),
-    b_range: tuple[int, int] = (1, 3),
-    stable: bool = False,
-    workers: int = 1,
-    aggregate_only: bool = False,
-) -> SweepReport:
+def run_blowup_suite(cfg: SweepConfig) -> SweepReport:
     """Tightness construction: class size b forces semidegree b and maximum order 2b."""
-    cfg = SweepConfig(
-        mode="blowup", t_range=t_range, b_range=b_range, stable=stable, workers=workers,
-        aggregate_only=aggregate_only,
-    )
+    if cfg.mode != "blowup":
+        raise BadParams(f"blow-up suite does not support mode {cfg.mode!r}")
     names = [f"blowup-{t}x{b}" for t, b in _blowup_params(cfg)]
     return _run_chunked(cfg, len(names), _blowup_chunk, "blowup", names.__getitem__)
 
@@ -671,7 +622,7 @@ def _body_lines(columns: dict[str, np.ndarray], keys: list[str], first: np.ndarr
 def _json_text(head: str, columns: dict[str, np.ndarray]):
     # head ends with the closing "\n}"; "records" sorts after both keys
     ids, micros = columns["graph_id"], columns["micros"]
-    if not ids.size:
+    if not ids:
         yield head[:-2] + ',\n  "records": []\n}\n'
         return
     yield head[:-2] + ',\n  "records": [\n'
@@ -688,19 +639,19 @@ def _json_text(head: str, columns: dict[str, np.ndarray]):
     heads = np.array([f'    {{\n{text}      "graph_id": ' for text in opening], dtype=object)
     tails = np.array([f"{text}\n    }},\n" for text in closing], dtype=object)
     width = 5 if timed else 3
-    for lo in range(0, ids.size, _BATCH_ROWS):
-        hi = min(lo + _BATCH_ROWS, ids.size)
+    for lo in range(0, len(ids), _BATCH_ROWS):
+        hi = min(lo + _BATCH_ROWS, len(ids))
         rows = codes[lo:hi]
         pieces = [""] * (width * (hi - lo))
         pieces[0::width] = heads[rows].tolist()
-        pieces[1::width] = map(encode_basestring_ascii, ids[lo:hi].tolist())
+        pieces[1::width] = map(encode_basestring_ascii, ids[lo:hi])
         if timed:
             pieces[2::width] = [',\n      "micros": '] * (hi - lo)
             pieces[3::width] = map(int.__repr__, micros[lo:hi].tolist())
         pieces[width - 1::width] = tails[rows].tolist()
         text = "".join(pieces)
         # the last record closes the list and the document instead
-        yield text if hi < ids.size else text[:-2] + "\n  ]\n}\n"
+        yield text if hi < len(ids) else text[:-2] + "\n  ]\n}\n"
 
 
 def _csv_text(columns: dict[str, np.ndarray]):
@@ -732,7 +683,8 @@ def report_batches(report: SweepReport, fmt: str) -> Iterator[str]:
     """
     if fmt not in ("json", "csv"):
         raise BadParams(f"unknown report format {fmt!r}")
-    columns = _checked_columns(report)
+    columns = report.columns
+    _check_columns(columns)
     if fmt == "csv":
         return _csv_text(columns)
     head = json.dumps(

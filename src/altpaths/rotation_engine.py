@@ -257,6 +257,10 @@ def lemma_forgotten_check(g: OrientedGraph, frame: ParityFrame) -> Certificate |
     least l vertices of source->sink degree at most l+1.  The certificate
     names the least such vertex: a source's out-degree into the sinks, or
     a sink's in-degree from the sources.
+
+    At m = 2 it fails every frame: its first level is l = 1 with bound 2,
+    and no degree into a 2-vertex class exceeds 2.  Its certificate may
+    then name a vertex joined to every vertex of the other class.
     """
     sources = tuple(sorted(frame.sources))
     sinks = tuple(sorted(frame.sinks))
@@ -279,7 +283,16 @@ def lemma_forgotten_check(g: OrientedGraph, frame: ParityFrame) -> Certificate |
 
 @dataclass
 class EngineBudget:
-    rounds: int | None = None  # default 4*k
+    """Limits on one find: its rounds, and the oracle it falls back to.
+
+    The greedy seed has order at least 2 and every round that does not end
+    the find lengthens the path by at least one vertex, so a find at order
+    k makes at most k - 2 rounds.  The default cap, max(4k, 8), therefore
+    never binds: BudgetExceeded comes only from an explicit rounds below
+    k - 2.
+    """
+
+    rounds: int | None = None  # default max(4k, 8)
     oracle: OracleBudget = field(default_factory=OracleBudget)
 
     def __post_init__(self):

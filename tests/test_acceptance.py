@@ -90,7 +90,8 @@ class TestCriterion2FinderVsCondition:
 
 class TestCriterion3BlowupTightness:
     def test_grid(self):
-        report = run_blowup_suite(t_range=(3, 5), b_range=(1, 3), stable=True)
+        cfg = SweepConfig(mode="blowup", t_range=(3, 5), b_range=(1, 3), stable=True)
+        report = run_blowup_suite(cfg)
         assert report.aggregates["instances"] == 9
         assert report.aggregates["violations"] == 0
         assert report.aggregates["skipped"] == 0

@@ -35,6 +35,10 @@ from _brute import brute_graph_from_code
 from _reports import report_to_csv, report_to_json
 
 
+def _blowup(**fields) -> SweepReport:
+    return run_blowup_suite(SweepConfig(mode="blowup", **fields))
+
+
 class TestMaxKFor:
     def test_values(self):
         # largest k with 8*pseudo > 5*k
@@ -111,13 +115,18 @@ class TestOddcaseSweep:
 
 class TestBlowupSuite:
     def test_default_grid(self):
-        report = run_blowup_suite(stable=True)
+        report = _blowup(stable=True)
         assert report.aggregates["instances"] == 9
         assert report.aggregates["violations"] == 0
         for rec in report.records:
             t, b = map(int, rec["graph_id"].removeprefix("blowup-").split("x"))
             assert rec["n"] == t * b
             assert rec["oracle_L"] == 2 * b
+
+    def test_rejects_other_modes(self):
+        for mode in ("exhaustive", "random", "corollary", "oddcase"):
+            with pytest.raises(errors.BadParams):
+                run_blowup_suite(SweepConfig(mode=mode, n=6, samples=5))
 
 
 class TestCorollarySweep:
@@ -211,29 +220,29 @@ class TestReportEncoder:
         self._assert_matches_reference(run_corollary_sweep(cfg))
 
     def test_blowup(self):
-        self._assert_matches_reference(run_blowup_suite(stable=True))
+        self._assert_matches_reference(_blowup(stable=True))
 
     def test_string_escapes(self):
-        base = run_blowup_suite(t_range=(3, 3), b_range=(1, 1), stable=True)
-        columns = {name: list(column) * 2 for name, column in base.columns.items()}
-        columns["violation"] = [None, 'a"b\\c\nd\u00e9\u2603']
+        base = _blowup(t_range=(3, 3), b_range=(1, 1), stable=True)
+        columns = _repeated(base, 2)
+        columns["violation"] = _objects([None, 'a"b\\c\nd\u00e9\u2603'])
         report = SweepReport(base.config, columns, base.aggregates)
         text = report_to_json(report)
         assert text.isascii()
         assert text == _reference_json(report)
 
     def test_record_off_template_raises(self):
-        base = run_blowup_suite(t_range=(3, 3), b_range=(1, 1), stable=True)
-        columns = {name: list(column) * 2 for name, column in base.columns.items()}
+        base = _blowup(t_range=(3, 3), b_range=(1, 1), stable=True)
+        columns = _repeated(base, 2)
         missing = {name: column for name, column in columns.items() if name != "micros"}
         bad_columns = [
-            dict(columns, extra=[1, 1]),
+            dict(columns, extra=np.array([1, 1])),
             missing,
-            dict(missing, millis=[0, 0]),
-            dict(columns, micros=[0, 1.5]),
-            dict(columns, violation=[None, ["x"]]),
+            dict(missing, millis=np.array([0, 0])),
+            dict(columns, micros=np.array([0, 1.5])),
+            dict(columns, violation=_objects([None, ["x"]])),
             dict(columns, graph_id=["blowup-3x1", 7]),
-            dict(columns, rounds=[0]),
+            dict(columns, rounds=np.array([0])),
         ]
         for bad in bad_columns:
             report = SweepReport(base.config, bad, base.aggregates)
@@ -241,7 +250,7 @@ class TestReportEncoder:
                 report_to_json(report)
 
     def test_records_are_a_copy(self):
-        report = run_blowup_suite(t_range=(3, 3), b_range=(1, 2), stable=True)
+        report = _blowup(t_range=(3, 3), b_range=(1, 2), stable=True)
         text = report_to_json(report)
         records = report.records
         records[0]["violation"] = "changed"
@@ -295,16 +304,33 @@ def record_columns(draw):
     return {"mode": "random", "aggregate_only": aggregate_only}, columns
 
 
+def _objects(values: list) -> np.ndarray:
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
 def _as_arrays(columns: dict) -> dict:
-    """The columns as a sweep holds them: int64 with -1 for null, and object arrays of str."""
+    """Columns of int, str and None in the report layout.
+
+    graph_id stays a list of str; finder_outcome and violation become
+    object arrays, and the int fields int64 arrays with -1 for null.
+    """
     arrays = {}
     for name, values in columns.items():
-        if name in STR_FIELDS:
-            arrays[name] = np.empty(len(values), dtype=object)
-            arrays[name][:] = values
+        if name == "graph_id":
+            arrays[name] = list(values)
+        elif name in STR_FIELDS:
+            arrays[name] = _objects(values)
         else:
             arrays[name] = np.array([-1 if v is None else v for v in values], dtype=np.int64)
     return arrays
+
+
+def _repeated(report, times: int) -> dict:
+    """The report's records, repeated, as columns in the report layout."""
+    records = report.records * times
+    return _as_arrays({name: [rec[name] for rec in records] for name in harness.RECORD_FIELDS})
 
 
 def _reference_csv(report):
@@ -323,43 +349,48 @@ class TestTypedColumns:
     @settings(max_examples=100, deadline=None)
     def test_renderers_match_the_reference(self, drawn):
         config, columns = drawn
-        from_lists = SweepReport(config, columns, AGGREGATES)
+        report = SweepReport(config, _as_arrays(columns), AGGREGATES)
         records = [dict(zip(harness.RECORD_FIELDS, row))
                    for row in zip(*(columns[name] for name in harness.RECORD_FIELDS))]
-        assert from_lists.records == records
-        json_text, csv_text = _reference_json(from_lists), _reference_csv(from_lists)
-        for report in (from_lists, SweepReport(config, _as_arrays(columns), AGGREGATES)):
-            assert report.records == records
-            assert report_to_json(report) == json_text
-            assert report_to_csv(report) == csv_text
+        assert report.records == records
+        assert report_to_json(report) == _reference_json(report)
+        assert report_to_csv(report) == _reference_csv(report)
 
     def _columns(self):
-        base = run_blowup_suite(t_range=(3, 3), b_range=(1, 2), stable=True)
-        return base, {name: list(column) for name, column in base.columns.items()}
+        base = _blowup(t_range=(3, 3), b_range=(1, 2), stable=True)
+        return base, dict(base.columns)
+
+    # (field, column, the message of the rule that refuses it)
+    OFF_TEMPLATE = [
+        ("rounds", _objects([True, 0]), "dtype object"),
+        ("micros", np.array([0, 1.5]), "dtype float64"),
+        ("edges", _objects([3, "3"]), "dtype object"),
+        ("oracle_L", _objects([None, "2"]), "dtype object"),
+        ("n", np.array([True, False]), "dtype bool"),
+        ("min_semidegree", np.array([1.0, 2.0]), "dtype float64"),
+        ("rounds", np.array([0, -2]), "negative int"),
+        ("oracle_L", np.array([-2, 4]), "negative int"),
+        ("micros", np.array([0, -1]), "negative int"),  # null where the field is not nullable
+        ("graph_id", ["blowup-3x1", 7], r"holds \['int'\]"),
+        ("finder_outcome", _objects(["found", None]), r"holds \['NoneType'\]"),
+        ("violation", _objects([None, b"x"]), r"holds \['bytes'\]"),
+        ("edges", np.zeros((2, 1), dtype=np.int64), "not a one-dimensional array"),
+        ("rounds", [0, 1], "not a one-dimensional array"),
+        ("n", np.array([5, 6], dtype=np.int32), "dtype int32"),
+        ("finder_outcome", np.array(["found", ""]), "dtype <U5"),
+        ("graph_id", _objects(["blowup-3x1", "blowup-3x2"]), "not a list"),
+    ]
 
     @pytest.mark.parametrize(
-        "name, bad",
-        [
-            ("rounds", [True, 0]),
-            ("micros", [0, 1.5]),
-            ("edges", [3, "3"]),
-            ("oracle_L", [None, "2"]),
-            ("n", np.array([True, False])),
-            ("min_semidegree", np.array([1.0, 2.0])),
-            ("rounds", [0, -2]),
-            ("oracle_L", np.array([-2, 4])),
-            ("micros", [0, None]),
-            ("graph_id", ["blowup-3x1", 7]),
-            ("finder_outcome", ["found", None]),
-            ("violation", [None, b"x"]),
-            ("edges", np.zeros((2, 1), dtype=np.int64)),
-        ],
+        "name, bad, rule",
+        OFF_TEMPLATE,
+        ids=[f"{name}-bad{i}" for i, (name, _, _) in enumerate(OFF_TEMPLATE)],
     )
-    def test_off_template_raises_in_both_renderers(self, tmp_path, name, bad):
+    def test_off_template_raises_in_both_renderers(self, tmp_path, name, bad, rule):
         base, columns = self._columns()
         report = SweepReport(base.config, dict(columns, **{name: bad}), base.aggregates)
         for render in (report_to_json, report_to_csv):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match=rule):
                 render(report)
         # the columns are checked before the file is opened
         path = tmp_path / "r.json"
@@ -367,10 +398,37 @@ class TestTypedColumns:
             emit_report(report, "json", str(path))
         assert not path.exists()
 
+    def test_only_the_renderers_check_the_layout(self, monkeypatch, tmp_path):
+        report = _blowup(stable=True)
+        records = report.records
+
+        def refuse(columns):
+            raise TypeError("layout checked")
+
+        monkeypatch.setattr(harness, "_check_columns", refuse)
+        assert report.records == records
+        for fmt in ("json", "csv"):
+            with pytest.raises(TypeError, match="layout checked"):
+                harness.report_batches(report, fmt)
+            path = tmp_path / f"r.{fmt}"
+            with pytest.raises(TypeError, match="layout checked"):
+                emit_report(report, fmt, str(path))
+            assert not path.exists()
+
+    def test_renderers_check_once_per_report(self, monkeypatch):
+        report = _blowup(stable=True)
+        expected = report_to_json(report), report_to_csv(report)
+        check, calls = harness._check_columns, []
+        monkeypatch.setattr(harness, "_check_columns", lambda columns: calls.append(check(columns)))
+        monkeypatch.setattr(harness, "_BATCH_ROWS", 2)  # 9 records in 5 batches
+        assert (report_to_json(report), report_to_csv(report)) == expected
+        assert len(calls) == 2
+
     def test_bad_shapes_raise_in_both_renderers(self):
         base, columns = self._columns()
         missing = {name: column for name, column in columns.items() if name != "micros"}
-        for bad in (dict(columns, rounds=[0]), missing, dict(columns, extra=[1, 1])):
+        short, extra = dict(columns, rounds=np.array([0])), dict(columns, extra=np.array([1, 1]))
+        for bad in (short, missing, extra):
             report = SweepReport(base.config, bad, base.aggregates)
             for render in (report_to_json, report_to_csv):
                 with pytest.raises(TypeError):
@@ -386,7 +444,7 @@ class TestTypedColumns:
             lambda: run_corollary_sweep(
                 SweepConfig(mode="corollary", k=4, n=14, samples=2, seed=5, stable=True)
             ),
-            lambda: run_blowup_suite(t_range=(3, 5), b_range=(1, 5), stable=True),
+            lambda: _blowup(t_range=(3, 5), b_range=(1, 5), stable=True),
         ],
         ids=["exhaustive", "random", "corollary", "blowup"],
     )
@@ -418,7 +476,7 @@ class TestEmitReport:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_write_failure_is_io_failure(self, tmp_path, fmt):
-        report = run_blowup_suite(stable=True)
+        report = _blowup(stable=True)
         with pytest.raises(errors.IoFailure):
             emit_report(report, fmt, str(tmp_path))  # a directory
         if os.path.exists("/dev/full"):  # opens, then every write fails
@@ -427,7 +485,7 @@ class TestEmitReport:
 
     def test_unknown_format_is_bad_params(self, tmp_path):
         with pytest.raises(errors.BadParams):
-            emit_report(run_blowup_suite(stable=True), "xml", str(tmp_path / "r.xml"))
+            emit_report(_blowup(stable=True), "xml", str(tmp_path / "r.xml"))
 
 
 def _sha256(text: str) -> str:
@@ -530,7 +588,7 @@ class TestColumnarExhaustive:
         monkeypatch.setattr(harness, "_now_micros", clock)
         run_theorem_sweep(SweepConfig(mode="exhaustive", n=4, stable=True))
         run_theorem_sweep(SweepConfig(mode="random", n_range=(6, 8), samples=20, stable=True))
-        run_blowup_suite(stable=True)
+        _blowup(stable=True)
 
 
 class TestSweepConfig:
@@ -609,7 +667,7 @@ class TestOneDriver:
 
     def test_blowup_pinned(self):
         # 5x5 has 25 vertices, past the subset-DP bound; 3x4 and 4x3 share an order
-        report = run_blowup_suite(t_range=(3, 5), b_range=(1, 5), stable=True)
+        report = _blowup(t_range=(3, 5), b_range=(1, 5), stable=True)
         skipped = [rec["graph_id"] for rec in report.records if rec["violation"]]
         assert skipped == ["blowup-5x5"]
         assert _sha256(report_to_json(report)) == BLOWUP_SHA256
@@ -649,7 +707,7 @@ class TestOneDriver:
         reports = [
             run_oddcase_sweep(SweepConfig(mode="random", n_range=(6, 9), samples=20, seed=1)),
             run_corollary_sweep(SweepConfig(mode="corollary", k=4, n=14, samples=2)),
-            run_blowup_suite(),
+            _blowup(),
         ]
         assert all(rec["micros"] == 0 for report in reports for rec in report.records)
         cfg = SweepConfig(mode="random", n_range=(5, 9), p=0.8, samples=40, seed=2)

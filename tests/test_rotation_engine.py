@@ -534,6 +534,8 @@ class TestFinder:
         finds = found = 0
         for g, k in _beyond_kmax_family():
             out = find_alternating_path(g, k)
+            # every round but the last lengthens the order-2 seed, so the default cap never binds
+            assert out.rounds <= max(k - 2, 0)
             doc = out.to_json()
             digest.update(json.dumps(doc, sort_keys=True).encode())
             if out.outcome == "found":
