@@ -16,14 +16,23 @@ themselves, a chunk returns them, the parent writes them into report
 columns allocated once, and report_batches checks the layout once and
 renders the columns in batches of records, which emit_report writes as
 they come.
+
+Sweeps on more than one worker run on one pool per process, forked at the
+first such sweep and reused by the next ones while the worker count stays
+the same; it is terminated and joined when the count changes, when a sweep
+raises and at interpreter exit.  Pool workers see this module as it was
+when they forked, so a monkeypatch made after the first pooled sweep does
+not reach them.
 """
 from __future__ import annotations
 
+import atexit
 import csv
 import dataclasses
 import io
 import json
 import multiprocessing
+import os
 import random
 import time
 from collections.abc import Iterator
@@ -441,8 +450,44 @@ def _config_dict(cfg: SweepConfig) -> dict:
     return doc
 
 
+# this process's worker pool as (pid, workers, pool); see _worker_pool
+_pool: tuple[int, int, multiprocessing.pool.Pool] | None = None
+
+
+def _worker_pool(workers: int) -> multiprocessing.pool.Pool:
+    """This process's pool of `workers` processes, forked at its first use and reused after.
+
+    A pool of another size is terminated and joined before the new one
+    forks.  The pool is keyed by pid, so a forked child never uses its
+    parent's pool.
+    """
+    global _pool
+    pid = os.getpid()
+    if _pool is None or _pool[:2] != (pid, workers):
+        _drop_pool()
+        _pool = (pid, workers, multiprocessing.Pool(workers))
+    return _pool[2]
+
+
+@atexit.register
+def _drop_pool() -> None:
+    """Terminate and join this process's pool; forget one inherited from a parent."""
+    global _pool
+    held, _pool = _pool, None
+    if held is not None and held[0] == os.getpid():
+        held[2].terminate()
+        held[2].join()
+
+
 def _run_chunked(cfg: SweepConfig, total: int, worker, kind: str, graph_id) -> SweepReport:
     """Run instances 0..total-1 in chunks on cfg.workers processes, in chunk order.
+
+    Sweeps on more than one worker share this process's pool (_worker_pool):
+    it is forked at the first such sweep and reused while the worker count
+    stays the same, and it is dropped when the count changes, when an
+    exception leaves the collect loop and at exit.  Its workers see module
+    state as of their fork: a change made after that (a monkeypatch, say)
+    reaches only sweeps whose chunks run here, on one worker or in one chunk.
 
     The parent writes each chunk's arrays into report columns allocated
     once for all total rows; an aggregate_only sweep, whose row count is
@@ -468,11 +513,16 @@ def _run_chunked(cfg: SweepConfig, total: int, worker, kind: str, graph_id) -> S
     if cfg.workers <= 1 or len(chunks) <= 1:
         collect(map(worker, chunks))
     else:
-        with multiprocessing.Pool(cfg.workers) as pool:
-            # in chunk order, so the parent collects columns while the workers
-            # run; tasks of several chunks, by Pool.map's rule
-            batch = max(1, len(chunks) // (4 * cfg.workers))
+        pool = _worker_pool(cfg.workers)
+        # in chunk order, so the parent collects columns while the workers
+        # run; tasks of several chunks, by Pool.map's rule
+        batch = max(1, len(chunks) // (4 * cfg.workers))
+        try:
             collect(pool.imap(_pooled, [(worker, chunk) for chunk in chunks], chunksize=batch))
+        except BaseException:
+            # the workers may still be running this sweep's tasks
+            _drop_pool()
+            raise
     if cfg.aggregate_only:
         index = np.concatenate([rows for rows, _ in kept]).tolist()
         columns = {

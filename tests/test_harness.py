@@ -591,6 +591,68 @@ class TestColumnarExhaustive:
         _blowup(stable=True)
 
 
+def _n5_pooled(workers: int) -> tuple[SweepReport, list]:
+    """A stable n=5 sweep on `workers` pool workers, and the pool's worker processes."""
+    report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=5, stable=True, workers=workers))
+    pid, size, pool = harness._pool
+    assert (pid, size) == (os.getpid(), workers)
+    return report, list(pool._pool)
+
+
+class TestWorkerPool:
+    def test_sweeps_reuse_the_pool_until_the_count_changes(self):
+        first, workers = _n5_pooled(2)
+        second, again = _n5_pooled(2)
+        assert [p.pid for p in again] == [p.pid for p in workers]
+        for report in (first, second):
+            assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
+        third, replaced = _n5_pooled(3)
+        assert _sha256(report_to_json(third)) == N5_STABLE_SHA256
+        assert not {p.pid for p in replaced} & {p.pid for p in workers}
+        assert all(p.exitcode is not None for p in workers)
+
+    def test_a_raising_chunk_drops_the_pool(self):
+        _, workers = _n5_pooled(2)
+        cfg = SweepConfig(mode="exhaustive", n=5, stable=True, workers=2)
+        # the kind is looked up in the workers, so the KeyError comes back from them
+        with pytest.raises(KeyError):
+            harness._run_chunked(cfg, 3**10, harness._exhaustive_chunk, "nope", "{}".format)
+        assert harness._pool is None
+        assert all(p.exitcode is not None for p in workers)
+        report, _ = _n5_pooled(2)
+        assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
+
+    def test_a_pool_of_another_pid_is_not_used(self):
+        class Inherited:
+            def __getattr__(self, name):
+                raise AssertionError(f"a parent's pool was used: {name}")
+
+        harness._drop_pool()
+        harness._pool = (os.getppid(), 2, Inherited())
+        report, _ = _n5_pooled(2)
+        assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
+
+    def test_exit_leaves_no_worker(self):
+        code = (
+            "from altpaths import harness\n"
+            "cfg = harness.SweepConfig(mode='exhaustive', n=5, stable=True, workers=2)\n"
+            "assert harness.run_theorem_sweep(cfg).aggregates['instances'] == 3**10\n"
+            "print(*(p.pid for p in harness._pool[2]._pool))\n"
+        )
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
 class TestSweepConfig:
     @pytest.mark.parametrize(
         "fields",
