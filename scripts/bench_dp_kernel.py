@@ -31,10 +31,27 @@ n=22 runs next, so the process's peak RSS read right after it is that of
 the n=22 calls.  Run with the package importable, for example
 
     PYTHONPATH=src python3 scripts/bench_dp_kernel.py
+
+With --against SRC, where SRC is the directory holding another checkout's
+`altpaths` package (its `src`), that package is loaded into the same
+process beside this one, and `run_dp` of both is timed on the same masks
+at each AGAINST_SHAPES shape: one call of each side per alternation, the
+side that goes first switching each time, for about two seconds a side
+(at least 10 alternations) after one warm-up call each.  Each side's
+median ms per call and the share of alternations in which it was faster
+are printed.  Medians of separate runs moved by up to 50% between runs of
+the same code; alternating in one process cancels most of that drift.
+
+    PYTHONPATH=src python3 scripts/bench_dp_kernel.py --against ../other/src
 """
+import argparse
+import importlib
+import importlib.util
 import json
+import os
 import resource
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -48,6 +65,9 @@ SHAPES = [(22, 1), (14, 1), (5, 2000), (6, 2000), (16, 16), (20, 1)]
 
 # (n, B, p) batches timed through alt_path_lengths
 LENGTH_SHAPES = [(14, 64, 1.0), (14, 64, 0.25)]
+
+# (n, B, p) batches timed with --against; p None as in masks()
+AGAINST_SHAPES = [(5, 2000, None), (6, 2000, None), (14, 64, 0.25), (16, 16, None), (20, 1, None)]
 
 
 def masks(n: int, batch: int, p: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +105,63 @@ def row(shape: str, ms: float, faults: float, calls: int, **key) -> dict:
     return {**key, "ms_per_call": round(ms, 3), "minflt_per_call": round(faults, 1), "calls": calls}
 
 
+def load_against(src: str):
+    """run_dp of the altpaths package in src, imported as altpaths_against."""
+    package = os.path.join(os.path.abspath(src), "altpaths")
+    spec = importlib.util.spec_from_file_location(
+        "altpaths_against", os.path.join(package, "__init__.py"),
+        submodule_search_locations=[package],
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module("altpaths_against._dp_kernels").run_dp
+
+
+def against(src: str) -> None:
+    sides = {"this": run_dp, "against": load_against(src)}
+    rows = []
+    for n, batch, p in AGAINST_SHAPES:
+        out_masks, in_masks = masks(n, batch, p)
+        times = {side: [] for side in sides}
+        wins = dict.fromkeys(sides, 0)
+        for kernel in sides.values():
+            kernel(out_masks, in_masks, n)
+        while len(times["this"]) < 10 or min(map(sum, times.values())) < 2.0:
+            order = list(sides) if len(times["this"]) % 2 == 0 else list(sides)[::-1]
+            took = {}
+            for side in order:
+                t0 = time.perf_counter()
+                sides[side](out_masks, in_masks, n)
+                took[side] = time.perf_counter() - t0
+                times[side].append(took[side])
+            wins[min(took, key=took.get)] += 1
+        count = len(times["this"])
+        medians = {side: 1000 * statistics.median(values) for side, values in times.items()}
+        print(
+            f"n={n:2d} B={batch:5d} p={p}  this {medians['this']:9.3f} ms ({wins['this']}/{count})"
+            f"  against {medians['against']:9.3f} ms ({wins['against']}/{count})"
+            f"  against/this {medians['against'] / medians['this']:.2f}"
+        )
+        rows.append({
+            "n": n, "B": batch, "p": p, "alternations": count,
+            "this_ms": round(medians["this"], 3), "against_ms": round(medians["against"], 3),
+            "this_wins": round(wins["this"] / count, 3),
+            "against_wins": round(wins["against"] / count, 3),
+        })
+    print(json.dumps({"against": os.path.abspath(src), "shapes": rows}))
+
+
 def main() -> None:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("--against", metavar="SRC", help="another checkout's src directory")
+    args = ap.parse_args()
+    if args.against:
+        against(args.against)
+        return
+
     def corollary_op(i: int) -> None:
         run_corollary_sweep(SweepConfig(mode="corollary", k=4, n=14, samples=1, stable=True, seed=i))
 

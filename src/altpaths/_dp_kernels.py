@@ -3,7 +3,10 @@
 State encoding: for a vertex subset `mask`, reach[mask] is a bitset over
 (endpoint, role) pairs at bit 2*v + role.  role 1 means the endpoint's
 single path edge leaves it (so the next edge must leave it too); role 0
-means it enters.  Order-1 seeds carry both roles.
+means it enters.  Order-1 seeds carry both roles.  The 2n bits of an
+order-n state word are held in the narrowest unsigned integer type that
+has them (uint8 up to n = 4, uint16 up to 8, uint32 up to 16) and in int64
+above that (word_type), so a small order moves a fraction of the bytes.
 
 One numpy kernel runs a batch of graphs of the same order together.  It
 fills the subsets popcount layer by layer with one pull step per block of
@@ -13,8 +16,9 @@ states of its member w, and ORs the results over the members.  Layer c
 is complete before layer c+1 reads it, and each mask is written once.
 
 The step reads a plan: the source masks (int32) and member vertices (int8)
-of every mask of a layer, in blocks of at most BLOCK_CELLS (source, graph)
-cells, so that the temporaries stay cache-sized whatever the batch.
+of every mask of a layer, in blocks of at most BLOCK_BYTES of (source,
+graph) state words, so that the temporaries stay cache-sized whatever the
+batch and the word type.
 Plans are cached per order up to PLAN_ORDER (2.6 MB of plan at 16).  A
 larger order is cut into groups of masks that share their bits above
 PLAN_ORDER; each group's plan is built on the fly from the cached
@@ -26,10 +30,12 @@ is reused by every later block and call; fresh block-sized arrays would
 grow and trim the malloc heap on every call, so that a call's page faults
 and time would depend on what else the process had allocated.  Each block
 casts its compact plan slices into two reused intp buffers with
-np.copyto, computes the shift amounts in place there, and gathers with
-np.take(..., out=..., mode="clip"): under the default mode="raise" numpy
-buffers `out`, and the plan's indices are in range by construction, so
-"clip" changes nothing.  Whether a layer holds a state is read from the
+np.copyto and gathers with np.take(..., out=..., mode="clip"); np.take
+copies index arrays of any other type to intp, and under the default
+mode="raise" it buffers `out`, while the plan's indices are in range by
+construction, so "clip" changes nothing.  The member indices then become
+the shift amounts, in place for int64 words and cast into a buffer of
+words for narrower ones.  Whether a layer holds a state is read from the
 block results.  run_dp returns the longest order and the filled table;
 witness_ends reads where a longest path ends from that table, for the
 callers that rebuild a witness, gathering each layer at most once and
@@ -42,23 +48,38 @@ from functools import lru_cache
 
 import numpy as np
 
-# Batches are cut so that B * 2^n stays near this many reach cells (8 MB of
-# int64), whatever the order; a single graph always runs.
-BATCH_CELLS = 1 << 20
+# Batches are cut so that the B * 2^n state words of reach stay near this
+# many bytes, whatever the order; a single graph always runs.
+BATCH_BYTES = 8 << 20
 
 # 2*v + role must fit below the sign bit of an int64 state word.
 MAX_DP_ORDER = 31
 
-# One pull step gathers at most this many (source, graph) cells, except
-# that a block always holds at least one mask.
-BLOCK_CELLS = 1 << 15
+# One pull step gathers at most this many bytes of (source, graph) state
+# words, except that a block always holds at least one mask.
+BLOCK_BYTES = 1 << 18
 
 # Plans are cached for orders up to this one; n * 2^(n-1) cells of 5 bytes.
 PLAN_ORDER = 16
 
-# The role-0 and role-1 state bits of a state word.
+# The role-0 and role-1 state bits of an int64 state word.
 _ROLE0 = sum(1 << (2 * v) for v in range(MAX_DP_ORDER))
 _ROLE1 = _ROLE0 << 1
+
+
+def word_type(n: int) -> np.dtype:
+    """The dtype of order-n state words: the narrowest unsigned one of 2n bits, int64 above 32."""
+    for word in (np.uint8, np.uint16, np.uint32):
+        if 2 * n <= np.iinfo(word).bits:
+            return np.dtype(word)
+    return np.dtype(np.int64)
+
+
+@lru_cache(maxsize=None)
+def _roles(word: np.dtype) -> tuple[np.generic, np.generic]:
+    """The role-0 and role-1 state bits of a state word of this dtype."""
+    bits = (1 << 8 * word.itemsize) - 1
+    return word.type(_ROLE0 & bits), word.type(_ROLE1 & bits)
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +115,7 @@ def _layer_blocks(n: int, c: int, batch: int):
     """
     low = min(n, PLAN_ORDER)
     low_layers, low_plan = _layers(low), _plan(low)
-    rows = max(1, BLOCK_CELLS // (c * batch))
+    rows = max(1, BLOCK_BYTES // (c * batch * word_type(n).itemsize))
     for high in range(1 << (n - low)):
         j = c - high.bit_count()
         if not 0 <= j <= low:
@@ -144,36 +165,47 @@ class _Workspace(threading.local):
 
     Each buffer grows to the largest block seen and is then reused by every
     later block and call, so filling a layer allocates nothing per block.
-    The shaped views of the last few block shapes are kept too, since
-    slicing and reshaping five views costs more than a small block's
-    arithmetic.  A block writes every cell of its views before it reads
-    them, and run_dp copies what it returns out of them.
+    The state-word buffers (cells, shift and new) are sized in bytes and
+    viewed as the block's word type; the index buffers stay intp, since
+    np.take copies indices of any other type to intp.  The shaped views of
+    the last few block shapes are kept too, since slicing and reshaping six
+    views costs more than a small block's arithmetic.  A block writes every
+    cell of its views before it reads them, and run_dp copies what it
+    returns out of them.
     """
 
     def __init__(self):
-        self.cells = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        self.cells = (np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8))
         self.index = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-        self.new = np.empty(0, dtype=np.int64)
-        self.shaped = {}  # (c, rows, batch) -> views of the current buffers
+        self.shift = np.empty(0, dtype=np.uint8)
+        self.new = np.empty(0, dtype=np.uint8)
+        self.shaped = {}  # (c, rows, batch, word) -> views of the current buffers
 
-    def views(self, c: int, rows: int, batch: int):
-        """(states, role1, src, shift, new) views shaped for a block of c x rows masks."""
-        key = (c, rows, batch)
+    def views(self, c: int, rows: int, batch: int, word: np.dtype):
+        """(states, role1, src, members, shift, new) views for a block of c x rows masks."""
+        key = (c, rows, batch, word)
         views = self.shaped.get(key)
         if views is not None:
             return views
-        cells, index = c * rows * batch, c * rows
-        if cells > len(self.cells[0]) or index > len(self.index[0]) or rows * batch > len(self.new):
+        size = word.itemsize  # bytes per word
+        cells, index = c * rows * batch * size, c * rows
+        shift, new = c * rows * size, rows * batch * size
+        if (
+            cells > len(self.cells[0]) or index > len(self.index[0])
+            or shift > len(self.shift) or new > len(self.new)
+        ):
             self.shaped.clear()  # its views would keep the old buffers alive
-            self.cells = tuple(np.empty(max(cells, len(a)), dtype=np.int64) for a in self.cells)
+            self.cells = tuple(np.empty(max(cells, len(a)), dtype=np.uint8) for a in self.cells)
             self.index = tuple(np.empty(max(index, len(a)), dtype=np.intp) for a in self.index)
-            self.new = np.empty(max(rows * batch, len(self.new)), dtype=np.int64)
+            self.shift = np.empty(max(shift, len(self.shift)), dtype=np.uint8)
+            self.new = np.empty(max(new, len(self.new)), dtype=np.uint8)
         elif len(self.shaped) >= 64:  # batch sizes vary from call to call
             self.shaped.clear()
         views = self.shaped[key] = (
-            *(a[:cells].reshape(c, rows, batch) for a in self.cells),
+            *(a[:cells].view(word).reshape(c, rows, batch) for a in self.cells),
             *(a[:index].reshape(c, rows) for a in self.index),
-            self.new[:rows * batch].reshape(rows, batch),
+            self.shift[:shift].view(word).reshape(c, rows),
+            self.new[:new].view(word).reshape(rows, batch),
         )
         return views
 
@@ -187,21 +219,29 @@ def _pull(reach: np.ndarray, pred: np.ndarray, src: np.ndarray, members: np.ndar
     A role-0 predecessor of member w gives w role 1 (bit 2w + 1), a role-1
     predecessor gives it role 0 (bit 2w).
     """
-    states, role1, src_ip, shift, new = _WORKSPACE.views(*src.shape, reach.shape[1])
+    word = reach.dtype
+    states, role1, src_ip, members_ip, shift, new = _WORKSPACE.views(
+        *src.shape, reach.shape[1], word
+    )
+    role0_bits, role1_bits = _roles(word)
     np.copyto(src_ip, src)
-    np.copyto(shift, members)
+    np.copyto(members_ip, members)
     # plan indices are in range, so "clip" never clips; it lets take write
     # straight into `out`, where "raise" would buffer it
     np.take(reach, src_ip, axis=0, out=states, mode="clip")  # (c, rows, B)
-    np.take(pred, shift, axis=0, out=role1, mode="clip")
+    np.take(pred, members_ip, axis=0, out=role1, mode="clip")
     states &= role1
     # state words are non-negative, so min(x, 1) is 1 exactly when x != 0
-    np.bitwise_and(states, _ROLE1, out=role1)
+    np.bitwise_and(states, role1_bits, out=role1)
     np.minimum(role1, 1, out=role1)
-    states &= _ROLE0
+    states &= role0_bits
     np.minimum(states, 1, out=states)
     states <<= 1
     states |= role1
+    if word == np.intp:  # the member indices become the shift amounts in place
+        shift = members_ip
+    else:
+        np.copyto(shift, members_ip, casting="unsafe")
     shift <<= 1
     states <<= shift[..., None]
     return np.bitwise_or.reduce(states, axis=0, out=new)
@@ -211,18 +251,19 @@ def run_dp(out_masks, in_masks, n: int, want_k: int = 0):
     """Subset DP over a batch of order-n graphs given as (B, n) mask arrays.
 
     Returns (best, reach): best as a (B,) int64 array, the maximum path
-    order, and reach as a (B, 2^n) int64 array.  With want_k > 0 the layers
-    stop at the first one >= want_k that holds a state, so best is then
-    min(L, want_k) and reach is filled only up to it.
+    order, and reach as a (B, 2^n) array of state words of word_type(n).
+    With want_k > 0 the layers stop at the first one >= want_k that holds a
+    state, so best is then min(L, want_k) and reach is filled only up to it.
     """
     out_masks = np.asarray(out_masks, dtype=np.int64)
     in_masks = np.asarray(in_masks, dtype=np.int64)
     batch = out_masks.shape[0]
-    reach = np.zeros((1 << n, batch), dtype=np.int64)  # row per mask: gathers stay contiguous
+    word = word_type(n)
+    reach = np.zeros((1 << n, batch), dtype=word)  # row per mask: gathers stay contiguous
     best = np.zeros(batch, dtype=np.int64)
     if n == 0:
         return best, reach.T
-    pred = _predecessor_states(out_masks, in_masks)
+    pred = _predecessor_states(out_masks, in_masks).astype(word)
     for v in range(n):
         reach[1 << v] = 3 << (2 * v)
     best[:] = 1

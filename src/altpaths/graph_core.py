@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -220,6 +220,36 @@ def num_oriented(n: int) -> int:
     return 3 ** (n * (n - 1) // 2)
 
 
+# decode_codes reads a code's base-3 digits this many at a time
+_DIGIT_BLOCK = 5
+
+
+@lru_cache(maxsize=None)
+def _digit_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per block of _DIGIT_BLOCK pairs of pair_order(n), its (out, in) mask tables.
+
+    A block's tables have one row per vertex and one column per value d
+    below 3^_DIGIT_BLOCK: column d holds the arcs that the block's pairs
+    get from the digits of d, the first pair's digit least significant.
+    """
+    pairs = pair_order(n)
+    values = np.arange(3 ** _DIGIT_BLOCK)
+    tables = []
+    for lo in range(0, len(pairs), _DIGIT_BLOCK):
+        out_table = np.zeros((n, values.size), dtype=np.int64)
+        in_table = np.zeros((n, values.size), dtype=np.int64)
+        for i, (u, v) in enumerate(pairs[lo:lo + _DIGIT_BLOCK]):
+            digit = values // 3 ** i % 3
+            forward = (digit == 1).astype(np.int64)
+            backward = (digit == 2).astype(np.int64)
+            out_table[u] |= forward << v
+            in_table[v] |= forward << u
+            out_table[v] |= backward << u
+            in_table[u] |= backward << v
+        tables.append((out_table, in_table))
+    return tuple(tables)
+
+
 def decode_codes(n: int, codes) -> tuple[np.ndarray, np.ndarray]:
     """(B, n) int64 out/in mask arrays of order-n base-3 codes.
 
@@ -230,15 +260,12 @@ def decode_codes(n: int, codes) -> tuple[np.ndarray, np.ndarray]:
     # built vertex-major, so each vertex's masks are one contiguous row
     out_masks = np.zeros((n, rest.size), dtype=np.int64)
     in_masks = np.zeros((n, rest.size), dtype=np.int64)
-    for u, v in pair_order(n):
-        digit = rest % 3
-        rest //= 3
-        forward = (digit == 1).astype(np.int64)
-        backward = (digit == 2).astype(np.int64)
-        out_masks[u] |= forward << v
-        in_masks[v] |= forward << u
-        out_masks[v] |= backward << u
-        in_masks[u] |= backward << v
+    for out_table, in_table in _digit_tables(n):
+        high = rest // 3 ** _DIGIT_BLOCK
+        digits = (rest - high * 3 ** _DIGIT_BLOCK).astype(np.intp)
+        rest = high
+        out_masks |= np.take(out_table, digits, axis=1)
+        in_masks |= np.take(in_table, digits, axis=1)
     return out_masks.T, in_masks.T
 
 

@@ -54,7 +54,7 @@ from .graph_core import (  # noqa: F401 - the benchmark's trace hooks look up th
     random_oriented,
 )
 from .oracle import OracleBudget, alt_path_lengths
-from .rotation_engine import EngineBudget, find_alternating_path, max_k_for
+from .rotation_engine import OUTCOME_TEXTS, EngineBudget, find_alternating_path, max_k_for
 
 CSV_COLUMNS = [
     "graph_id",
@@ -70,9 +70,12 @@ CSV_COLUMNS = [
 # every field of a report record, in the order a record dict lists them
 RECORD_FIELDS = (*CSV_COLUMNS, "violation")
 # the str fields; every other field is an int
-_STR_FIELDS = {"graph_id", "finder_outcome", "violation"}
+_STR_FIELDS = {"graph_id", "violation"}
 # the fields that may be null: None in a str field, -1 in an int field
 _NULLABLE = {"min_pseudo_semidegree", "min_semidegree", "oracle_L", "violation"}
+# finder_outcome is an int field of codes into OUTCOME_TEXTS
+_OUTCOME_CODES = {text: code for code, text in enumerate(OUTCOME_TEXTS)}
+_OUTCOMES = np.array(OUTCOME_TEXTS, dtype=object)
 
 
 @dataclass
@@ -120,11 +123,13 @@ class SweepReport:
     """A sweep's config, aggregates and records, in the layout _run_chunked makes.
 
     columns maps each RECORD_FIELDS name to a column with one value per
-    record.  graph_id is a list of str.  finder_outcome and violation are
-    object arrays of str, with None for a null violation.  Every other field
-    is an int64 array; in the nullable ones (the two degree fields and
-    oracle_L) -1 stands for null.  records reads the columns as they are;
-    report_batches checks this layout once, before its first batch.
+    record.  graph_id is a list of str, and violation an object array of
+    str with None for null.  Every other field is an int64 array; in the
+    nullable ones (the two degree fields and oracle_L) -1 stands for null,
+    and finder_outcome holds codes into rotation_engine.OUTCOME_TEXTS, which
+    records and the renderers write as their text.  records reads the
+    columns as they are; report_batches checks this layout once, before
+    its first batch.
 
     The JSON renderer groups rows by body, every field but graph_id (and
     micros when rows differ in it): it formats each distinct body once and
@@ -152,8 +157,8 @@ def _check_columns(columns: dict) -> None:
     Missing or extra fields, unequal lengths, a list where an array belongs
     (or an array for graph_id), an array that is not one-dimensional or not
     of its field's dtype, a negative int (below -1 where the field is
-    nullable) and a str column holding anything but str (or None in
-    violation) all raise.
+    nullable), a finder_outcome code past OUTCOME_TEXTS and a str column
+    holding anything but str (or None in violation) all raise.
     """
     if columns.keys() != set(RECORD_FIELDS):
         raise TypeError(f"report columns {sorted(columns)} are not the record fields")
@@ -174,6 +179,8 @@ def _check_columns(columns: dict) -> None:
             if name not in _STR_FIELDS:
                 if column.size and column.min() < (-1 if name in _NULLABLE else 0):
                     raise TypeError(f"report column {name!r} holds a negative int")
+                if name == "finder_outcome" and column.size and column.max() >= len(_OUTCOMES):
+                    raise TypeError(f"report column {name!r} holds a code past the outcomes")
                 continue
             values = column.tolist()
         off = set(map(type, values)) - {str} - ({type(None)} if name in _NULLABLE else set())
@@ -185,6 +192,8 @@ def _native(name: str, column: np.ndarray | list) -> list:
     """A report column's values as int, str and None."""
     if isinstance(column, list):
         return column
+    if name == "finder_outcome":
+        return _OUTCOMES[column].tolist()
     if column.dtype == object or name not in _NULLABLE:
         return column.tolist()
     values = column.astype(object)
@@ -241,7 +250,7 @@ def _theorem_check(cfg: SweepConfig, cols: dict, agg: dict, out_masks, in_masks,
     kmax = np.where(pseudo > 0, max_k_for(pseudo), 0)
     _flag(cols, agg, "counterexamples", length < kmax, "counterexample:L={}<k={}", length, kmax)
     # find_alternating_path at k = 1 returns a one-vertex path after 0 rounds
-    cols["finder_outcome"][kmax == 1] = "found"
+    cols["finder_outcome"][kmax == 1] = _OUTCOME_CODES["found"]
     budget = EngineBudget(oracle=OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp))
     timed = not cfg.stable
     n = out_masks.shape[1]
@@ -254,7 +263,7 @@ def _theorem_check(cfg: SweepConfig, cols: dict, agg: dict, out_masks, in_masks,
         ok = out.outcome == "found" and out.path.order == k and validate(g, out.path)
         if timed:
             cols["micros"][i] = _now_micros() - t0
-        cols["finder_outcome"][i], cols["rounds"][i] = out.outcome, out.rounds
+        cols["finder_outcome"][i], cols["rounds"][i] = _OUTCOME_CODES[out.outcome], out.rounds
         if not ok:
             cols["violation"][i] = (cols["violation"][i] or "") + f"|finder:{out.outcome}"
             agg["finder_failures"] += 1
@@ -307,7 +316,7 @@ def _check_order(
         "min_pseudo_semidegree": pseudo,
         "min_semidegree": semi,
         "oracle_L": np.full(size, -1, dtype=np.int64),
-        "finder_outcome": np.full(size, "", dtype=object),
+        "finder_outcome": np.zeros(size, dtype=np.int64),
         "rounds": np.zeros(size, dtype=np.int64),
         "micros": np.zeros(size, dtype=np.int64),
         "violation": np.full(size, None, dtype=object),
@@ -330,45 +339,55 @@ def _check_order(
 
 
 def _empty_fields(size: int) -> dict[str, np.ndarray]:
-    """One uninitialised column per record field after graph_id; the str ones hold None."""
+    """One uninitialised column per record field after graph_id; violation holds None."""
     return {
         name: np.empty(size, dtype=object if name in _STR_FIELDS else np.int64)
         for name in RECORD_FIELDS[1:]
     }
 
 
+# a chunk's kept rows: their instance indexes, one int64 array per record
+# field after graph_id but violation, and the instance indexes and texts of
+# the rows whose violation is not null
+_Chunk = tuple[np.ndarray, dict[str, np.ndarray], np.ndarray, list[str]]
+
+
 def _chunk_result(
     cfg: SweepConfig, lo: int, parts: list[tuple[np.ndarray, dict[str, np.ndarray]]]
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Instances lo.. in index order: their indexes, and one array per record field after graph_id.
+) -> _Chunk:
+    """Instances lo.. in index order, as a _Chunk.
 
     parts pairs each order's columns with the chunk rows they hold.  Every
-    row is kept, or only the violating ones when aggregate_only.
+    row is kept, or only the violating ones when aggregate_only.  Only the
+    violations that are not null are passed on, most rows having none.
     """
     fields = _empty_fields(sum(rows.size for rows, _ in parts))
     for rows, cols in parts:
         for name, column in cols.items():
             fields[name][rows] = column
-    violation = fields["violation"]
-    if cfg.aggregate_only:
-        keep = np.flatnonzero(np.not_equal(violation, None))
-        return lo + keep, {name: column[keep] for name, column in fields.items()}
-    return lo + np.arange(violation.size), fields
+    violation = fields.pop("violation")
+    flagged = np.flatnonzero(np.not_equal(violation, None))
+    texts = violation[flagged].tolist()
+    if not cfg.aggregate_only:
+        return lo + np.arange(violation.size), fields, lo + flagged, texts
+    kept = {name: column[flagged] for name, column in fields.items()}
+    return lo + flagged, kept, lo + flagged, texts
 
 
-def _pooled(task: tuple) -> tuple[tuple[np.ndarray, dict], dict]:
-    """(worker, chunk) run in a pool worker, its int columns in the smallest dtype holding them.
+def _pooled(task: tuple) -> tuple[_Chunk, dict]:
+    """(worker, chunk) run in a pool worker, its int arrays in the smallest dtype holding them.
 
     At n=5 that sends a sixth of the int64 bytes to the parent, which then
     kept less memory and collected faster; the parent's columns stay int64.
     """
     worker, chunk = task
-    (index, fields), agg = worker(chunk)
-    return (_narrow(index), {name: _narrow(column) for name, column in fields.items()}), agg
+    (index, fields, flagged, texts), agg = worker(chunk)
+    fields = {name: _narrow(column) for name, column in fields.items()}
+    return (_narrow(index), fields, _narrow(flagged), texts), agg
 
 
 def _narrow(column: np.ndarray) -> np.ndarray:
-    if column.dtype == object or not column.size:
+    if not column.size:
         return column
     low, high = np.min_scalar_type(column.min()), np.min_scalar_type(column.max())
     return column.astype(np.result_type(low, high), copy=False)
@@ -377,7 +396,7 @@ def _narrow(column: np.ndarray) -> np.ndarray:
 # --- chunk sources: each turns instances lo..hi-1 into mask batches ---------
 
 
-def _exhaustive_chunk(args) -> tuple[tuple[np.ndarray, dict], dict]:
+def _exhaustive_chunk(args) -> tuple[_Chunk, dict]:
     """Codes lo..hi-1 of order cfg.n, decoded into one batch."""
     cfg, lo, hi, kind = args
     agg = _new_agg()
@@ -387,7 +406,7 @@ def _exhaustive_chunk(args) -> tuple[tuple[np.ndarray, dict], dict]:
 
 def _graphs_chunk(
     cfg: SweepConfig, kind: str, lo: int, graphs: list[OrientedGraph], b=None
-) -> tuple[tuple[np.ndarray, dict], dict]:
+) -> tuple[_Chunk, dict]:
     """Instances lo.. from their graphs, one batch per order."""
     agg = _new_agg()
     orders = np.array([g.n for g in graphs])
@@ -412,12 +431,12 @@ def _random_graph(cfg: SweepConfig, idx: int) -> OrientedGraph:
     return random_oriented(n, cfg.p, inst_seed + 1)
 
 
-def _random_chunk(args) -> tuple[tuple[np.ndarray, dict], dict]:
+def _random_chunk(args) -> tuple[_Chunk, dict]:
     cfg, lo, hi, kind = args
     return _graphs_chunk(cfg, kind, lo, [_random_graph(cfg, idx) for idx in range(lo, hi)])
 
 
-def _corollary_chunk(args) -> tuple[tuple[np.ndarray, dict], dict]:
+def _corollary_chunk(args) -> tuple[_Chunk, dict]:
     cfg, lo, hi, kind = args
     ns = cfg.ns()
     graphs = [
@@ -433,7 +452,7 @@ def _blowup_params(cfg: SweepConfig) -> list[tuple[int, int]]:
     return [(t, b) for t in range(t_lo, t_hi + 1) for b in range(b_lo, b_hi + 1)]
 
 
-def _blowup_chunk(args) -> tuple[tuple[np.ndarray, dict], dict]:
+def _blowup_chunk(args) -> tuple[_Chunk, dict]:
     cfg, lo, hi, kind = args
     params = _blowup_params(cfg)[lo:hi]
     graphs = [blowup_directed_cycle(t, b) for t, b in params]
@@ -490,53 +509,58 @@ def _run_chunked(cfg: SweepConfig, total: int, worker, kind: str, graph_id) -> S
     reaches only sweeps whose chunks run here, on one worker or in one chunk.
 
     The parent writes each chunk's arrays into report columns allocated
-    once for all total rows; an aggregate_only sweep, whose row count is
-    not known ahead, concatenates its kept rows instead.  graph_id names
-    an index, once per kept row.
+    once for all total rows, and its violation texts into a violation
+    column of None; an aggregate_only sweep, whose row count is not known
+    ahead, concatenates its kept rows instead.  graph_id names an index,
+    once per kept row; the ids of all rows are formatted while the pool's
+    workers run the first chunks.
     """
     chunks = [
         (cfg, lo, min(lo + cfg.chunk_size, total), kind) for lo in range(0, total, cfg.chunk_size)
     ]
     agg = _new_agg()
     columns = _empty_fields(0 if cfg.aggregate_only else total)
-    kept = [(np.arange(0), columns)]  # an aggregate_only sweep's chunks, after no rows
+    violation = columns.pop("violation")
+    kept = [(np.arange(0), columns, [])]  # an aggregate_only sweep's chunks, after no rows
 
     def collect(results) -> None:
-        for (index, fields), part in results:
+        for (index, fields, flagged, texts), part in results:
             if cfg.aggregate_only:
-                kept.append((index, fields))
+                kept.append((index, fields, texts))
             else:
                 for name, column in fields.items():
                     columns[name][index] = column
+                violation[flagged] = texts
             _merge_agg(agg, part)
 
-    if cfg.workers <= 1 or len(chunks) <= 1:
-        collect(map(worker, chunks))
-    else:
-        pool = _worker_pool(cfg.workers)
+    pooled = cfg.workers > 1 and len(chunks) > 1
+    if pooled:
         # in chunk order, so the parent collects columns while the workers
         # run; tasks of several chunks, by Pool.map's rule
         batch = max(1, len(chunks) // (4 * cfg.workers))
-        try:
-            collect(pool.imap(_pooled, [(worker, chunk) for chunk in chunks], chunksize=batch))
-        except BaseException:
-            # the workers may still be running this sweep's tasks
+        tasks = [(worker, chunk) for chunk in chunks]
+        results = _worker_pool(cfg.workers).imap(_pooled, tasks, chunksize=batch)
+    else:
+        results = map(worker, chunks)
+    try:
+        # a list frees its strings last to first, which lets Python's
+        # small-object allocator hand their memory back; an object array
+        # frees them first to first, and the process then kept about 20 MB
+        # more over 30 n=5 sweeps, each followed by json.load of its report
+        ids = [] if cfg.aggregate_only else list(map(graph_id, range(total)))
+        collect(results)
+    except BaseException:
+        if pooled:  # the workers may still be running this sweep's tasks
             _drop_pool()
-            raise
+        raise
     if cfg.aggregate_only:
-        index = np.concatenate([rows for rows, _ in kept]).tolist()
+        ids = list(map(graph_id, np.concatenate([rows for rows, _, _ in kept]).tolist()))
         columns = {
-            name: np.concatenate([fields[name] for _, fields in kept], dtype=column.dtype)
+            name: np.concatenate([fields[name] for _, fields, _ in kept], dtype=column.dtype)
             for name, column in columns.items()
         }
-    else:
-        index = range(total)
-    # a list frees its strings last to first, which lets Python's small-object
-    # allocator hand their memory back; an object array frees them first to
-    # first, and the process then kept about 20 MB more over 30 n=5 sweeps,
-    # each followed by json.load of its report
-    ids = list(map(graph_id, index))
-    return SweepReport(_config_dict(cfg), {"graph_id": ids, **columns}, agg)
+        violation = np.array([text for _, _, texts in kept for text in texts], dtype=object)
+    return SweepReport(_config_dict(cfg), {"graph_id": ids, **columns, "violation": violation}, agg)
 
 
 def _run_exhaustive(cfg: SweepConfig, kind: str) -> SweepReport:
@@ -622,12 +646,12 @@ def _dense(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, order[starts]
 
 
-def _codes(name: str, column: np.ndarray) -> tuple[np.ndarray, int]:
+def _codes(column: np.ndarray) -> tuple[np.ndarray, int]:
     """(codes, count): a code in 0..count-1 per row, equal exactly where the values are."""
     if column.dtype == object:
-        # a nullable str field is null on most rows: None is code 0, and only
-        # the other rows are looked up
-        rows = np.flatnonzero(np.not_equal(column, None)) if name in _NULLABLE else slice(None)
+        # violation is null on most rows: None is code 0, and only the other
+        # rows are looked up
+        rows = np.flatnonzero(np.not_equal(column, None))
         values = column[rows].tolist()
         index = {value: code for code, value in enumerate(dict.fromkeys(values), 1)}
         codes = np.zeros(column.size, dtype=np.int64)
@@ -645,7 +669,7 @@ def _bodies(columns: dict[str, np.ndarray], keys: list[str]) -> tuple[np.ndarray
     """_dense of the rows by their values in the keys' columns."""
     key, span = np.zeros(len(columns[keys[0]]), dtype=np.int64), 1
     for name in keys:
-        codes, count = _codes(name, columns[name])
+        codes, count = _codes(columns[name])
         if span * count > 2**62:
             key, first = _dense(key)
             span = first.size

@@ -13,7 +13,7 @@ from itertools import islice
 
 import numpy as np
 
-from ._dp_kernels import BATCH_CELLS, MAX_DP_ORDER, run_dp, witness_ends
+from ._dp_kernels import BATCH_BYTES, MAX_DP_ORDER, run_dp, witness_ends, word_type
 from .altpath import AlternatingPath, greedy_extend, path_from_verts, validate
 from .errors import BadParams, TooLarge
 from .graph_core import OrientedGraph, bits
@@ -96,8 +96,8 @@ def _greedy_spans(g: OrientedGraph) -> bool:
 
 
 def _dp_lengths(out_masks: np.ndarray, in_masks: np.ndarray, n: int) -> np.ndarray:
-    """L of each graph from the subset DP, in slices of about BATCH_CELLS reach cells."""
-    size = max(1, BATCH_CELLS >> n)
+    """L of each graph from the subset DP, in slices of about BATCH_BYTES of reach."""
+    size = max(1, BATCH_BYTES // (word_type(n).itemsize << n))
     lengths = np.zeros(len(out_masks), dtype=np.int64)
     for lo in range(0, len(out_masks), size):
         lengths[lo:lo + size] = run_dp(out_masks[lo:lo + size], in_masks[lo:lo + size], n)[0]

@@ -69,9 +69,14 @@ class ClosureResult:
     extension: tuple[int, ...] | None = None  # the path plus one outside vertex
 
 
+# A sweep record's finder_outcome is a code into this tuple: "" where no
+# finder ran, otherwise the FinderOutcome.outcome it returned.
+OUTCOME_TEXTS = ("", "found", "diagnostic", "gave_up")
+
+
 @dataclass(frozen=True)
 class FinderOutcome:
-    outcome: str  # "found" | "diagnostic" | "gave_up"
+    outcome: str  # one of OUTCOME_TEXTS[1:]
     path: AlternatingPath | None
     certificate: Certificate | None
     reason: str | None  # "OddStuck" | "EvenStuck" | "BudgetExceeded"

@@ -30,7 +30,7 @@ from altpaths.harness import (
     sweep_failed,
 )
 from altpaths.oracle import OracleBudget, longest_alt_path_exact
-from altpaths.rotation_engine import find_alternating_path
+from altpaths.rotation_engine import OUTCOME_TEXTS, find_alternating_path
 from _brute import brute_graph_from_code
 from _reports import report_to_csv, report_to_json
 
@@ -271,10 +271,13 @@ class TestReportEncoder:
         assert digest == "9da2cb1e2d455807c281e36a4d95c3ecc22013bd0a35f37caee7a21ddd934b78"
 
 
-# the str fields and the nullable ones; every other record field is an int
-STR_FIELDS = {"graph_id", "finder_outcome", "violation"}
+# the str fields and the nullable ones; finder_outcome is coded, every other
+# record field is an int
+STR_FIELDS = {"graph_id", "violation"}
 NULLABLE = {"min_pseudo_semidegree", "min_semidegree", "oracle_L", "violation"}
-INT_FIELDS = [name for name in harness.RECORD_FIELDS if name not in STR_FIELDS]
+INT_FIELDS = [
+    name for name in harness.RECORD_FIELDS if name not in STR_FIELDS | {"finder_outcome"}
+]
 
 
 @st.composite
@@ -295,7 +298,7 @@ def record_columns(draw):
     if draw(st.booleans()):  # every row times its own finder call
         columns["micros"] = column(st.integers(0, 2**62), unique=True)
     columns["graph_id"] = column(text, unique=True)
-    columns["finder_outcome"] = column(text)
+    columns["finder_outcome"] = column(st.sampled_from(OUTCOME_TEXTS))
     columns["violation"] = column(st.one_of(st.none(), text))
     aggregate_only = draw(st.booleans())
     if aggregate_only:  # an aggregate_only sweep keeps the violating rows
@@ -313,13 +316,16 @@ def _objects(values: list) -> np.ndarray:
 def _as_arrays(columns: dict) -> dict:
     """Columns of int, str and None in the report layout.
 
-    graph_id stays a list of str; finder_outcome and violation become
-    object arrays, and the int fields int64 arrays with -1 for null.
+    graph_id stays a list of str, violation becomes an object array,
+    finder_outcome an int64 array of codes into OUTCOME_TEXTS, and the int
+    fields int64 arrays with -1 for null.
     """
     arrays = {}
     for name, values in columns.items():
         if name == "graph_id":
             arrays[name] = list(values)
+        elif name == "finder_outcome":
+            arrays[name] = np.array(list(map(OUTCOME_TEXTS.index, values)), dtype=np.int64)
         elif name in STR_FIELDS:
             arrays[name] = _objects(values)
         else:
@@ -372,13 +378,15 @@ class TestTypedColumns:
         ("oracle_L", np.array([-2, 4]), "negative int"),
         ("micros", np.array([0, -1]), "negative int"),  # null where the field is not nullable
         ("graph_id", ["blowup-3x1", 7], r"holds \['int'\]"),
-        ("finder_outcome", _objects(["found", None]), r"holds \['NoneType'\]"),
+        ("finder_outcome", np.array([1, -1]), "negative int"),
         ("violation", _objects([None, b"x"]), r"holds \['bytes'\]"),
         ("edges", np.zeros((2, 1), dtype=np.int64), "not a one-dimensional array"),
         ("rounds", [0, 1], "not a one-dimensional array"),
         ("n", np.array([5, 6], dtype=np.int32), "dtype int32"),
         ("finder_outcome", np.array(["found", ""]), "dtype <U5"),
         ("graph_id", _objects(["blowup-3x1", "blowup-3x2"]), "not a list"),
+        ("finder_outcome", np.array([1, len(OUTCOME_TEXTS)]), "code past the outcomes"),
+        ("finder_outcome", _objects(["found", "found"]), "dtype object"),  # texts, not codes
     ]
 
     @pytest.mark.parametrize(
@@ -397,6 +405,15 @@ class TestTypedColumns:
         with pytest.raises(TypeError):
             emit_report(report, "json", str(path))
         assert not path.exists()
+
+    def test_every_outcome_renders_like_the_reference(self):
+        base = _blowup(t_range=(3, 3), b_range=(1, 1), stable=True)
+        columns = _repeated(base, len(OUTCOME_TEXTS))
+        columns["finder_outcome"] = np.arange(len(OUTCOME_TEXTS))
+        report = SweepReport(base.config, columns, base.aggregates)
+        assert [rec["finder_outcome"] for rec in report.records] == list(OUTCOME_TEXTS)
+        assert report_to_json(report) == _reference_json(report)
+        assert report_to_csv(report) == _reference_csv(report)
 
     def test_only_the_renderers_check_the_layout(self, monkeypatch, tmp_path):
         report = _blowup(stable=True)
@@ -703,8 +720,12 @@ PAST_INT64_SHA256 = "66281fc59b73c90fe40c75a23d684c61dade1e915019cc595649927eb52
 
 
 class TestOneDriver:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_random_theorem_pinned(self, workers):
+    @pytest.mark.parametrize(
+        "workers, aggregate_only",
+        [(1, False), (2, False), (1, True), (2, True)],
+        ids=["1", "2", "1-aggregate_only", "2-aggregate_only"],
+    )
+    def test_random_theorem_pinned(self, workers, aggregate_only):
         # orders 11 and 12 are skipped; 25-row chunks mix skipped and finder rows
         cfg = SweepConfig(
             mode="random", n_range=(8, 12), p=0.9, samples=120, seed=7, chunk_size=25,
@@ -718,6 +739,12 @@ class TestOneDriver:
         assert _sha256(report_to_json(report)) == RANDOM_THEOREM_SHA256
         # skipped rows have null cells
         assert _sha256(report_to_csv(report)) == RANDOM_THEOREM_CSV_SHA256
+        if aggregate_only:
+            kept = run_theorem_sweep(dataclasses.replace(cfg, aggregate_only=True))
+            violating = [rec for rec in report.records if rec["violation"] is not None]
+            assert len(violating) < len(report.records)
+            assert kept.records == violating
+            assert kept.aggregates == report.aggregates
 
     def test_random_oddcase_pinned(self):
         cfg = SweepConfig(mode="random", n_range=(6, 10), samples=100, seed=5, stable=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from altpaths import _dp_kernels, errors, oracle
+from altpaths._dp_kernels import word_type
 from altpaths.altpath import AlternatingPath, validate
 from altpaths.graph_core import (
     blowup_directed_cycle,
@@ -29,6 +30,7 @@ from _brute import (
     alt_path_dp_py,
     brute_longest_alt_path,
     brute_respectable_endpoints,
+    is_alt_sequence,
 )
 
 
@@ -175,6 +177,11 @@ class TestKernelTwins:
                     assert not reach[0][high].any()
 
 
+def _one_mask_batch(n: int) -> int:
+    """The least batch of order-n graphs whose popcount-2 blocks hold one mask each."""
+    return _dp_kernels.BLOCK_BYTES // (2 * word_type(n).itemsize) + 1
+
+
 class TestPullBlocks:
     """run_dp against the reference DP where the pull step's blocks and plan
     groups change shape: one-mask blocks, layers cut into several blocks,
@@ -211,21 +218,21 @@ class TestPullBlocks:
     def test_one_mask_per_block(self):
         # every n=4 graph, tiled so that a single mask's cells fill a block
         codes = np.arange(3 ** 6)
-        batch = _dp_kernels.BLOCK_CELLS // 2 + 1
-        assert _dp_kernels.BLOCK_CELLS // (2 * batch) == 0
+        batch = _one_mask_batch(4)
+        assert _dp_kernels.BLOCK_BYTES // (2 * batch * word_type(4).itemsize) == 0
         out_masks, in_masks = decode_codes(4, np.resize(codes, batch))
         self._assert_matches_reference(out_masks, in_masks, 4)
 
     def test_layer_over_several_blocks(self):
-        graphs = [random_oriented(10, 0.1 * (i % 10), 300 + i) for i in range(64)]
-        assert comb(10, 5) * 5 * len(graphs) > 2 * _dp_kernels.BLOCK_CELLS
+        graphs = [random_oriented(10, 0.1 * (i % 10), 300 + i) for i in range(128)]
+        assert comb(10, 5) * 5 * len(graphs) * word_type(10).itemsize > 2 * _dp_kernels.BLOCK_BYTES
         self._assert_matches_reference(
             [g.out_masks for g in graphs], [g.in_masks for g in graphs], 10
         )
 
     def test_tiny_blocks(self, monkeypatch):
         # blocks of a few cells cut every layer at uneven row counts
-        monkeypatch.setattr(_dp_kernels, "BLOCK_CELLS", 7)
+        monkeypatch.setattr(_dp_kernels, "BLOCK_BYTES", 7)
         for n in range(1, 9):
             graphs = [random_oriented(n, 0.2 + 0.3 * i, 600 + 10 * n + i) for i in range(3)]
             self._assert_matches_reference(
@@ -332,6 +339,44 @@ class TestSpanCertificate:
         assert (lengths < 14).all()
 
 
+# Orders on both sides of each change of state-word type: the unsigned words
+# change at 4/5, 8/9 and 16/17, and signed ones would change at 7/8 and 15/16.
+WORD_BOUNDARY_ORDERS = [4, 5, 7, 8, 9, 15, 16, 17]
+
+
+class TestWordWidths:
+    def test_word_types(self):
+        itemsizes = [word_type(n).itemsize for n in range(_dp_kernels.MAX_DP_ORDER + 1)]
+        assert itemsizes == [1] * 5 + [2] * 4 + [4] * 8 + [8] * 15
+        for n in range(_dp_kernels.MAX_DP_ORDER + 1):
+            word = word_type(n)
+            assert word.kind == "u" or word == np.int64
+            assert 2 * n <= 8 * word.itemsize - (word.kind == "i")  # clear of a sign bit
+
+    @pytest.mark.parametrize("n", WORD_BOUNDARY_ORDERS)
+    def test_matches_references(self, n):
+        # random graphs, sparse enough past order 9 that the reference DP
+        # stays cheap, and one tournament, which fills every layer
+        densities = (0.3, 0.5, 0.8) if n <= 9 else (0.2, 0.3)
+        graphs = [random_oriented(n, p, 7000 + 10 * n + i) for i, p in enumerate(densities)]
+        graphs.append(random_oriented(n, 1.0, 7099 + n))
+        best, reach = run_dp(*_masks(graphs), n)
+        assert reach.dtype == word_type(n)
+        best_mask, best_state = _dp_kernels.witness_ends(best, reach)
+        for b, g in enumerate(graphs):
+            ref_reach = [0] * (1 << n)
+            ref = alt_path_dp_py(list(g.out_masks), list(g.in_masks), ref_reach, 0)
+            assert (best[b], best_mask[b], best_state[b]) == ref
+            assert reach[b].tolist() == ref_reach
+            length, path = longest_alt_path_exact(g)
+            assert length == path.order == ref[0]
+            assert validate(g, path) and is_alt_sequence(g, list(path.verts))
+            if n <= 9:
+                assert length == brute_longest_alt_path(g)
+            for k in (length - 1, length, length + 1):
+                assert has_alt_path_k(g, k) == (k <= length)
+
+
 class TestPredecessorStates:
     @pytest.mark.parametrize("n", [1, 5, 14, 31])
     def test_matches_vertex_loop(self, n):
@@ -355,7 +400,7 @@ class TestWorkspace:
     @staticmethod
     def _buffers():
         ws = _dp_kernels._WORKSPACE
-        return (*ws.cells, *ws.index, ws.new)
+        return (*ws.cells, *ws.index, ws.shift, ws.new)
 
     @staticmethod
     def _batch(n, batch, p, seed):
@@ -378,8 +423,7 @@ class TestWorkspace:
         check(*tournament, 14)
         check(*decode_codes(5, np.random.default_rng(5).integers(0, 3 ** 10, size=2000)), 5)
         sizes = [len(buf) for buf in self._buffers()]
-        one_mask = _dp_kernels.BLOCK_CELLS // 2 + 1
-        check(*decode_codes(4, np.resize(np.arange(3 ** 6), one_mask)), 4)
+        check(*decode_codes(4, np.resize(np.arange(3 ** 6), _one_mask_batch(4))), 4)
         grown = [len(buf) for buf in self._buffers()]
         assert grown[0] > sizes[0]
         check(*tournament, 14)
