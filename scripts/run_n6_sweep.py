@@ -4,9 +4,10 @@
 Runs the oracle on every graph and the constructive finder on the graphs
 with kmax >= 2, keeping only violating records; prints the aggregate
 summary, then the elapsed time and instances per second on stderr, and
-exits 1 on any counterexample or finder failure.  With --workers 2 on a
-2-core x86-64 machine (Python 3.11, numpy 2.4) the sweep took 7.7-10.8 s
-as printed in ten runs, 1,330,000-1,870,000 instances/s.
+exits 1 on any counterexample or finder failure.  L comes from a table
+of all 59,049 order-5 graphs that each worker fills once.  With
+--workers 2 on a 2-core x86-64 machine (Python 3.11, numpy 2.4) the sweep
+took 5.3-6.9 s as printed in ten runs, 2,080,000-2,720,000 instances/s.
 """
 import argparse
 import json

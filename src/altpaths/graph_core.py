@@ -225,48 +225,67 @@ _DIGIT_BLOCK = 5
 
 
 @lru_cache(maxsize=None)
-def _digit_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per block of _DIGIT_BLOCK pairs of pair_order(n), its (out, in) mask tables.
+def _digit_tables(n: int, minors: bool = False) -> tuple[np.ndarray, ...]:
+    """Per block of _DIGIT_BLOCK pairs of pair_order(n), its stacked int64 tables.
 
-    A block's tables have one row per vertex and one column per value d
-    below 3^_DIGIT_BLOCK: column d holds the arcs that the block's pairs
-    get from the digits of d, the first pair's digit least significant.
+    A block has one (n, 3^_DIGIT_BLOCK) table per kind of value: out masks
+    and in masks, and with minors also minor codes and star words, as
+    decode_codes defines them.  Column d of a table holds what the digits
+    of d, given to the block's pairs with the first pair's digit least
+    significant, add to each vertex's value.  Each pair adds to its own
+    bits or digits, so a code's values are the sums over its blocks.
     """
     pairs = pair_order(n)
+    minor_index = {pair: q for q, pair in enumerate(pair_order(n - 1))}
     values = np.arange(3 ** _DIGIT_BLOCK)
     tables = []
     for lo in range(0, len(pairs), _DIGIT_BLOCK):
-        out_table = np.zeros((n, values.size), dtype=np.int64)
-        in_table = np.zeros((n, values.size), dtype=np.int64)
+        table = np.zeros((4 if minors else 2, n, values.size), dtype=np.int64)
+        out_table, in_table, *minor_tables = table
         for i, (u, v) in enumerate(pairs[lo:lo + _DIGIT_BLOCK]):
             digit = values // 3 ** i % 3
             forward = (digit == 1).astype(np.int64)
             backward = (digit == 2).astype(np.int64)
-            out_table[u] |= forward << v
-            in_table[v] |= forward << u
-            out_table[v] |= backward << u
-            in_table[u] |= backward << v
-        tables.append((out_table, in_table))
+            out_table[u] += forward << v
+            in_table[v] += forward << u
+            out_table[v] += backward << u
+            in_table[u] += backward << v
+            if minors:
+                minor_table, star_table = minor_tables
+                for w in range(n):
+                    if w != u and w != v:
+                        minor_table[w] += digit * 3 ** minor_index[u - (u > w), v - (v > w)]
+                # v is vertex v - 1 of G - u, and u vertex u of G - v
+                star_table[u] += (forward << 2 * (v - 1)) | (backward << 2 * (v - 1) + 1)
+                star_table[v] += (backward << 2 * u) | (forward << 2 * u + 1)
+        tables.append(table)
     return tuple(tables)
 
 
-def decode_codes(n: int, codes) -> tuple[np.ndarray, np.ndarray]:
+def decode_codes(n: int, codes, minors: bool = False) -> tuple[np.ndarray, ...]:
     """(B, n) int64 out/in mask arrays of order-n base-3 codes.
 
     Digit order is pair_order, digit values absent/forward/backward.  Codes
     of orders whose code range outgrows int64 are decoded as Python ints.
+
+    With minors, two more (B, n) int64 arrays follow, both read in the
+    labels of G - w, G without vertex w, whose vertices above w move down
+    by one: the code of G - w at [b, w], and w's star word, which has bit
+    2x for an arc from w to x and bit 2x + 1 for an arc from x to w.  The
+    minor codes must fit int64, which holds up to n = 10.
     """
     rest = np.array(codes, dtype=np.int64 if num_oriented(n) <= 1 << 63 else object)
-    # built vertex-major, so each vertex's masks are one contiguous row
-    out_masks = np.zeros((n, rest.size), dtype=np.int64)
-    in_masks = np.zeros((n, rest.size), dtype=np.int64)
-    for out_table, in_table in _digit_tables(n):
+    # built vertex-major, so each vertex's values are one contiguous row; and
+    # one array per kind of value, as one array of all four made each call
+    # fault in its pages afresh
+    values = [np.zeros((n, rest.size), dtype=np.int64) for _ in range(4 if minors else 2)]
+    for tables in _digit_tables(n, minors):
         high = rest // 3 ** _DIGIT_BLOCK
         digits = (rest - high * 3 ** _DIGIT_BLOCK).astype(np.intp)
         rest = high
-        out_masks |= np.take(out_table, digits, axis=1)
-        in_masks |= np.take(in_table, digits, axis=1)
-    return out_masks.T, in_masks.T
+        for part, table in zip(values, tables):
+            part += np.take(table, digits, axis=1)
+    return tuple(part.T for part in values)
 
 
 def _bit_counts(masks: np.ndarray, n: int) -> np.ndarray:

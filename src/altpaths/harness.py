@@ -9,13 +9,15 @@ Every sweep kind runs through one driver, _check_order.  A chunk source
 (exhaustive codes, random draws, tournaments, blow-ups) turns its
 instances into (B, n) mask batches, one per order; the driver takes the
 degrees from degree_columns and L from alt_path_lengths, and runs the
-kind's check column by column.  Only the theorem check builds graphs,
-for the finder where kmax >= 2.  Reports have one layout (SweepReport)
-from the driver to the file: the checks write the record-field columns
-themselves, a chunk returns them, the parent writes them into report
-columns allocated once, and report_batches checks the layout once and
-renders the columns in batches of records, which emit_report writes as
-they come.
+kind's check column by column.  Exhaustive chunks, which know their
+graphs by code, hand the driver L from oracle.lengths_from_minors instead,
+read off a table of every graph of the order below.  Only the theorem
+check builds graphs, for the finder where kmax >= 2.  Reports have one
+layout (SweepReport) from the driver to the file: the checks write the
+record-field columns themselves, a chunk returns them, the parent writes
+them into report columns allocated once, and report_batches checks the
+layout once and renders the columns in batches of records, which
+emit_report writes as they come.
 
 Sweeps on more than one worker run on one pool per process, forked at the
 first such sweep and reused by the next ones while the worker count stays
@@ -53,7 +55,7 @@ from .graph_core import (  # noqa: F401 - the benchmark's trace hooks look up th
     num_oriented,
     random_oriented,
 )
-from .oracle import OracleBudget, alt_path_lengths
+from .oracle import OracleBudget, alt_path_lengths, lengths_from_minors
 from .rotation_engine import OUTCOME_TEXTS, EngineBudget, find_alternating_path, max_k_for
 
 CSV_COLUMNS = [
@@ -93,6 +95,8 @@ class SweepConfig:
     workers: int = 1
     t_range: tuple[int, int] = (3, 5)
     b_range: tuple[int, int] = (1, 3)
+    # an exhaustive order n first fills, once per process, a table of all
+    # 3^C(n-1,2) graphs of order n - 1 with the subset DP
     max_n_exhaustive: int = 6
     max_n_subset_dp: int = 22
     stable: bool = False
@@ -299,13 +303,20 @@ _CHECKS = {
 
 
 def _check_order(
-    cfg: SweepConfig, kind: str, out_masks: np.ndarray, in_masks: np.ndarray, agg: dict, b=None
+    cfg: SweepConfig,
+    kind: str,
+    out_masks: np.ndarray,
+    in_masks: np.ndarray,
+    agg: dict,
+    b=None,
+    length: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Degrees, L and the kind's check for a (B, n) mask batch of one order.
 
-    Returns one (B,) column per record field after graph_id, keyed by its
-    name; _chunk_result gathers them into the report's dtypes.  An order
-    above max_n_subset_dp is skipped whole, without L.  A row's non-stable
+    Returns one (B,) int64 column per record field after graph_id (violation
+    an object column), keyed by its name.  L is `length` when the source
+    gives it and alt_path_lengths otherwise.  An order above
+    max_n_subset_dp is skipped whole, without L.  A row's non-stable
     `micros` is its finder time, 0 where no finder runs.
     """
     size, n = out_masks.shape
@@ -326,7 +337,9 @@ def _check_order(
         cols["violation"][:] = "skipped:TooLarge"
         agg["skipped"] += size
         return cols
-    length = cols["oracle_L"] = alt_path_lengths(out_masks, in_masks, n)
+    if length is None:
+        length = alt_path_lengths(out_masks, in_masks, n)
+    cols["oracle_L"] = length
     # least L at each pseudo-semidegree; L <= n marks one that occurs.  (np.unique
     # would import numpy.ma in every pool worker.)
     least = np.full(n + 1, n + 1)
@@ -357,14 +370,19 @@ def _chunk_result(
 ) -> _Chunk:
     """Instances lo.. in index order, as a _Chunk.
 
-    parts pairs each order's columns with the chunk rows they hold.  Every
-    row is kept, or only the violating ones when aggregate_only.  Only the
-    violations that are not null are passed on, most rows having none.
+    parts pairs each order's columns with the chunk rows they hold; one
+    part holds every row in order, and its columns are taken as they are.
+    Every row is kept, or only the violating ones when aggregate_only.
+    Only the violations that are not null are passed on, most rows having
+    none.
     """
-    fields = _empty_fields(sum(rows.size for rows, _ in parts))
-    for rows, cols in parts:
-        for name, column in cols.items():
-            fields[name][rows] = column
+    if len(parts) == 1:
+        fields = dict(parts[0][1])
+    else:
+        fields = _empty_fields(sum(rows.size for rows, _ in parts))
+        for rows, cols in parts:
+            for name, column in cols.items():
+                fields[name][rows] = column
     violation = fields.pop("violation")
     flagged = np.flatnonzero(np.not_equal(violation, None))
     texts = violation[flagged].tolist()
@@ -397,10 +415,13 @@ def _narrow(column: np.ndarray) -> np.ndarray:
 
 
 def _exhaustive_chunk(args) -> tuple[_Chunk, dict]:
-    """Codes lo..hi-1 of order cfg.n, decoded into one batch."""
+    """Codes lo..hi-1 of order cfg.n, decoded into one batch, L from the order-below table."""
     cfg, lo, hi, kind = args
     agg = _new_agg()
-    cols = _check_order(cfg, kind, *decode_codes(cfg.n, np.arange(lo, hi)), agg)
+    out_masks, in_masks, minors, stars = decode_codes(cfg.n, np.arange(lo, hi), minors=True)
+    # an order above the DP budget is skipped whole, without L
+    length = lengths_from_minors(cfg.n, minors, stars) if cfg.n <= cfg.max_n_subset_dp else None
+    cols = _check_order(cfg, kind, out_masks, in_masks, agg, length=length)
     return _chunk_result(cfg, lo, [(np.arange(hi - lo), cols)]), agg
 
 

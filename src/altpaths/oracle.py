@@ -4,11 +4,17 @@ Every answer is exact.  A witness and the has-k test come from the subset
 DP.  alt_path_lengths gives L = n to each graph of order at least
 SPAN_CERTIFICATE_ORDER on which a greedy spanning path passes validate
 (no path has more than n vertices), and runs the subset DP on the rest.
+lengths_from_minors gives the L of order-n graphs known by their codes,
+as the exhaustive sweep knows them, from a table of every order-(n-1)
+code that the subset DP fills once per process: 3^C(n-1,2) graphs, 729
+at n = 5, 59,049 at n = 6 and 14,348,907 at n = 7, so raising the
+exhaustive order costs that many DP rows first.
 Single-graph calls refuse an order above their budget via TooLarge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -16,7 +22,7 @@ import numpy as np
 from ._dp_kernels import BATCH_BYTES, MAX_DP_ORDER, run_dp, witness_ends, word_type
 from .altpath import AlternatingPath, greedy_extend, path_from_verts, validate
 from .errors import BadParams, TooLarge
-from .graph_core import OrientedGraph, bits
+from .graph_core import OrientedGraph, bits, decode_codes, num_oriented
 
 
 @dataclass(frozen=True)
@@ -95,9 +101,14 @@ def _greedy_spans(g: OrientedGraph) -> bool:
     return False
 
 
+def _slice_rows(n: int) -> int:
+    """Graphs per run_dp call that keep its order-n reach near BATCH_BYTES."""
+    return max(1, BATCH_BYTES // (word_type(n).itemsize << n))
+
+
 def _dp_lengths(out_masks: np.ndarray, in_masks: np.ndarray, n: int) -> np.ndarray:
     """L of each graph from the subset DP, in slices of about BATCH_BYTES of reach."""
-    size = max(1, BATCH_BYTES // (word_type(n).itemsize << n))
+    size = _slice_rows(n)
     lengths = np.zeros(len(out_masks), dtype=np.int64)
     for lo in range(0, len(out_masks), size):
         lengths[lo:lo + size] = run_dp(out_masks[lo:lo + size], in_masks[lo:lo + size], n)[0]
@@ -123,6 +134,43 @@ def alt_path_lengths(out_masks: np.ndarray, in_masks: np.ndarray, n: int) -> np.
     lengths = np.full(len(out_masks), n, dtype=np.int64)
     lengths[rest] = _dp_lengths(out_masks[rest], in_masks[rest], n)
     return lengths
+
+
+@lru_cache(maxsize=None)
+def _order_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L as int8, full-mask state word) of every order-n code, from the subset DP.
+
+    The state word is run_dp's reach of the full vertex set: the (end,
+    role) pairs at which a spanning alternating path can end.
+    """
+    total = num_oriented(n)
+    lengths = np.zeros(total, dtype=np.int8)
+    spanning = np.zeros(total, dtype=word_type(n))
+    size = _slice_rows(n)
+    for lo in range(0, total, size):
+        best, reach = run_dp(*decode_codes(n, np.arange(lo, min(lo + size, total))), n)
+        lengths[lo:lo + size], spanning[lo:lo + size] = best, reach[:, -1]
+    lengths.flags.writeable = spanning.flags.writeable = False  # shared by every caller
+    return lengths, spanning
+
+
+def lengths_from_minors(n: int, minors: np.ndarray, stars: np.ndarray) -> np.ndarray:
+    """L of each order-n graph, as (B,) int64, from decode_codes(n, codes, minors=True)'s extras.
+
+    minors[b, w] is the code of G - w and stars[b, w] the star word of w
+    in G - w's labels.  A star word has the bits of the DP's predecessor
+    states of w (an end x with role 0 extends by w -> x, bit 2x; with role
+    1 by x -> w, bit 2x + 1).  G has a spanning path, so L = n, exactly
+    when for some w the star word meets the full-mask state word of
+    G - w, since a spanning path of G less its last vertex w spans G - w.
+    Otherwise a longest path misses some w, and L is the largest L(G - w).
+    Both come from _order_table(n - 1).
+    """
+    if n < 2:  # a spanning path of G - w needs a vertex
+        return np.full(len(minors), n, dtype=np.int64)
+    lengths, spanning = _order_table(n - 1)
+    spans = (spanning[minors] & stars).any(axis=1)
+    return np.where(spans, n, lengths[minors].max(axis=1)).astype(np.int64)
 
 
 def has_alt_path_k(g: OrientedGraph, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> bool:

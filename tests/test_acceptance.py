@@ -65,6 +65,7 @@ class TestCriterion1TheoremExhaustive:
         agg = report.aggregates
         assert agg["instances"] == 3 ** 15
         assert agg["counterexamples"] == 0 and agg["finder_failures"] == 0
+        assert agg["frontier"] == {"1": 2, "2": 4, "3": 6}
         _announce(1, "exhaustive n=6 clean (slow leg)")
 
 

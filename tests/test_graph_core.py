@@ -189,6 +189,25 @@ class TestColumnDecoder:
         assert _nullable(pseudo) == [brute_min_pseudo_semidegree(g) for g in refs]
         assert edges.tolist() == [brute_edge_count(g) for g in refs]
 
+    @pytest.mark.parametrize("n,codes", list(_code_cases()))
+    def test_minors_and_stars_match_reference(self, n, codes):
+        out_masks, in_masks, minors, stars = decode_codes(n, np.array(codes), minors=True)
+        assert minors.shape == stars.shape == (len(codes), n)
+        assert [a.tolist() for a in decode_codes(n, codes)] == [out_masks.tolist(), in_masks.tolist()]
+        for code, row_minors, row_stars in zip(codes, minors.tolist(), stars.tolist()):
+            g = brute_graph_from_code(n, code)
+            for w in range(n):
+                rest = [x for x in range(n) if x != w]  # G - w's vertex i is rest[i]
+                minor = brute_graph_from_code(n - 1, row_minors[w])
+                assert minor.edges() == [
+                    (rest.index(u), rest.index(v)) for u, v in g.edges() if w not in (u, v)
+                ]
+                star = sum(
+                    g.has_edge(w, x) << 2 * i | g.has_edge(x, w) << 2 * i + 1
+                    for i, x in enumerate(rest)
+                )
+                assert row_stars[w] == star
+
     def test_codes_beyond_int64(self):
         # order 10 has 3^45 > 2^63 codes
         codes = [0, num_oriented(10) - 1, *_sample_codes(10, 20, 10)]

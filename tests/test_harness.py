@@ -552,6 +552,22 @@ class TestColumnarExhaustive:
         digest = "f686b55e140cdbd4ae149c243197a8763c550594264573ad19870db8016c8379"
         assert _sha256(report_to_json(report)) == digest
 
+    def test_lengths_come_from_the_order_below_table(self, monkeypatch):
+        def no_dp_lengths(*args):
+            raise AssertionError("an exhaustive chunk ran alt_path_lengths")
+
+        monkeypatch.setattr(harness, "alt_path_lengths", no_dp_lengths)
+        report = run_oddcase_sweep(SweepConfig(mode="exhaustive", n=4, stable=True))
+        digest = "e2278e765fffc346c41cca383a11431ec0d41a4d10769dad3d40119f9d9da5ba"
+        assert _sha256(report_to_json(report)) == digest
+
+        def no_table(*args):
+            raise AssertionError("a skipped order took L from the table")
+
+        monkeypatch.setattr(harness, "lengths_from_minors", no_table)
+        cfg = SweepConfig(mode="exhaustive", n=4, stable=True, max_n_subset_dp=3)
+        assert run_theorem_sweep(cfg).aggregates["skipped"] == 729
+
     def test_aggregate_only_n5(self):
         cfg = SweepConfig(mode="exhaustive", n=5, stable=True, aggregate_only=True)
         report = run_theorem_sweep(cfg)

@@ -15,12 +15,14 @@ from altpaths.graph_core import (
     decode_codes,
     from_edge_list,
     min_pseudo_semidegree,
+    num_oriented,
     random_oriented,
 )
 from altpaths.oracle import (
     OracleBudget,
     alt_path_lengths,
     has_alt_path_k,
+    lengths_from_minors,
     longest_alt_path_exact,
     run_dp,
 )
@@ -337,6 +339,47 @@ class TestSpanCertificate:
         lengths = alt_path_lengths(out_masks, in_masks, 14)
         assert lengths.tolist() == run_dp(out_masks, in_masks, 14)[0].tolist()
         assert (lengths < 14).all()
+
+
+class TestOrderBelowTable:
+    """lengths_from_minors: L of order-n codes from the table of order n - 1."""
+
+    @staticmethod
+    def _assert_matches(n, codes):
+        out_masks, in_masks, minors, stars = decode_codes(n, codes, minors=True)
+        lengths = lengths_from_minors(n, minors, stars)
+        assert lengths.dtype == np.int64
+        assert lengths.tolist() == alt_path_lengths(out_masks, in_masks, n).tolist()
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_code(self, n):
+        self._assert_matches(n, np.arange(num_oriented(n)))
+
+    def test_seeded_chunks_n6(self):
+        rng = np.random.default_rng(66)
+        for lo in rng.integers(0, num_oriented(6) - 2000, size=4).tolist():
+            self._assert_matches(6, np.arange(lo, lo + 2000))
+        self._assert_matches(6, rng.integers(0, num_oriented(6), size=2000))
+
+    @pytest.mark.slow
+    def test_every_code_n6(self):
+        for lo in range(0, num_oriented(6), 100_000):
+            self._assert_matches(6, np.arange(lo, min(lo + 100_000, num_oriented(6))))
+
+    def test_table_costs_one_dp_call_per_process(self, monkeypatch):
+        calls = []
+        real = oracle.run_dp
+
+        def spy(out_masks, in_masks, n, want_k=0):
+            calls.append((len(out_masks), n))
+            return real(out_masks, in_masks, n, want_k)
+
+        monkeypatch.setattr(oracle, "run_dp", spy)
+        oracle._order_table.cache_clear()
+        for lo in (0, 2000, 57049):
+            _, _, minors, stars = decode_codes(5, np.arange(lo, lo + 2000), minors=True)
+            lengths_from_minors(5, minors, stars)
+        assert calls == [(num_oriented(4), 4)]
 
 
 # Orders on both sides of each change of state-word type: the unsigned words
