@@ -15,9 +15,9 @@ read off a table of every graph of the order below.  Only the theorem
 check builds graphs, for the finder where kmax >= 2.  Reports have one
 layout (SweepReport) from the driver to the file: the checks write the
 record-field columns themselves, a chunk returns them, the parent writes
-them into report columns allocated once, and report_batches checks the
-layout once and renders the columns in batches of records, which
-emit_report writes as they come.
+them into report columns allocated once, with each row's instance index
+as its graph_id, and report_batches checks the layout once and renders
+the columns in batches of records, which emit_report writes as they come.
 
 Sweeps on more than one worker run on one pool per process, forked at the
 first such sweep and reused by the next ones while the worker count stays
@@ -38,7 +38,7 @@ import os
 import random
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -71,8 +71,6 @@ CSV_COLUMNS = [
 ]
 # every field of a report record, in the order a record dict lists them
 RECORD_FIELDS = (*CSV_COLUMNS, "violation")
-# the str fields; every other field is an int
-_STR_FIELDS = {"graph_id", "violation"}
 # the fields that may be null: None in a str field, -1 in an int field
 _NULLABLE = {"min_pseudo_semidegree", "min_semidegree", "oracle_L", "violation"}
 # finder_outcome is an int field of codes into OUTCOME_TEXTS
@@ -126,24 +124,28 @@ class SweepConfig:
 class SweepReport:
     """A sweep's config, aggregates and records, in the layout _run_chunked makes.
 
-    columns maps each RECORD_FIELDS name to a column with one value per
-    record.  graph_id is a list of str, and violation an object array of
-    str with None for null.  Every other field is an int64 array; in the
-    nullable ones (the two degree fields and oracle_L) -1 stands for null,
-    and finder_outcome holds codes into rotation_engine.OUTCOME_TEXTS, which
-    records and the renderers write as their text.  records reads the
+    columns maps each RECORD_FIELDS name to a one-dimensional array with one
+    value per record.  graph_id holds each record's instance index, and
+    graph_ids gives the ids' one shape: a str is the prefix of the decimal
+    index, a tuple of str the id of each index.  violation is an object
+    array of str with None for null.  Every other field is an int64 array;
+    in the nullable ones (the two degree fields and oracle_L) -1 stands for
+    null, and finder_outcome holds codes into rotation_engine.OUTCOME_TEXTS,
+    which records and the renderers write as their text.  records reads the
     columns as they are; report_batches checks this layout once, before
     its first batch.
 
     The JSON renderer groups rows by body, every field but graph_id (and
     micros when rows differ in it): it formats each distinct body once and
     writes the document in batches of rows, each row its body's text
-    around its graph_id.
+    around its id.  A prefix is escaped once, into each body's text, and
+    each row adds its decimal index; names are escaped once each.
     """
 
     config: dict
-    columns: dict[str, np.ndarray | list]
-    aggregates: dict = field(default_factory=dict)
+    columns: dict[str, np.ndarray]
+    aggregates: dict
+    graph_ids: str | tuple[str, ...]
 
     @property
     def records(self) -> list[dict]:
@@ -151,19 +153,27 @@ class SweepReport:
 
         Mutating the returned list or its dicts does not change the report.
         """
-        rows = zip(*(_native(name, self.columns[name]) for name in RECORD_FIELDS))
+        rows = zip(*(
+            _id_texts(self.graph_ids, self.columns[name]) if name == "graph_id"
+            else _native(name, self.columns[name])
+            for name in RECORD_FIELDS
+        ))
         return [dict(zip(RECORD_FIELDS, row)) for row in rows]
 
 
-def _check_columns(columns: dict) -> None:
-    """Raise TypeError unless the columns have SweepReport's layout.
+def _check_columns(columns: dict, graph_ids) -> None:
+    """Raise TypeError unless the columns and graph_ids have SweepReport's layout.
 
-    Missing or extra fields, unequal lengths, a list where an array belongs
-    (or an array for graph_id), an array that is not one-dimensional or not
-    of its field's dtype, a negative int (below -1 where the field is
-    nullable), a finder_outcome code past OUTCOME_TEXTS and a str column
-    holding anything but str (or None in violation) all raise.
+    graph_ids neither a str nor a tuple of str, missing or extra fields,
+    unequal lengths, a column that is not a one-dimensional array of its
+    field's dtype, a negative int (below -1 where the field is nullable), a
+    finder_outcome code past OUTCOME_TEXTS, a graph_id past the names and
+    a violation that is neither str nor None all raise.
     """
+    if not isinstance(graph_ids, str) and not (
+        isinstance(graph_ids, tuple) and all(isinstance(text, str) for text in graph_ids)
+    ):
+        raise TypeError(f"graph ids {graph_ids!r:.60} are neither a prefix nor a tuple of names")
     if columns.keys() != set(RECORD_FIELDS):
         raise TypeError(f"report columns {sorted(columns)} are not the record fields")
     lengths = {name: len(column) for name, column in columns.items()}
@@ -171,31 +181,27 @@ def _check_columns(columns: dict) -> None:
         raise TypeError(f"report columns have unequal lengths {lengths}")
     for name in RECORD_FIELDS:
         column = columns[name]
-        if name == "graph_id":
-            if not isinstance(column, list):
-                raise TypeError(f"report column 'graph_id' is {type(column).__name__}, not a list")
-            values = column
-        else:
-            if not isinstance(column, np.ndarray) or column.ndim != 1:
-                raise TypeError(f"report column {name!r} is not a one-dimensional array")
-            if column.dtype != (object if name in _STR_FIELDS else np.int64):
-                raise TypeError(f"report column {name!r} has dtype {column.dtype}")
-            if name not in _STR_FIELDS:
-                if column.size and column.min() < (-1 if name in _NULLABLE else 0):
-                    raise TypeError(f"report column {name!r} holds a negative int")
-                if name == "finder_outcome" and column.size and column.max() >= len(_OUTCOMES):
-                    raise TypeError(f"report column {name!r} holds a code past the outcomes")
-                continue
-            values = column.tolist()
-        off = set(map(type, values)) - {str} - ({type(None)} if name in _NULLABLE else set())
-        if off:
-            raise TypeError(f"report column {name!r} holds {sorted(t.__name__ for t in off)}")
+        if not isinstance(column, np.ndarray) or column.ndim != 1:
+            raise TypeError(f"report column {name!r} is not a one-dimensional array")
+        if column.dtype != (object if name == "violation" else np.int64):
+            raise TypeError(f"report column {name!r} has dtype {column.dtype}")
+        if name == "violation":
+            # null on most rows; only the others are type-checked
+            off = set(map(type, column[np.not_equal(column, None)].tolist())) - {str}
+            if off:
+                raise TypeError(f"report column {name!r} holds {sorted(t.__name__ for t in off)}")
+        elif column.size:
+            if column.min() < (-1 if name in _NULLABLE else 0):
+                raise TypeError(f"report column {name!r} holds a negative int")
+            if name == "finder_outcome" and column.max() >= len(_OUTCOMES):
+                raise TypeError(f"report column {name!r} holds a code past the outcomes")
+            if name == "graph_id" and isinstance(graph_ids, tuple):
+                if column.max() >= len(graph_ids):
+                    raise TypeError(f"report column {name!r} holds an index past the names")
 
 
-def _native(name: str, column: np.ndarray | list) -> list:
+def _native(name: str, column: np.ndarray) -> list:
     """A report column's values as int, str and None."""
-    if isinstance(column, list):
-        return column
     if name == "finder_outcome":
         return _OUTCOMES[column].tolist()
     if column.dtype == object or name not in _NULLABLE:
@@ -203,6 +209,13 @@ def _native(name: str, column: np.ndarray | list) -> list:
     values = column.astype(object)
     values[column < 0] = None
     return values.tolist()
+
+
+def _id_texts(graph_ids: str | tuple[str, ...], index: np.ndarray) -> list[str]:
+    """The ids of the instance indexes: the prefix and the decimal index, or the index's name."""
+    if isinstance(graph_ids, str):
+        return [graph_ids + text for text in map(str, index.tolist())]
+    return [graph_ids[i] for i in index.tolist()]
 
 
 def _mix_seed(seed: int, idx: int) -> int:
@@ -354,15 +367,16 @@ def _check_order(
 def _empty_fields(size: int) -> dict[str, np.ndarray]:
     """One uninitialised column per record field after graph_id; violation holds None."""
     return {
-        name: np.empty(size, dtype=object if name in _STR_FIELDS else np.int64)
+        name: np.empty(size, dtype=object if name == "violation" else np.int64)
         for name in RECORD_FIELDS[1:]
     }
 
 
-# a chunk's kept rows: their instance indexes, one int64 array per record
-# field after graph_id but violation, and the instance indexes and texts of
-# the rows whose violation is not null
-_Chunk = tuple[np.ndarray, dict[str, np.ndarray], np.ndarray, list[str]]
+# a chunk's kept rows: one int64 array per record field after graph_id but
+# violation, and the instance indexes and texts of the rows whose violation
+# is not null.  A full chunk keeps its rows lo..hi-1; an aggregate_only
+# chunk keeps exactly the rows it flags, so neither sends a row index.
+_Chunk = tuple[dict[str, np.ndarray], np.ndarray, list[str]]
 
 
 def _chunk_result(
@@ -386,10 +400,9 @@ def _chunk_result(
     violation = fields.pop("violation")
     flagged = np.flatnonzero(np.not_equal(violation, None))
     texts = violation[flagged].tolist()
-    if not cfg.aggregate_only:
-        return lo + np.arange(violation.size), fields, lo + flagged, texts
-    kept = {name: column[flagged] for name, column in fields.items()}
-    return lo + flagged, kept, lo + flagged, texts
+    if cfg.aggregate_only:
+        fields = {name: column[flagged] for name, column in fields.items()}
+    return fields, lo + flagged, texts
 
 
 def _pooled(task: tuple) -> tuple[_Chunk, dict]:
@@ -399,9 +412,9 @@ def _pooled(task: tuple) -> tuple[_Chunk, dict]:
     kept less memory and collected faster; the parent's columns stay int64.
     """
     worker, chunk = task
-    (index, fields, flagged, texts), agg = worker(chunk)
+    (fields, flagged, texts), agg = worker(chunk)
     fields = {name: _narrow(column) for name, column in fields.items()}
-    return (_narrow(index), fields, _narrow(flagged), texts), agg
+    return (fields, _narrow(flagged), texts), agg
 
 
 def _narrow(column: np.ndarray) -> np.ndarray:
@@ -519,7 +532,9 @@ def _drop_pool() -> None:
         held[2].join()
 
 
-def _run_chunked(cfg: SweepConfig, total: int, worker, kind: str, graph_id) -> SweepReport:
+def _run_chunked(
+    cfg: SweepConfig, total: int, worker, kind: str, graph_ids: str | tuple[str, ...]
+) -> SweepReport:
     """Run instances 0..total-1 in chunks on cfg.workers processes, in chunk order.
 
     Sweeps on more than one worker share this process's pool (_worker_pool):
@@ -529,12 +544,12 @@ def _run_chunked(cfg: SweepConfig, total: int, worker, kind: str, graph_id) -> S
     state as of their fork: a change made after that (a monkeypatch, say)
     reaches only sweeps whose chunks run here, on one worker or in one chunk.
 
-    The parent writes each chunk's arrays into report columns allocated
-    once for all total rows, and its violation texts into a violation
-    column of None; an aggregate_only sweep, whose row count is not known
-    ahead, concatenates its kept rows instead.  graph_id names an index,
-    once per kept row; the ids of all rows are formatted while the pool's
-    workers run the first chunks.
+    The parent writes each chunk's arrays into its slice of report columns
+    allocated once for all total rows, and its violation texts into a
+    violation column of None; an aggregate_only sweep, whose row count is
+    not known ahead, concatenates its kept rows instead.  The graph_id
+    column holds each kept row's instance index, and graph_ids, the
+    report's one id shape, is passed through: no id text is built here.
     """
     chunks = [
         (cfg, lo, min(lo + cfg.chunk_size, total), kind) for lo in range(0, total, cfg.chunk_size)
@@ -542,15 +557,15 @@ def _run_chunked(cfg: SweepConfig, total: int, worker, kind: str, graph_id) -> S
     agg = _new_agg()
     columns = _empty_fields(0 if cfg.aggregate_only else total)
     violation = columns.pop("violation")
-    kept = [(np.arange(0), columns, [])]  # an aggregate_only sweep's chunks, after no rows
+    kept = [(columns, np.arange(0), [])]  # an aggregate_only sweep's chunks, after no rows
 
     def collect(results) -> None:
-        for (index, fields, flagged, texts), part in results:
+        for (_, lo, hi, _), ((fields, flagged, texts), part) in zip(chunks, results):
             if cfg.aggregate_only:
-                kept.append((index, fields, texts))
+                kept.append((fields, flagged, texts))
             else:
                 for name, column in fields.items():
-                    columns[name][index] = column
+                    columns[name][lo:hi] = column
                 violation[flagged] = texts
             _merge_agg(agg, part)
 
@@ -564,24 +579,22 @@ def _run_chunked(cfg: SweepConfig, total: int, worker, kind: str, graph_id) -> S
     else:
         results = map(worker, chunks)
     try:
-        # a list frees its strings last to first, which lets Python's
-        # small-object allocator hand their memory back; an object array
-        # frees them first to first, and the process then kept about 20 MB
-        # more over 30 n=5 sweeps, each followed by json.load of its report
-        ids = [] if cfg.aggregate_only else list(map(graph_id, range(total)))
         collect(results)
     except BaseException:
         if pooled:  # the workers may still be running this sweep's tasks
             _drop_pool()
         raise
     if cfg.aggregate_only:
-        ids = list(map(graph_id, np.concatenate([rows for rows, _, _ in kept]).tolist()))
+        index = np.concatenate([flagged for _, flagged, _ in kept], dtype=np.int64)
         columns = {
-            name: np.concatenate([fields[name] for _, fields, _ in kept], dtype=column.dtype)
+            name: np.concatenate([fields[name] for fields, _, _ in kept], dtype=column.dtype)
             for name, column in columns.items()
         }
         violation = np.array([text for _, _, texts in kept for text in texts], dtype=object)
-    return SweepReport(_config_dict(cfg), {"graph_id": ids, **columns, "violation": violation}, agg)
+    else:
+        index = np.arange(total, dtype=np.int64)
+    columns = {"graph_id": index, **columns, "violation": violation}
+    return SweepReport(_config_dict(cfg), columns, agg, graph_ids)
 
 
 def _run_exhaustive(cfg: SweepConfig, kind: str) -> SweepReport:
@@ -593,7 +606,7 @@ def _run_exhaustive(cfg: SweepConfig, kind: str) -> SweepReport:
     if n > cfg.max_n_exhaustive:
         raise TooLarge(f"exhaustive n={n} above bound {cfg.max_n_exhaustive}")
     cfg = dataclasses.replace(cfg, n=n)
-    return _run_chunked(cfg, num_oriented(n), _exhaustive_chunk, kind, f"exh{n}-{{}}".format)
+    return _run_chunked(cfg, num_oriented(n), _exhaustive_chunk, kind, f"exh{n}-")
 
 
 def run_theorem_sweep(cfg: SweepConfig) -> SweepReport:
@@ -601,7 +614,7 @@ def run_theorem_sweep(cfg: SweepConfig) -> SweepReport:
     if cfg.mode == "exhaustive":
         return _run_exhaustive(cfg, "theorem")
     if cfg.mode == "random":
-        return _run_chunked(cfg, cfg.samples, _random_chunk, "theorem", "rnd-{}".format)
+        return _run_chunked(cfg, cfg.samples, _random_chunk, "theorem", "rnd-")
     raise BadParams(f"theorem sweep does not support mode {cfg.mode!r}")
 
 
@@ -611,7 +624,7 @@ def run_oddcase_sweep(cfg: SweepConfig) -> SweepReport:
         return _run_exhaustive(cfg, "oddcase")
     # "oddcase" is the CLI's name for the random odd-case sweep
     if cfg.mode in ("random", "oddcase"):
-        return _run_chunked(cfg, cfg.samples, _random_chunk, "oddcase", "rnd-{}".format)
+        return _run_chunked(cfg, cfg.samples, _random_chunk, "oddcase", "rnd-")
     raise BadParams(f"odd-case sweep does not support mode {cfg.mode!r}")
 
 
@@ -619,8 +632,8 @@ def run_blowup_suite(cfg: SweepConfig) -> SweepReport:
     """Tightness construction: class size b forces semidegree b and maximum order 2b."""
     if cfg.mode != "blowup":
         raise BadParams(f"blow-up suite does not support mode {cfg.mode!r}")
-    names = [f"blowup-{t}x{b}" for t, b in _blowup_params(cfg)]
-    return _run_chunked(cfg, len(names), _blowup_chunk, "blowup", names.__getitem__)
+    names = tuple(f"blowup-{t}x{b}" for t, b in _blowup_params(cfg))
+    return _run_chunked(cfg, len(names), _blowup_chunk, "blowup", names)
 
 
 def run_corollary_sweep(cfg: SweepConfig) -> SweepReport:
@@ -639,7 +652,7 @@ def run_corollary_sweep(cfg: SweepConfig) -> SweepReport:
             )
         if n > cfg.max_n_subset_dp:
             raise TooLarge(f"n={n} beyond oracle budget")
-    return _run_chunked(cfg, cfg.samples, _corollary_chunk, "corollary", "crl-{}".format)
+    return _run_chunked(cfg, cfg.samples, _corollary_chunk, "corollary", "crl-")
 
 
 # --- report emission -------------------------------------------------------
@@ -714,10 +727,10 @@ def _body_lines(columns: dict[str, np.ndarray], keys: list[str], first: np.ndarr
     return map("".join, zip(*per_key))
 
 
-def _json_text(head: str, columns: dict[str, np.ndarray]):
+def _json_text(head: str, columns: dict[str, np.ndarray], graph_ids: str | tuple[str, ...]):
     # head ends with the closing "\n}"; "records" sorts after both keys
     ids, micros = columns["graph_id"], columns["micros"]
-    if not ids:
+    if not ids.size:
         yield head[:-2] + ',\n  "records": []\n}\n'
         return
     yield head[:-2] + ',\n  "records": [\n'
@@ -731,25 +744,40 @@ def _json_text(head: str, columns: dict[str, np.ndarray]):
     # each body's text before and after its rows' graph ids
     opening = _body_lines(columns, before, first, "      {}: {},\n")
     closing = _body_lines(columns, after, first, ",\n      {}: {}")
-    heads = np.array([f'    {{\n{text}      "graph_id": ' for text in opening], dtype=object)
-    tails = np.array([f"{text}\n    }},\n" for text in closing], dtype=object)
+    if isinstance(graph_ids, str):
+        # encode_basestring_ascii escapes one character at a time, so an id's
+        # text is the escaped prefix, the decimal index and a closing quote
+        id_open, id_close, names = encode_basestring_ascii(graph_ids)[:-1], '"', None
+    else:
+        id_open, id_close = "", ""
+        names = np.array([encode_basestring_ascii(name) for name in graph_ids], dtype=object)
+    heads = [f'    {{\n{text}      "graph_id": {id_open}' for text in opening]
+    # the id's closing quote comes before micros where rows write their own
+    gap = f'{id_close},\n      "micros": '
+    if timed:
+        id_close = ""
+    tails = [f"{id_close}{text}\n    }},\n" for text in closing]
+    heads, tails = np.array(heads, dtype=object), np.array(tails, dtype=object)
     width = 5 if timed else 3
-    for lo in range(0, len(ids), _BATCH_ROWS):
-        hi = min(lo + _BATCH_ROWS, len(ids))
+    for lo in range(0, ids.size, _BATCH_ROWS):
+        hi = min(lo + _BATCH_ROWS, ids.size)
         rows = codes[lo:hi]
         pieces = [""] * (width * (hi - lo))
         pieces[0::width] = heads[rows].tolist()
-        pieces[1::width] = map(encode_basestring_ascii, ids[lo:hi])
+        if names is None:
+            pieces[1::width] = map(int.__repr__, ids[lo:hi].tolist())
+        else:
+            pieces[1::width] = names[ids[lo:hi]].tolist()
         if timed:
-            pieces[2::width] = [',\n      "micros": '] * (hi - lo)
+            pieces[2::width] = [gap] * (hi - lo)
             pieces[3::width] = map(int.__repr__, micros[lo:hi].tolist())
         pieces[width - 1::width] = tails[rows].tolist()
         text = "".join(pieces)
         # the last record closes the list and the document instead
-        yield text if hi < len(ids) else text[:-2] + "\n  ]\n}\n"
+        yield text if hi < ids.size else text[:-2] + "\n  ]\n}\n"
 
 
-def _csv_text(columns: dict[str, np.ndarray]):
+def _csv_text(columns: dict[str, np.ndarray], graph_ids: str | tuple[str, ...]):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
 
@@ -761,11 +789,11 @@ def _csv_text(columns: dict[str, np.ndarray]):
 
     writer.writerow(CSV_COLUMNS)
     yield flush()
-    size = len(columns["graph_id"])
-    for lo in range(0, size, _BATCH_ROWS):
+    ids = columns["graph_id"]
+    for lo in range(0, ids.size, _BATCH_ROWS):
         # the csv writer writes None as the empty string
-        batch = (_native(name, columns[name][lo:lo + _BATCH_ROWS]) for name in CSV_COLUMNS)
-        writer.writerows(zip(*batch))
+        batch = (_native(name, columns[name][lo:lo + _BATCH_ROWS]) for name in CSV_COLUMNS[1:])
+        writer.writerows(zip(_id_texts(graph_ids, ids[lo:lo + _BATCH_ROWS]), *batch))
         yield flush()
 
 
@@ -778,14 +806,14 @@ def report_batches(report: SweepReport, fmt: str) -> Iterator[str]:
     """
     if fmt not in ("json", "csv"):
         raise BadParams(f"unknown report format {fmt!r}")
-    columns = report.columns
-    _check_columns(columns)
+    columns, graph_ids = report.columns, report.graph_ids
+    _check_columns(columns, graph_ids)
     if fmt == "csv":
-        return _csv_text(columns)
+        return _csv_text(columns, graph_ids)
     head = json.dumps(
         {"config": report.config, "aggregates": report.aggregates}, sort_keys=True, indent=2
     )
-    return _json_text(head, columns)
+    return _json_text(head, columns, graph_ids)
 
 
 def emit_report(report: SweepReport, fmt: str, path: str) -> None:

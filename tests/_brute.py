@@ -181,7 +181,11 @@ def alt_path_dp_py(out_masks, in_masks, reach, want_k):
     """Reference subset DP in mask-index order over plain int lists.
 
     Fills `reach` (length 2^n, zeroed) and returns (best, best_mask,
-    best_state); with want_k > 0 it returns once best >= want_k.
+    best_state); with want_k > 0 it returns once best >= want_k.  State bit
+    2v + r of reach[mask] says that a path on mask ends at v, having
+    entered v along an arc out of v (r = 1) or into v (r = 0); the next
+    arc must turn, so each mask extends by one union of next vertices per
+    end role.
     """
     n = len(out_masks)
     size = 1 << n
@@ -204,16 +208,20 @@ def alt_path_dp_py(out_masks, in_masks, reach, want_k):
         free = full & ~mask
         if not free:
             continue
+        # ends of role 1 go on along an out-arc, ends of role 0 along an in-arc
+        via_out = via_in = 0
         st = s
         while st:
             b = st & -st
             st ^= b
             idx = b.bit_length() - 1
-            last, role = idx >> 1, idx & 1
-            cand = (out_masks[last] if role == 1 else in_masks[last]) & free
+            if idx & 1:
+                via_out |= out_masks[idx >> 1]
+            else:
+                via_in |= in_masks[idx >> 1]
+        for cand, role in ((via_out & free, 0), (via_in & free, 1)):
             while cand:
                 wb = cand & -cand
                 cand ^= wb
-                w = wb.bit_length() - 1
-                reach[mask | wb] |= 1 << (2 * w + (1 - role))
+                reach[mask | wb] |= 1 << (2 * (wb.bit_length() - 1) + role)
     return best, best_mask, best_state

@@ -226,7 +226,7 @@ class TestReportEncoder:
         base = _blowup(t_range=(3, 3), b_range=(1, 1), stable=True)
         columns = _repeated(base, 2)
         columns["violation"] = _objects([None, 'a"b\\c\nd\u00e9\u2603'])
-        report = SweepReport(base.config, columns, base.aggregates)
+        report = SweepReport(base.config, columns, base.aggregates, base.graph_ids)
         text = report_to_json(report)
         assert text.isascii()
         assert text == _reference_json(report)
@@ -241,11 +241,11 @@ class TestReportEncoder:
             dict(missing, millis=np.array([0, 0])),
             dict(columns, micros=np.array([0, 1.5])),
             dict(columns, violation=_objects([None, ["x"]])),
-            dict(columns, graph_id=["blowup-3x1", 7]),
+            dict(columns, graph_id=[0, 0]),
             dict(columns, rounds=np.array([0])),
         ]
         for bad in bad_columns:
-            report = SweepReport(base.config, bad, base.aggregates)
+            report = SweepReport(base.config, bad, base.aggregates, base.graph_ids)
             with pytest.raises(TypeError):
                 report_to_json(report)
 
@@ -271,18 +271,22 @@ class TestReportEncoder:
         assert digest == "9da2cb1e2d455807c281e36a4d95c3ecc22013bd0a35f37caee7a21ddd934b78"
 
 
-# the str fields and the nullable ones; finder_outcome is coded, every other
-# record field is an int
-STR_FIELDS = {"graph_id", "violation"}
+# the nullable fields; graph_id holds instance indexes, finder_outcome codes,
+# violation str, and every other record field an int
 NULLABLE = {"min_pseudo_semidegree", "min_semidegree", "oracle_L", "violation"}
 INT_FIELDS = [
-    name for name in harness.RECORD_FIELDS if name not in STR_FIELDS | {"finder_outcome"}
+    name for name in harness.RECORD_FIELDS
+    if name not in {"graph_id", "finder_outcome", "violation"}
 ]
 
 
 @st.composite
 def record_columns(draw):
-    """(config, columns as lists): 0, 1 or many rows, nulls, escapes and non-ASCII text."""
+    """(config, graph_ids, columns as lists): 0, 1 or many rows, nulls, escapes and non-ASCII text.
+
+    graph_id holds instance indexes: into a tuple of unique id texts, or
+    after a prefix text.
+    """
     size = draw(st.sampled_from([0, 1, draw(st.integers(2, 40))]))
 
     def column(values, **kw):
@@ -297,14 +301,25 @@ def record_columns(draw):
     }
     if draw(st.booleans()):  # every row times its own finder call
         columns["micros"] = column(st.integers(0, 2**62), unique=True)
-    columns["graph_id"] = column(text, unique=True)
+    if draw(st.booleans()):  # every id named
+        graph_ids = tuple(column(text, unique=True))
+        columns["graph_id"] = draw(st.permutations(range(size)))
+    else:  # a prefix and the decimal index
+        graph_ids = draw(text)
+        columns["graph_id"] = column(ints, unique=True)
     columns["finder_outcome"] = column(st.sampled_from(OUTCOME_TEXTS))
     columns["violation"] = column(st.one_of(st.none(), text))
     aggregate_only = draw(st.booleans())
     if aggregate_only:  # an aggregate_only sweep keeps the violating rows
         keep = [i for i, text in enumerate(columns["violation"]) if text is not None]
         columns = {name: [values[i] for i in keep] for name, values in columns.items()}
-    return {"mode": "random", "aggregate_only": aggregate_only}, columns
+    return {"mode": "random", "aggregate_only": aggregate_only}, graph_ids, columns
+
+
+def _id_texts(graph_ids, indexes: list[int]) -> list[str]:
+    if isinstance(graph_ids, str):
+        return [f"{graph_ids}{i}" for i in indexes]
+    return [graph_ids[i] for i in indexes]
 
 
 def _objects(values: list) -> np.ndarray:
@@ -316,17 +331,15 @@ def _objects(values: list) -> np.ndarray:
 def _as_arrays(columns: dict) -> dict:
     """Columns of int, str and None in the report layout.
 
-    graph_id stays a list of str, violation becomes an object array,
-    finder_outcome an int64 array of codes into OUTCOME_TEXTS, and the int
-    fields int64 arrays with -1 for null.
+    violation becomes an object array, finder_outcome an int64 array of
+    codes into OUTCOME_TEXTS, and graph_id and the int fields int64 arrays
+    with -1 for null.
     """
     arrays = {}
     for name, values in columns.items():
-        if name == "graph_id":
-            arrays[name] = list(values)
-        elif name == "finder_outcome":
+        if name == "finder_outcome":
             arrays[name] = np.array(list(map(OUTCOME_TEXTS.index, values)), dtype=np.int64)
-        elif name in STR_FIELDS:
+        elif name == "violation":
             arrays[name] = _objects(values)
         else:
             arrays[name] = np.array([-1 if v is None else v for v in values], dtype=np.int64)
@@ -334,9 +347,8 @@ def _as_arrays(columns: dict) -> dict:
 
 
 def _repeated(report, times: int) -> dict:
-    """The report's records, repeated, as columns in the report layout."""
-    records = report.records * times
-    return _as_arrays({name: [rec[name] for rec in records] for name in harness.RECORD_FIELDS})
+    """The report's columns, each repeated; the rows keep the report's graph_ids."""
+    return {name: np.tile(column, times) for name, column in report.columns.items()}
 
 
 def _reference_csv(report):
@@ -354,10 +366,11 @@ class TestTypedColumns:
     @given(record_columns())
     @settings(max_examples=100, deadline=None)
     def test_renderers_match_the_reference(self, drawn):
-        config, columns = drawn
-        report = SweepReport(config, _as_arrays(columns), AGGREGATES)
+        config, graph_ids, columns = drawn
+        report = SweepReport(config, _as_arrays(columns), AGGREGATES, graph_ids)
+        texts = dict(columns, graph_id=_id_texts(graph_ids, columns["graph_id"]))
         records = [dict(zip(harness.RECORD_FIELDS, row))
-                   for row in zip(*(columns[name] for name in harness.RECORD_FIELDS))]
+                   for row in zip(*(texts[name] for name in harness.RECORD_FIELDS))]
         assert report.records == records
         assert report_to_json(report) == _reference_json(report)
         assert report_to_csv(report) == _reference_csv(report)
@@ -377,16 +390,19 @@ class TestTypedColumns:
         ("rounds", np.array([0, -2]), "negative int"),
         ("oracle_L", np.array([-2, 4]), "negative int"),
         ("micros", np.array([0, -1]), "negative int"),  # null where the field is not nullable
-        ("graph_id", ["blowup-3x1", 7], r"holds \['int'\]"),
+        ("graph_id", [0, 1], "not a one-dimensional array"),
         ("finder_outcome", np.array([1, -1]), "negative int"),
         ("violation", _objects([None, b"x"]), r"holds \['bytes'\]"),
         ("edges", np.zeros((2, 1), dtype=np.int64), "not a one-dimensional array"),
         ("rounds", [0, 1], "not a one-dimensional array"),
         ("n", np.array([5, 6], dtype=np.int32), "dtype int32"),
         ("finder_outcome", np.array(["found", ""]), "dtype <U5"),
-        ("graph_id", _objects(["blowup-3x1", "blowup-3x2"]), "not a list"),
+        ("graph_id", _objects(["blowup-3x1", "blowup-3x2"]), "dtype object"),  # texts, not indexes
         ("finder_outcome", np.array([1, len(OUTCOME_TEXTS)]), "code past the outcomes"),
         ("finder_outcome", _objects(["found", "found"]), "dtype object"),  # texts, not codes
+        ("graph_id", np.array([0, 1], dtype=np.int32), "dtype int32"),
+        ("graph_id", np.array([0, -1]), "negative int"),
+        ("graph_id", np.array([0, 2]), "index past the names"),  # the report names 2 ids
     ]
 
     @pytest.mark.parametrize(
@@ -396,7 +412,8 @@ class TestTypedColumns:
     )
     def test_off_template_raises_in_both_renderers(self, tmp_path, name, bad, rule):
         base, columns = self._columns()
-        report = SweepReport(base.config, dict(columns, **{name: bad}), base.aggregates)
+        bad_columns = dict(columns, **{name: bad})
+        report = SweepReport(base.config, bad_columns, base.aggregates, base.graph_ids)
         for render in (report_to_json, report_to_csv):
             with pytest.raises(TypeError, match=rule):
                 render(report)
@@ -406,11 +423,23 @@ class TestTypedColumns:
             emit_report(report, "json", str(path))
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "graph_ids",
+        [["blowup-3x1", "blowup-3x2"], ("blowup-3x1", 7), None, b"blowup-"],
+        ids=["list", "tuple-with-int", "none", "bytes"],
+    )
+    def test_bad_graph_ids_raise_in_both_renderers(self, graph_ids):
+        base, columns = self._columns()
+        report = SweepReport(base.config, columns, base.aggregates, graph_ids)
+        for render in (report_to_json, report_to_csv):
+            with pytest.raises(TypeError, match="neither a prefix nor a tuple of names"):
+                render(report)
+
     def test_every_outcome_renders_like_the_reference(self):
         base = _blowup(t_range=(3, 3), b_range=(1, 1), stable=True)
         columns = _repeated(base, len(OUTCOME_TEXTS))
         columns["finder_outcome"] = np.arange(len(OUTCOME_TEXTS))
-        report = SweepReport(base.config, columns, base.aggregates)
+        report = SweepReport(base.config, columns, base.aggregates, base.graph_ids)
         assert [rec["finder_outcome"] for rec in report.records] == list(OUTCOME_TEXTS)
         assert report_to_json(report) == _reference_json(report)
         assert report_to_csv(report) == _reference_csv(report)
@@ -419,7 +448,7 @@ class TestTypedColumns:
         report = _blowup(stable=True)
         records = report.records
 
-        def refuse(columns):
+        def refuse(columns, graph_ids):
             raise TypeError("layout checked")
 
         monkeypatch.setattr(harness, "_check_columns", refuse)
@@ -436,7 +465,7 @@ class TestTypedColumns:
         report = _blowup(stable=True)
         expected = report_to_json(report), report_to_csv(report)
         check, calls = harness._check_columns, []
-        monkeypatch.setattr(harness, "_check_columns", lambda columns: calls.append(check(columns)))
+        monkeypatch.setattr(harness, "_check_columns", lambda *args: calls.append(check(*args)))
         monkeypatch.setattr(harness, "_BATCH_ROWS", 2)  # 9 records in 5 batches
         assert (report_to_json(report), report_to_csv(report)) == expected
         assert len(calls) == 2
@@ -446,7 +475,7 @@ class TestTypedColumns:
         missing = {name: column for name, column in columns.items() if name != "micros"}
         short, extra = dict(columns, rounds=np.array([0])), dict(columns, extra=np.array([1, 1]))
         for bad in (short, missing, extra):
-            report = SweepReport(base.config, bad, base.aggregates)
+            report = SweepReport(base.config, bad, base.aggregates, base.graph_ids)
             for render in (report_to_json, report_to_csv):
                 with pytest.raises(TypeError):
                     render(report)
@@ -574,6 +603,14 @@ class TestColumnarExhaustive:
         assert report.records == []
         assert report.aggregates == _exhaustive_n5().aggregates
 
+    def test_graph_ids_are_instance_indexes(self):
+        report = _exhaustive_n5()
+        index = report.columns["graph_id"]
+        assert index.dtype == np.int64 and index.tolist() == list(range(59049))
+        assert report.graph_ids == "exh5-"
+        ids = [rec["graph_id"] for rec in report.records]
+        assert ids == [f"exh5-{code}" for code in range(59049)]
+
     def test_exhaustive_oddcase_n4_pinned(self):
         # sha256 of the report; the per-graph sweep wrote its records
         report = run_oddcase_sweep(SweepConfig(mode="exhaustive", n=4, stable=True))
@@ -649,7 +686,7 @@ class TestWorkerPool:
         cfg = SweepConfig(mode="exhaustive", n=5, stable=True, workers=2)
         # the kind is looked up in the workers, so the KeyError comes back from them
         with pytest.raises(KeyError):
-            harness._run_chunked(cfg, 3**10, harness._exhaustive_chunk, "nope", "{}".format)
+            harness._run_chunked(cfg, 3**10, harness._exhaustive_chunk, "nope", "exh5-")
         assert harness._pool is None
         assert all(p.exitcode is not None for p in workers)
         report, _ = _n5_pooled(2)
