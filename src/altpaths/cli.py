@@ -58,7 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--n", type=int)
     p_sweep.add_argument("--n-range", type=_parse_range)
-    p_sweep.add_argument("--k", type=int)
+    p_sweep.add_argument(
+        "--k", type=int,
+        help="corollary sweep: order (number of vertices) of the alternating path to check for",
+    )
     p_sweep.add_argument("--samples", type=int, default=1000)
     p_sweep.add_argument("--p", type=float, default=0.5)
     p_sweep.add_argument("--seed", type=int, default=0)

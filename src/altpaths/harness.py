@@ -136,10 +136,14 @@ class SweepReport:
     its first batch.
 
     The JSON renderer groups rows by body, every field but graph_id (and
-    micros when rows differ in it): it formats each distinct body once and
-    writes the document in batches of rows, each row its body's text
-    around its id.  A prefix is escaped once, into each body's text, and
-    each row adds its decimal index; names are escaped once each.
+    micros when rows differ in it): it codes the bodies from a table of the
+    keys present (a sort where their span exceeds the row count), encodes
+    each distinct body's text to ASCII once and joins each batch of rows
+    as bytes, each row its body's text around its id.  A prefix is escaped
+    once, into each body's text; an id i >= 1000 adds the text of i // 1000,
+    appended to the body texts once per run of rows with equal quotients,
+    and every id takes the text of its remainder i % 1000 from one fixed
+    table.  Names are escaped and encoded once each.
     """
 
     config: dict
@@ -661,6 +665,14 @@ def run_corollary_sweep(cfg: SweepConfig) -> SweepReport:
 # rows per batch of rendered text
 _BATCH_ROWS = 4096
 
+# one fixed table of the 1,000 remainders r = id % 1000 as ASCII text:
+# unpadded at r, three digits at 1000 + r.  A prefix id i >= 1000 is the text
+# of i // 1000 and then the three digits of its remainder; an id below 1000
+# is its unpadded text.
+_REMAINDERS = np.array(
+    [b"%d" % r for r in range(1000)] + [b"%03d" % r for r in range(1000)], dtype=object
+)
+
 
 def _json_scalar(value: int | str | None) -> str:
     if value is None:
@@ -700,7 +712,12 @@ def _codes(column: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _bodies(columns: dict[str, np.ndarray], keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """_dense of the rows by their values in the keys' columns."""
+    """(codes, rows): rows of equal values in the keys' columns share a code c, and rows[c] is one.
+
+    The rows' keys combine into one int per row below a span.  A span no
+    larger than the row count is coded from a table of the keys present;
+    a larger one falls back to _dense, which sorts.
+    """
     key, span = np.zeros(len(columns[keys[0]]), dtype=np.int64), 1
     for name in keys:
         codes, count = _codes(columns[name])
@@ -710,82 +727,119 @@ def _bodies(columns: dict[str, np.ndarray], keys: list[str]) -> tuple[np.ndarray
         key *= count
         key += codes
         span *= count
-    return _dense(key)
+    if span > key.size:
+        return _dense(key)
+    present = np.zeros(span, dtype=bool)
+    present[key] = True
+    index = np.cumsum(present) - 1
+    codes = index[key]
+    rows = np.empty(int(index[-1]) + 1, dtype=np.int64)
+    rows[codes] = np.arange(key.size)  # any row of a body serves: they share its values
+    return codes, rows
 
 
-def _body_lines(columns: dict[str, np.ndarray], keys: list[str], first: np.ndarray, line: str):
-    """Per body, `line` formatted with each key and its value in the body's first row, joined.
+def _body_lines(columns: dict[str, np.ndarray], keys: list[str], rows: np.ndarray, line: str):
+    """Per body, `line` formatted with each key and its value in the body's row, joined.
 
     A value's text is built once per distinct value.
     """
     per_key = []
     for key in keys:
-        values = _native(key, columns[key][first])
+        values = _native(key, columns[key][rows])
         json_key = encode_basestring_ascii(key)
         table = {value: line.format(json_key, _json_scalar(value)) for value in set(values)}
         per_key.append(map(table.__getitem__, values))
     return map("".join, zip(*per_key))
 
 
+def _prefix_heads(heads: np.ndarray, codes: np.ndarray, ids: np.ndarray) -> list[bytes]:
+    """Each row's head and then the text of its id // 1000, or nothing for an id below 1000.
+
+    The quotient's text is built once per run of rows with equal quotients
+    and appended to the heads of the run's bodies: to each body's head when
+    the run has more rows than there are bodies, else to each row's.
+    """
+    quotients = ids // 1000
+    cuts = (np.flatnonzero(quotients[1:] != quotients[:-1]) + 1).tolist()
+    row_heads = []
+    for lo, hi in zip([0, *cuts], [*cuts, ids.size]):
+        quotient, rows = int(quotients[lo]), codes[lo:hi]
+        if not quotient:
+            row_heads += heads[rows].tolist()
+            continue
+        text = b"%d" % quotient
+        if hi - lo > heads.size:
+            run_heads = np.array([head + text for head in heads.tolist()], dtype=object)
+            row_heads += run_heads[rows].tolist()
+        else:
+            row_heads += [head + text for head in heads[rows].tolist()]
+    return row_heads
+
+
 def _json_text(head: str, columns: dict[str, np.ndarray], graph_ids: str | tuple[str, ...]):
     # head ends with the closing "\n}"; "records" sorts after both keys
     ids, micros = columns["graph_id"], columns["micros"]
     if not ids.size:
-        yield head[:-2] + ',\n  "records": []\n}\n'
+        yield (head[:-2] + ',\n  "records": []\n}\n').encode("ascii")
         return
-    yield head[:-2] + ',\n  "records": [\n'
+    yield (head[:-2] + ',\n  "records": [\n').encode("ascii")
     keys = sorted(RECORD_FIELDS)
     cut = keys.index("graph_id")
     before, after = keys[:cut], keys[cut + 1:]
     timed = micros.min() != micros.max()
     if timed:  # micros sorts right after graph_id, so each row writes its own after its id
         after.remove("micros")
-    codes, first = _bodies(columns, before + after)
+    codes, rows = _bodies(columns, before + after)
     # each body's text before and after its rows' graph ids
-    opening = _body_lines(columns, before, first, "      {}: {},\n")
-    closing = _body_lines(columns, after, first, ",\n      {}: {}")
+    opening = _body_lines(columns, before, rows, "      {}: {},\n")
+    closing = _body_lines(columns, after, rows, ",\n      {}: {}")
     if isinstance(graph_ids, str):
         # encode_basestring_ascii escapes one character at a time, so an id's
         # text is the escaped prefix, the decimal index and a closing quote
         id_open, id_close, names = encode_basestring_ascii(graph_ids)[:-1], '"', None
     else:
         id_open, id_close = "", ""
-        names = np.array([encode_basestring_ascii(name) for name in graph_ids], dtype=object)
-    heads = [f'    {{\n{text}      "graph_id": {id_open}' for text in opening]
+        names = np.array(
+            [encode_basestring_ascii(name).encode("ascii") for name in graph_ids], dtype=object
+        )
+    heads = [f'    {{\n{text}      "graph_id": {id_open}'.encode("ascii") for text in opening]
     # the id's closing quote comes before micros where rows write their own
-    gap = f'{id_close},\n      "micros": '
+    gap = f'{id_close},\n      "micros": '.encode("ascii")
     if timed:
         id_close = ""
-    tails = [f"{id_close}{text}\n    }},\n" for text in closing]
+    tails = [f"{id_close}{text}\n    }},\n".encode("ascii") for text in closing]
     heads, tails = np.array(heads, dtype=object), np.array(tails, dtype=object)
     width = 5 if timed else 3
     for lo in range(0, ids.size, _BATCH_ROWS):
         hi = min(lo + _BATCH_ROWS, ids.size)
-        rows = codes[lo:hi]
-        pieces = [""] * (width * (hi - lo))
-        pieces[0::width] = heads[rows].tolist()
+        batch, body = ids[lo:hi], codes[lo:hi]
+        pieces = [b""] * (width * (hi - lo))
         if names is None:
-            pieces[1::width] = map(int.__repr__, ids[lo:hi].tolist())
+            pieces[0::width] = _prefix_heads(heads, body, batch)
+            remainders = batch % 1000
+            remainders[batch >= 1000] += 1000
+            pieces[1::width] = _REMAINDERS[remainders].tolist()
         else:
-            pieces[1::width] = names[ids[lo:hi]].tolist()
+            pieces[0::width] = heads[body].tolist()
+            pieces[1::width] = names[batch].tolist()
         if timed:
             pieces[2::width] = [gap] * (hi - lo)
-            pieces[3::width] = map(int.__repr__, micros[lo:hi].tolist())
-        pieces[width - 1::width] = tails[rows].tolist()
-        text = "".join(pieces)
+            pieces[3::width] = map(b"%d".__mod__, micros[lo:hi].tolist())
+        pieces[width - 1::width] = tails[body].tolist()
+        text = b"".join(pieces)
         # the last record closes the list and the document instead
-        yield text if hi < ids.size else text[:-2] + "\n  ]\n}\n"
+        yield text if hi < ids.size else text[:-2] + b"\n  ]\n}\n"
 
 
 def _csv_text(columns: dict[str, np.ndarray], graph_ids: str | tuple[str, ...]):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
 
-    def flush() -> str:
+    def flush() -> bytes:
         text = buf.getvalue()
         buf.seek(0)
         buf.truncate()
-        return text
+        return text.encode("utf-8")
 
     writer.writerow(CSV_COLUMNS)
     yield flush()
@@ -797,12 +851,13 @@ def _csv_text(columns: dict[str, np.ndarray], graph_ids: str | tuple[str, ...]):
         yield flush()
 
 
-def report_batches(report: SweepReport, fmt: str) -> Iterator[str]:
-    """The report's text in the format, "json" or "csv", in batches of _BATCH_ROWS records.
+def report_batches(report: SweepReport, fmt: str) -> Iterator[bytes]:
+    """The report's bytes in the format, "json" or "csv", in batches of _BATCH_ROWS records.
 
     The JSON is exactly what json.dumps(doc, sort_keys=True, indent=2) writes,
-    plus a newline.  The format and the columns are checked before the first
-    batch is asked for.
+    plus a newline, and so ASCII.  The CSV is what csv.writer writes, encoded
+    as UTF-8, which is ASCII for every report a sweep makes.  The format and
+    the columns are checked before the first batch is asked for.
     """
     if fmt not in ("json", "csv"):
         raise BadParams(f"unknown report format {fmt!r}")
@@ -817,12 +872,12 @@ def report_batches(report: SweepReport, fmt: str) -> Iterator[str]:
 
 
 def emit_report(report: SweepReport, fmt: str, path: str) -> None:
-    """Write the report batch by batch as ASCII, so no whole document is held."""
+    """Write the report_batches bytes as they come, so no whole document is held."""
     batches = report_batches(report, fmt)
     try:
         with open(path, "wb") as f:
-            for text in batches:
-                f.write(text.encode("ascii"))
+            for data in batches:
+                f.write(data)
     except OSError as exc:
         raise IoFailure(f"cannot write report to {path}: {exc}") from exc
 

@@ -316,6 +316,19 @@ def condition_holds(g: OrientedGraph, k: int) -> bool:
     return k <= max_k_for(min_pseudo_semidegree(g))
 
 
+def _stuck(
+    g: OrientedGraph, k: int, budget: EngineBudget, reason: str, path: AlternatingPath,
+    rounds: int, cond: bool,
+) -> FinderOutcome:
+    """No stage lengthens path: the exact oracle decides within its order bound."""
+    if g.n <= budget.oracle.max_n_subset_dp:
+        best_l, wit = longest_alt_path_exact(g, budget.oracle)
+        if best_l >= k:
+            return FinderOutcome("found", trim(wit, k), None, None, rounds, cond)
+        path = wit
+    return FinderOutcome("gave_up", path, None, reason, rounds, cond)
+
+
 def find_alternating_path(
     g: OrientedGraph, k: int, budget: EngineBudget | None = None
 ) -> FinderOutcome:
@@ -324,21 +337,11 @@ def find_alternating_path(
     budget = budget or EngineBudget()
     cond = condition_holds(g, k)
     rounds_cap = budget.rounds if budget.rounds is not None else max(4 * k, 8)
-    rounds = 0
-
-    def found(vs) -> FinderOutcome:
-        return FinderOutcome("found", trim(path_from_verts(g, vs), k), None, None, rounds, cond)
-
-    def gave_up(reason: str, vs) -> FinderOutcome:
-        return FinderOutcome("gave_up", path_from_verts(g, vs), None, reason, rounds, cond)
-
-    def diagnostic(cert: Certificate) -> FinderOutcome:
-        return FinderOutcome("diagnostic", None, cert, None, rounds, cond)
 
     if g.n == 0:
-        return gave_up("OddStuck", ())
+        return FinderOutcome("gave_up", path_from_verts(g, ()), None, "OddStuck", 0, cond)
     if k == 1:
-        return found((0,))
+        return FinderOutcome("found", path_from_verts(g, (0,)), None, None, 0, cond)
 
     seed = None
     for u in range(g.n):
@@ -346,28 +349,25 @@ def find_alternating_path(
             seed = (u, (g.out_masks[u] & -g.out_masks[u]).bit_length() - 1)
             break
     if seed is None:
-        return gave_up("OddStuck", (0,))
+        return FinderOutcome("gave_up", path_from_verts(g, (0,)), None, "OddStuck", 0, cond)
 
-    def stuck(reason: str) -> FinderOutcome:
-        """No stage lengthens verts: the exact oracle decides within its order bound."""
-        if g.n <= budget.oracle.max_n_subset_dp:
-            best_l, wit = longest_alt_path_exact(g, budget.oracle)
-            if best_l >= k:
-                return found(wit.verts)
-            return gave_up(reason, wit.verts)
-        return gave_up(reason, verts)
-
-    verts = greedy_extend(g, path_from_verts(g, seed), k).verts
-    while len(verts) < k:
+    # greedy_extend and the oracle return alternating paths with first_forward
+    # set, which the outcomes carry as they are; greedy extension from below
+    # order k stops at order k exactly, so only the oracle's witness is trimmed
+    path = greedy_extend(g, path_from_verts(g, seed), k)
+    rounds = 0
+    while path.order < k:
         rounds += 1
         if rounds > rounds_cap:
-            return gave_up("BudgetExceeded", verts)
-        closure = start_closure(g, verts)
+            return FinderOutcome("gave_up", path, None, "BudgetExceeded", rounds, cond)
+        closure = start_closure(g, path.verts)
         if closure.extension is None:
-            if len(verts) % 2 == 1:
-                return stuck("OddStuck")
-            frame = frame_of(path_from_verts(g, verts))
+            if path.order % 2 == 1:
+                return _stuck(g, k, budget, "OddStuck", path, rounds, cond)
+            frame = frame_of(path)
             cert = evenham_cycle(g, frame, closure) or lemma_forgotten_check(g, frame)
-            return diagnostic(cert) if cert else stuck("EvenStuck")
-        verts = greedy_extend(g, path_from_verts(g, closure.extension), k).verts
-    return found(verts)
+            if cert:
+                return FinderOutcome("diagnostic", None, cert, None, rounds, cond)
+            return _stuck(g, k, budget, "EvenStuck", path, rounds, cond)
+        path = greedy_extend(g, path_from_verts(g, closure.extension), k)
+    return FinderOutcome("found", path, None, None, rounds, cond)

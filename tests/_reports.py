@@ -3,8 +3,8 @@ from altpaths.harness import report_batches
 
 
 def report_to_json(report) -> str:
-    return "".join(report_batches(report, "json"))
+    return b"".join(report_batches(report, "json")).decode("ascii")
 
 
 def report_to_csv(report) -> str:
-    return "".join(report_batches(report, "csv"))
+    return b"".join(report_batches(report, "csv")).decode("utf-8")

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -500,6 +501,85 @@ class TestTypedColumns:
         json.dumps(records)  # a numpy scalar would raise TypeError here
         types = {type(value) for rec in records for value in rec.values()}
         assert types <= {int, str, type(None)}
+
+
+# ids at the edges of the decimal digit blocks: one to three digits below
+# 1,000, the first ids of a quotient, the last stable n=5 id and ids past 32 bits
+BOUNDARY_IDS = [0, 9, 10, 99, 100, 999, 1000, 1001, 9999, 10000, 59048, 10**6, 2**62]
+# a run of one quotient longer than a batch, so that runs hold more rows than bodies
+RUN_IDS = list(range(2000, 2020))
+
+
+def _prefix_report(ids: list[int], aggregate_only: bool, timed: bool) -> SweepReport:
+    """Rows of the ids after the prefix "exh5-", in three bodies.
+
+    Every row is flagged when aggregate_only, as an aggregate_only sweep
+    keeps only flagged rows; timed rows differ in micros.
+    """
+    size = len(ids)
+    body = np.arange(size) % 3
+    columns = {name: np.zeros(size, dtype=np.int64) for name in harness.RECORD_FIELDS}
+    columns["graph_id"] = np.array(ids, dtype=np.int64)
+    columns["n"] = body + 4
+    columns["oracle_L"] = body - 1  # null in one body
+    if timed:
+        columns["micros"] = 7 * np.arange(size)
+    columns["violation"] = _objects(["skipped:TooLarge" if aggregate_only else None] * size)
+    config = {"mode": "exhaustive", "aggregate_only": aggregate_only}
+    return SweepReport(config, columns, AGGREGATES, "exh5-")
+
+
+class TestDecimalIds:
+    @pytest.mark.parametrize("batch_rows", [2, 7])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_digit_blocks_render_like_the_reference(self, monkeypatch, order, batch_rows):
+        ids = sorted(BOUNDARY_IDS + RUN_IDS)
+        if order == "descending":
+            ids.reverse()
+        elif order == "shuffled":
+            random.Random(5).shuffle(ids)
+        monkeypatch.setattr(harness, "_BATCH_ROWS", batch_rows)
+        for aggregate_only in (False, True):
+            for timed in (False, True):
+                report = _prefix_report(ids, aggregate_only, timed)
+                assert [rec["graph_id"] for rec in report.records] == [f"exh5-{i}" for i in ids]
+                assert report_to_json(report) == _reference_json(report), (aggregate_only, timed)
+
+
+class TestBodyCodes:
+    @pytest.mark.parametrize(
+        "spread",
+        [
+            {"edges": [0, 2**40, 0]},  # one column's values span more than the rows
+            {"edges": [0, 1, 2], "rounds": [2, 0, 1]},  # each column within, the key past
+        ],
+        ids=["value-span", "key-span"],
+    )
+    def test_a_wide_span_renders_through_the_sort(self, monkeypatch, spread):
+        dense, calls = harness._dense, []
+
+        def counted(values):
+            calls.append(values.size)
+            return dense(values)
+
+        monkeypatch.setattr(harness, "_dense", counted)
+        base = _blowup(t_range=(3, 3), b_range=(1, 1), stable=True)
+        columns = _repeated(base, 3)
+        columns["graph_id"] = np.arange(3)
+        columns.update({name: np.array(values) for name, values in spread.items()})
+        report = SweepReport(base.config, columns, base.aggregates, "exh3-")
+        assert report_to_json(report) == _reference_json(report)
+        assert calls == [3]
+
+    def test_n5_bodies_come_from_the_table(self, monkeypatch):
+        # 41 bodies in 59,049 rows: the key's span is below the row count
+        report = _exhaustive_n5()
+
+        def no_sort(values):
+            raise AssertionError("the n=5 bodies were coded by a sort")
+
+        monkeypatch.setattr(harness, "_dense", no_sort)
+        assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
 
 
 # the stable n=5 JSON is 14.3 MB; written whole, emit_report peaked 28.6 MB above the report
