@@ -4,7 +4,7 @@ Constructive rotation-based finder, exact brute-force oracles, and
 exhaustive/randomized verification sweeps for the 5k/8 threshold.
 """
 
-from .altpath import AlternatingPath, ParityFrame, frame_of, greedy_extend, path_from_verts, trim, validate
+from .altpath import AlternatingPath, greedy_extend, path_from_verts, trim, validate
 from .graph_core import (
     DegreeSummary,
     OrientedGraph,
@@ -16,7 +16,6 @@ from .graph_core import (
 )
 from .oracle import OracleBudget, has_alt_path_k, longest_alt_path_exact
 from .rotation_engine import (
-    Certificate,
     EngineBudget,
     FinderOutcome,
     condition_holds,
@@ -25,17 +24,14 @@ from .rotation_engine import (
 
 __all__ = [
     "AlternatingPath",
-    "Certificate",
     "DegreeSummary",
     "EngineBudget",
     "FinderOutcome",
     "OracleBudget",
     "OrientedGraph",
-    "ParityFrame",
     "blowup_directed_cycle",
     "condition_holds",
     "find_alternating_path",
-    "frame_of",
     "from_edge_list",
     "greedy_extend",
     "has_alt_path_k",

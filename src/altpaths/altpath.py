@@ -1,15 +1,14 @@
-"""Alternating paths: validity, parity frames, greedy extension, trimming.
+"""Alternating paths: validity, greedy extension, trimming.
 
 An alternating path is a sequence of distinct vertices in which every
 internal vertex is a source (both path edges leave it) or a sink (both
-enter).  Even-order paths split into a source class and a sink class,
-captured by ParityFrame.
+enter).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParams, OddOrder, TooShort
+from .errors import BadParams, TooShort
 from .graph_core import OrientedGraph
 
 
@@ -25,13 +24,6 @@ class AlternatingPath:
     def serialize(self) -> str:
         ff = "-" if self.first_forward is None else str(int(self.first_forward))
         return f"first_forward:{ff} verts:{' '.join(str(v) for v in self.verts)}"
-
-
-@dataclass(frozen=True)
-class ParityFrame:
-    sources: frozenset[int]  # every path edge leaves these
-    sinks: frozenset[int]
-    m: int
 
 
 def path_from_verts(g: OrientedGraph, verts) -> AlternatingPath:
@@ -68,23 +60,6 @@ def validate(g: OrientedGraph, p: AlternatingPath) -> bool:
         return False
     # strict alternation: direction flips at every internal vertex
     return all(dirs[i + 1] != dirs[i] for i in range(len(dirs) - 1))
-
-
-def source_positions(p: AlternatingPath) -> list[bool]:
-    """is_source[j] for each position; position 0 is a source iff first_forward."""
-    if p.first_forward is None:
-        raise OddOrder("parity undefined below order 2")
-    first = p.first_forward
-    return [first if j % 2 == 0 else not first for j in range(p.order)]
-
-
-def frame_of(p: AlternatingPath) -> ParityFrame:
-    if p.order % 2 == 1 or p.order == 0:
-        raise OddOrder(f"order {p.order} has unbalanced classes")
-    is_src = source_positions(p)
-    sources = frozenset(v for v, s in zip(p.verts, is_src) if s)
-    sinks = frozenset(v for v, s in zip(p.verts, is_src) if not s)
-    return ParityFrame(sources, sinks, p.order // 2)
 
 
 def greedy_extend(g: OrientedGraph, p: AlternatingPath, k: int) -> AlternatingPath:

@@ -33,10 +33,6 @@ class FormatError(AltPathError):
     pass
 
 
-class OddOrder(AltPathError):
-    pass
-
-
 class TooShort(AltPathError):
     pass
 

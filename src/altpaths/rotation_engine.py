@@ -1,65 +1,25 @@
-"""The rotation closure of alternating paths and the certificate-producing finder.
+"""The rotation closure of alternating paths and the finder built on it.
 
-The finder mirrors a contradiction argument as a terminating loop: every
-round rotates the current alternating path at its ends until an end sees a
-vertex outside it, or, on an even path, fails a concrete counting check and
-returns a vertex-level certificate.  A path that no stage can lengthen goes
-to the exact oracle, which decides within its order bound; beyond it the
-finder gives up.
+The finder extends a greedy path and, whenever neither end extends, rotates
+the path at its ends until an end sees a vertex outside it.  A path of
+either parity that no rotation can lengthen goes to the exact oracle, which
+decides within its order bound; beyond it the finder gives up with its
+path.  A find therefore has two exits: `found`, with an order-k path, or
+`gave_up`, with the oracle's longest path or, beyond the oracle's bound,
+greedy's.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
 
-from .altpath import (
-    AlternatingPath,
-    ParityFrame,
-    frame_of,
-    greedy_extend,
-    path_from_verts,
-    trim,
-)
+from .altpath import AlternatingPath, greedy_extend, path_from_verts, trim
 from .errors import BadParams
 from .graph_core import OrientedGraph, bits, min_pseudo_semidegree
 from .oracle import OracleBudget, longest_alt_path_exact
 
 
 # --- result types ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """An independently checkable witness of a failed counting step."""
-
-    vertex: int
-    side: str  # "in" | "out"
-    degree: int
-    bound: float
-    stage: str
-    scope: tuple[int, ...] | None = None  # degree restricted to these vertices
-
-    def to_json(self) -> dict:
-        return {
-            "vertex": self.vertex,
-            "side": self.side,
-            "degree": self.degree,
-            "bound": self.bound,
-            "stage": self.stage,
-            "scope": None if self.scope is None else list(self.scope),
-        }
-
-
-def certificate_is_sound(g: OrientedGraph, cert: Certificate) -> bool:
-    """Recount the named degree directly in g."""
-    if cert.scope is None:
-        scope = (1 << g.n) - 1
-    else:
-        scope = 0
-        for v in cert.scope:
-            scope |= 1 << v
-    masks = {"out": g.out_masks, "in": g.in_masks}.get(cert.side)
-    return masks is not None and (masks[cert.vertex] & scope).bit_count() == cert.degree
 
 
 @dataclass
@@ -71,14 +31,13 @@ class ClosureResult:
 
 # A sweep record's finder_outcome is a code into this tuple: "" where no
 # finder ran, otherwise the FinderOutcome.outcome it returned.
-OUTCOME_TEXTS = ("", "found", "diagnostic", "gave_up")
+OUTCOME_TEXTS = ("", "found", "gave_up")
 
 
 @dataclass(frozen=True)
 class FinderOutcome:
     outcome: str  # one of OUTCOME_TEXTS[1:]
-    path: AlternatingPath | None
-    certificate: Certificate | None
+    path: AlternatingPath  # order k when found, the longest path seen when gave_up
     reason: str | None  # "OddStuck" | "EvenStuck" | "BudgetExceeded"
     rounds: int
     condition_holds: bool
@@ -89,14 +48,11 @@ class FinderOutcome:
             "rounds": self.rounds,
             "condition_holds": self.condition_holds,
         }
-        if self.path is not None:
-            ff = self.path.first_forward
-            doc["path"] = {
-                "first_forward": None if ff is None else bool(ff),
-                "verts": list(self.path.verts),
-            }
-        if self.certificate is not None:
-            doc["certificate"] = self.certificate.to_json()
+        ff = self.path.first_forward
+        doc["path"] = {
+            "first_forward": None if ff is None else bool(ff),
+            "verts": list(self.path.verts),
+        }
         if self.reason is not None:
             doc["reason"] = self.reason
         return doc
@@ -182,107 +138,6 @@ def start_closure(g: OrientedGraph, verts: tuple[int, ...]) -> ClosureResult:
     return result
 
 
-def _end_closure_from(
-    g: OrientedGraph, frame: ParityFrame, witness: tuple[int, ...]
-) -> dict[int, tuple[int, ...]]:
-    """Terminal -> witness map over end-rotations only (start stays fixed)."""
-    source_mask = _mask_of(frame.sources)
-    found = {witness[-1]: witness}
-    queue = deque([witness])
-    while queue:
-        path = queue.popleft()
-        pos = {v: i for i, v in enumerate(path)}
-        for v in bits(g.in_masks[path[-1]] & source_mask):
-            j = pos[v]
-            if j == len(path) - 2:
-                continue
-            new = path[: j + 1] + path[:j:-1]
-            if new[-1] not in found:
-                found[new[-1]] = new
-                queue.append(new)
-    return found
-
-
-# --- the even-order pipeline ----------------------------------------------
-
-
-def evenham_cycle(
-    g: OrientedGraph, frame: ParityFrame, closure: ClosureResult
-) -> Certificate | None:
-    """The counts for an alternating spanning source->sink cycle; None on pass.
-
-    The cycle is not built: wherever the counts pass, the closure holds every
-    source and sink, none with an outside neighbor to cut the cycle open at.
-    """
-    if closure.extension is not None:
-        raise BadParams("evenham_cycle requires a closure without extension")
-    if not closure.S_found:
-        raise BadParams("closure found no starting vertices")
-    m = frame.m
-    sink_mask = _mask_of(frame.sinks)
-    source_mask = _mask_of(frame.sources)
-    sinks_scope = tuple(sorted(frame.sinks))
-    sources_scope = tuple(sorted(frame.sources))
-
-    def d_sink_out(u: int) -> int:
-        return (g.out_masks[u] & sink_mask).bit_count()
-
-    def d_source_in(w: int) -> int:
-        return (g.in_masks[w] & source_mask).bit_count()
-
-    a = min(closure.S_found, key=lambda u: (-d_sink_out(u), u))
-    if m < 2:
-        # a 2-vertex frame cannot carry a simple spanning cycle
-        return Certificate(a, "out", d_sink_out(a), 1.0, "degenerate-m1", sinks_scope)
-    if not d_sink_out(a) * 2 > m:
-        return Certificate(a, "out", d_sink_out(a), m / 2, "A-count", sinks_scope)
-
-    terminals = _end_closure_from(g, frame, closure.S_found[a])
-    b = min(terminals, key=lambda w: (-d_source_in(w), w))
-    if not d_source_in(b) * 2 > m:
-        return Certificate(b, "in", d_source_in(b), m / 2, "C-count", sources_scope)
-
-    rb = terminals[b]  # starts at a, ends at b
-    for j in range(len(rb) - 1):
-        if (
-            rb[j] in frame.sources
-            and g.has_edge(rb[j], b)
-            and rb[j + 1] in frame.sinks
-            and g.has_edge(a, rb[j + 1])
-        ):
-            return None
-    return Certificate(a, "out", d_sink_out(a), m / 2, "pigeonhole", sinks_scope)
-
-
-def lemma_forgotten_check(g: OrientedGraph, frame: ParityFrame) -> Certificate | None:
-    """Per-class count of low source->sink degrees; None on pass.
-
-    The Moon-Moser count with every threshold raised by one: fails (with
-    the smallest offending l, sources before sinks) when some class has at
-    least l vertices of source->sink degree at most l+1.  The certificate
-    names the least such vertex: a source's out-degree into the sinks, or
-    a sink's in-degree from the sources.
-
-    At m = 2 it fails every frame: its first level is l = 1 with bound 2,
-    and no degree into a 2-vertex class exceeds 2.  Its certificate may
-    then name a vertex joined to every vertex of the other class.
-    """
-    sources = tuple(sorted(frame.sources))
-    sinks = tuple(sorted(frame.sinks))
-    sink_mask, source_mask = _mask_of(sinks), _mask_of(sources)
-    classes = (
-        ("out", sources, sinks, [(g.out_masks[v] & sink_mask).bit_count() for v in sources]),
-        ("in", sinks, sources, [(g.in_masks[v] & source_mask).bit_count() for v in sinks]),
-    )
-    for ell in range(1, frame.m // 2 + 1):
-        for side, verts, scope, degrees in classes:
-            low = [(v, d) for v, d in zip(verts, degrees) if d <= ell + 1]
-            if len(low) >= ell:
-                v, d = low[0]
-                return Certificate(v, side, d, ell + 1, "lemma-count", scope)
-    return None
-
-
 # --- the top-level finder --------------------------------------------------
 
 
@@ -320,13 +175,17 @@ def _stuck(
     g: OrientedGraph, k: int, budget: EngineBudget, reason: str, path: AlternatingPath,
     rounds: int, cond: bool,
 ) -> FinderOutcome:
-    """No stage lengthens path: the exact oracle decides within its order bound."""
+    """No rotation lengthens path: the exact oracle decides within its order bound.
+
+    Within the bound the find is found, or gives up with the oracle's
+    longest path; beyond it the find gives up with path.
+    """
     if g.n <= budget.oracle.max_n_subset_dp:
         best_l, wit = longest_alt_path_exact(g, budget.oracle)
         if best_l >= k:
-            return FinderOutcome("found", trim(wit, k), None, None, rounds, cond)
+            return FinderOutcome("found", trim(wit, k), None, rounds, cond)
         path = wit
-    return FinderOutcome("gave_up", path, None, reason, rounds, cond)
+    return FinderOutcome("gave_up", path, reason, rounds, cond)
 
 
 def find_alternating_path(
@@ -339,9 +198,9 @@ def find_alternating_path(
     rounds_cap = budget.rounds if budget.rounds is not None else max(4 * k, 8)
 
     if g.n == 0:
-        return FinderOutcome("gave_up", path_from_verts(g, ()), None, "OddStuck", 0, cond)
+        return FinderOutcome("gave_up", path_from_verts(g, ()), "OddStuck", 0, cond)
     if k == 1:
-        return FinderOutcome("found", path_from_verts(g, (0,)), None, None, 0, cond)
+        return FinderOutcome("found", path_from_verts(g, (0,)), None, 0, cond)
 
     seed = None
     for u in range(g.n):
@@ -349,7 +208,7 @@ def find_alternating_path(
             seed = (u, (g.out_masks[u] & -g.out_masks[u]).bit_length() - 1)
             break
     if seed is None:
-        return FinderOutcome("gave_up", path_from_verts(g, (0,)), None, "OddStuck", 0, cond)
+        return FinderOutcome("gave_up", path_from_verts(g, (0,)), "OddStuck", 0, cond)
 
     # greedy_extend and the oracle return alternating paths with first_forward
     # set, which the outcomes carry as they are; greedy extension from below
@@ -359,15 +218,10 @@ def find_alternating_path(
     while path.order < k:
         rounds += 1
         if rounds > rounds_cap:
-            return FinderOutcome("gave_up", path, None, "BudgetExceeded", rounds, cond)
+            return FinderOutcome("gave_up", path, "BudgetExceeded", rounds, cond)
         closure = start_closure(g, path.verts)
         if closure.extension is None:
-            if path.order % 2 == 1:
-                return _stuck(g, k, budget, "OddStuck", path, rounds, cond)
-            frame = frame_of(path)
-            cert = evenham_cycle(g, frame, closure) or lemma_forgotten_check(g, frame)
-            if cert:
-                return FinderOutcome("diagnostic", None, cert, None, rounds, cond)
-            return _stuck(g, k, budget, "EvenStuck", path, rounds, cond)
+            reason = "OddStuck" if path.order % 2 else "EvenStuck"
+            return _stuck(g, k, budget, reason, path, rounds, cond)
         path = greedy_extend(g, path_from_verts(g, closure.extension), k)
-    return FinderOutcome("found", path, None, None, rounds, cond)
+    return FinderOutcome("found", path, None, rounds, cond)

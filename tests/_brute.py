@@ -6,9 +6,9 @@ alt_path_dp_py, the plain-int subset DP that the numpy kernel must
 reproduce exactly, reach table included.  The per-vertex degree minima
 are the references for the graph's cached one-pass degree summary, and
 the digit-by-digit decoder is the reference for the column decoder.  The
-respectable-path check and the bipartite Hamilton-cycle search judge the
-finder's stage outputs, and check_invariants the graphs every
-constructor builds.
+respectable-path check and its endpoint search judge the rotation
+closure's outputs, and check_invariants the graphs every constructor
+builds.
 """
 from __future__ import annotations
 
@@ -31,13 +31,13 @@ def is_alt_sequence(g, verts) -> bool:
     return all(x != y for x, y in zip(dirs, dirs[1:]))
 
 
-def is_respectable(g, frame, verts) -> bool:
-    """Alternating path spanning the frame, every edge source -> sink."""
-    if set(verts) != frame.sources | frame.sinks or not is_alt_sequence(g, list(verts)):
+def is_respectable(g, sources, sinks, verts) -> bool:
+    """Alternating path spanning sources and sinks, every edge source -> sink."""
+    if set(verts) != sources | sinks or not is_alt_sequence(g, list(verts)):
         return False
     for a, b in zip(verts, verts[1:]):
         u, w = (a, b) if g.has_edge(a, b) else (b, a)
-        if u not in frame.sources or w not in frame.sinks:
+        if u not in sources or w not in sinks:
             return False
     return True
 
@@ -152,29 +152,6 @@ def brute_respectable_endpoints(g, sources, sinks):
     for o in sources:
         extend([o])
     return starts, ends
-
-
-def brute_bipartite_ham_cycle_exists(adj_x, adj_y) -> bool:
-    """DFS over cycles x0, y, x, y, ..., back to x0 through every vertex; exact.
-
-    Bit j of adj_x[i] is the edge x_i - y_j, bit i of adj_y[j] the same edge.
-    """
-    m = len(adj_x)
-
-    def extend(x, used_x, used_y) -> bool:
-        for y in range(m):
-            if (adj_x[x] >> y) & 1 and not (used_y >> y) & 1:
-                if used_x == (1 << m) - 1:
-                    if (adj_y[y] & 1) and used_y | 1 << y == (1 << m) - 1:
-                        return True
-                    continue
-                for nxt in range(m):
-                    if (adj_y[y] >> nxt) & 1 and not (used_x >> nxt) & 1:
-                        if extend(nxt, used_x | 1 << nxt, used_y | 1 << y):
-                            return True
-        return False
-
-    return m > 0 and extend(0, 1, 0)
 
 
 def alt_path_dp_py(out_masks, in_masks, reach, want_k):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from altpaths import errors
 from altpaths.altpath import (
     AlternatingPath,
-    frame_of,
     greedy_extend,
     path_from_verts,
     trim,
@@ -49,29 +48,6 @@ class TestValidate:
         g = from_edge_list([(0, 1)], 2)
         assert validate(g, AlternatingPath((0,), None))
         assert validate(g, AlternatingPath((), None))
-
-
-class TestFrameOf:
-    def test_single_edge(self):
-        g = from_edge_list([(0, 1)], 2)
-        f = frame_of(path_from_verts(g, [0, 1]))
-        assert (set(f.sources), set(f.sinks), f.m) == ({0}, {1}, 1)
-
-    def test_blowup_frame(self):
-        g = blowup_directed_cycle(3, 2)
-        f = frame_of(path_from_verts(g, [0, 2, 1, 3]))
-        assert set(f.sources) == {0, 1}
-        assert set(f.sinks) == {2, 3}
-
-    def test_odd_order_rejected(self):
-        with pytest.raises(errors.OddOrder):
-            frame_of(AlternatingPath((0, 1, 2), True))
-
-    def test_reverse_same_frame(self):
-        g = blowup_directed_cycle(3, 2)
-        p = path_from_verts(g, [0, 2, 1, 3])
-        r = path_from_verts(g, [3, 1, 2, 0])
-        assert frame_of(p) == frame_of(r)
 
 
 class TestGreedyExtend:
@@ -154,14 +130,6 @@ class TestProperties:
             assert validate(g, p)
             for k in range(1, len(verts) + 1):
                 assert validate(g, trim(p, k))
-            if len(verts) >= 2 and len(verts) % 2 == 0:
-                f = frame_of(p)
-                assert f.sources.isdisjoint(f.sinks)
-                assert len(f.sources) == len(f.sinks) == f.m
-                # every path edge runs source -> sink
-                for a, b in zip(verts, verts[1:]):
-                    u, w = (a, b) if g.has_edge(a, b) else (b, a)
-                    assert u in f.sources and w in f.sinks
 
     @given(oriented_graphs(max_n=6))
     @settings(max_examples=60, deadline=None)

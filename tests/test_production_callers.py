@@ -14,7 +14,6 @@ PACKAGE = ROOT / "src" / "altpaths"
 # name -> the ROADMAP item that gives it a production caller
 ALLOWED = {
     "has_alt_path_k": "ROADMAP item 3: the frontier search rejects moves with its want_k exit",
-    "certificate_is_sound": "ROADMAP item 4(c): `altpath verify` re-checks certificates with it",
 }
 
 
