@@ -17,7 +17,8 @@ layout (SweepReport) from the driver to the file: the checks write the
 record-field columns themselves, a chunk returns them, the parent writes
 them into report columns allocated once, with each row's instance index
 as its graph_id, and report_batches checks the layout once and renders
-the columns in batches of records, which emit_report writes as they come.
+the columns, in JSON or CSV through one row loop, in batches of records,
+which emit_report writes as they come.
 
 Sweeps on more than one worker run on one pool per process, forked at the
 first such sweep and reused by the next ones while the worker count stays
@@ -32,6 +33,7 @@ import atexit
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -39,7 +41,6 @@ import random
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -135,15 +136,17 @@ class SweepReport:
     columns as they are; report_batches checks this layout once, before
     its first batch.
 
-    The JSON renderer groups rows by body, every field but graph_id (and
-    micros when rows differ in it): it codes the bodies from a table of the
-    keys present (a sort where their span exceeds the row count), encodes
-    each distinct body's text to ASCII once and joins each batch of rows
-    as bytes, each row its body's text around its id.  A prefix is escaped
-    once, into each body's text; an id i >= 1000 adds the text of i // 1000,
-    appended to the body texts once per run of rows with equal quotients,
-    and every id takes the text of its remainder i % 1000 from one fixed
-    table.  Names are escaped and encoded once each.
+    Both renderers, JSON and CSV, write rows through one loop that groups
+    them by body, every field but graph_id (and micros when rows differ in
+    it): it codes the bodies from a table of the keys present (a sort where
+    their span exceeds the row count), builds and encodes each distinct
+    body's texts once, in the format's field order, and joins each batch of
+    rows as bytes, each row its body's texts around its id (and micros).  A
+    prefix is escaped or quoted once, into each body's text; an id i >= 1000
+    adds the text of i // 1000, appended to the body texts once per run of
+    rows with equal quotients, and every id takes the text of its remainder
+    i % 1000 from one fixed table.  Names are escaped or quoted and encoded
+    once each.
     """
 
     config: dict
@@ -171,8 +174,8 @@ def _check_columns(columns: dict, graph_ids) -> None:
     graph_ids neither a str nor a tuple of str, missing or extra fields,
     unequal lengths, a column that is not a one-dimensional array of its
     field's dtype, a negative int (below -1 where the field is nullable), a
-    finder_outcome code past OUTCOME_TEXTS, a graph_id past the names and
-    a violation that is neither str nor None all raise.
+    finder_outcome code past OUTCOME_TEXTS and a graph_id past the names all
+    raise.  The renderers check violation's values next, in _violation_codes.
     """
     if not isinstance(graph_ids, str) and not (
         isinstance(graph_ids, tuple) and all(isinstance(text, str) for text in graph_ids)
@@ -189,12 +192,7 @@ def _check_columns(columns: dict, graph_ids) -> None:
             raise TypeError(f"report column {name!r} is not a one-dimensional array")
         if column.dtype != (object if name == "violation" else np.int64):
             raise TypeError(f"report column {name!r} has dtype {column.dtype}")
-        if name == "violation":
-            # null on most rows; only the others are type-checked
-            off = set(map(type, column[np.not_equal(column, None)].tolist())) - {str}
-            if off:
-                raise TypeError(f"report column {name!r} holds {sorted(t.__name__ for t in off)}")
-        elif column.size:
+        if name != "violation" and column.size:
             if column.min() < (-1 if name in _NULLABLE else 0):
                 raise TypeError(f"report column {name!r} holds a negative int")
             if name == "finder_outcome" and column.max() >= len(_OUTCOMES):
@@ -202,6 +200,23 @@ def _check_columns(columns: dict, graph_ids) -> None:
             if name == "graph_id" and isinstance(graph_ids, tuple):
                 if column.max() >= len(graph_ids):
                     raise TypeError(f"report column {name!r} holds an index past the names")
+
+
+def _violation_codes(column: np.ndarray) -> tuple[np.ndarray, int]:
+    """A violation column of dtype object coded as _codes codes an int column.
+
+    None is code 0, on most rows; only the other rows are looked up, and
+    TypeError is raised if one of them is not a str.
+    """
+    rows = np.flatnonzero(np.not_equal(column, None))
+    values = column[rows].tolist()
+    off = set(map(type, values)) - {str}
+    if off:
+        raise TypeError(f"report column 'violation' holds {sorted(t.__name__ for t in off)}")
+    index = {value: code for code, value in enumerate(dict.fromkeys(values), 1)}
+    codes = np.zeros(column.size, dtype=np.int64)
+    codes[rows] = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+    return codes, len(index) + 1
 
 
 def _native(name: str, column: np.ndarray) -> list:
@@ -674,12 +689,6 @@ _REMAINDERS = np.array(
 )
 
 
-def _json_scalar(value: int | str | None) -> str:
-    if value is None:
-        return "null"
-    return encode_basestring_ascii(value) if isinstance(value, str) else int.__repr__(value)
-
-
 def _dense(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(codes, first): rows of equal values share a code c, and first[c] is the first such row."""
     order = np.argsort(values, kind="stable")
@@ -693,16 +702,7 @@ def _dense(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _codes(column: np.ndarray) -> tuple[np.ndarray, int]:
-    """(codes, count): a code in 0..count-1 per row, equal exactly where the values are."""
-    if column.dtype == object:
-        # violation is null on most rows: None is code 0, and only the other
-        # rows are looked up
-        rows = np.flatnonzero(np.not_equal(column, None))
-        values = column[rows].tolist()
-        index = {value: code for code, value in enumerate(dict.fromkeys(values), 1)}
-        codes = np.zeros(column.size, dtype=np.int64)
-        codes[rows] = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
-        return codes, len(index) + 1
+    """(codes, count): a code in 0..count-1 per row, equal exactly where the int values are."""
     low = int(column.min())
     count = int(column.max()) - low + 1
     if count > column.size:
@@ -711,16 +711,17 @@ def _codes(column: np.ndarray) -> tuple[np.ndarray, int]:
     return column - low, count
 
 
-def _bodies(columns: dict[str, np.ndarray], keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _bodies(columns: dict, keys: list[str], violation: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(codes, rows): rows of equal values in the keys' columns share a code c, and rows[c] is one.
 
-    The rows' keys combine into one int per row below a span.  A span no
-    larger than the row count is coded from a table of the keys present;
-    a larger one falls back to _dense, which sorts.
+    violation is the violation column's (codes, count).  The rows' keys
+    combine into one int per row below a span.  A span no larger than the
+    row count is coded from a table of the keys present; a larger one falls
+    back to _dense, which sorts.
     """
     key, span = np.zeros(len(columns[keys[0]]), dtype=np.int64), 1
     for name in keys:
-        codes, count = _codes(columns[name])
+        codes, count = violation if name == "violation" else _codes(columns[name])
         if span * count > 2**62:
             key, first = _dense(key)
             span = first.size
@@ -736,20 +737,6 @@ def _bodies(columns: dict[str, np.ndarray], keys: list[str]) -> tuple[np.ndarray
     rows = np.empty(int(index[-1]) + 1, dtype=np.int64)
     rows[codes] = np.arange(key.size)  # any row of a body serves: they share its values
     return codes, rows
-
-
-def _body_lines(columns: dict[str, np.ndarray], keys: list[str], rows: np.ndarray, line: str):
-    """Per body, `line` formatted with each key and its value in the body's row, joined.
-
-    A value's text is built once per distinct value.
-    """
-    per_key = []
-    for key in keys:
-        values = _native(key, columns[key][rows])
-        json_key = encode_basestring_ascii(key)
-        table = {value: line.format(json_key, _json_scalar(value)) for value in set(values)}
-        per_key.append(map(table.__getitem__, values))
-    return map("".join, zip(*per_key))
 
 
 def _prefix_heads(heads: np.ndarray, codes: np.ndarray, ids: np.ndarray) -> list[bytes]:
@@ -776,40 +763,66 @@ def _prefix_heads(heads: np.ndarray, codes: np.ndarray, ids: np.ndarray) -> list
     return row_heads
 
 
-def _json_text(head: str, columns: dict[str, np.ndarray], graph_ids: str | tuple[str, ...]):
-    # head ends with the closing "\n}"; "records" sorts after both keys
+def _csv_field(value: int | str | None) -> str:
+    """The value's text as csv.writer writes it in a row of more than one field."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((value, None))
+    return buf.getvalue()[:-2]  # a row of one empty field would read '""'
+
+
+# per format: its fields in row order, a field's key text and its value's
+# text, the text between fields, a row's start and end, and the last row's
+# end, which closes the document
+_FORMATS = {
+    "json": (
+        sorted(RECORD_FIELDS), lambda key: f"      {json.dumps(key)}: ", json.dumps,
+        ",\n", "    {\n", "\n    },\n", "\n    }\n  ]\n}\n",
+    ),
+    "csv": (CSV_COLUMNS, lambda key: "", _csv_field, ",", "", "\n", "\n"),
+}
+
+
+def _rows(fmt: str, columns: dict[str, np.ndarray], graph_ids, violation: tuple):
+    """The records in the format, as bytes in batches of _BATCH_ROWS rows.
+
+    A row's slots are its graph_id and, when rows differ in it, its micros;
+    its body is every other field.  The text between slots is built per
+    body, once per distinct value, and encoded once; each row joins its
+    body's texts around its slots' texts.
+    """
+    fields, key_text, value_text, sep, start, end, last_end = _FORMATS[fmt]
     ids, micros = columns["graph_id"], columns["micros"]
-    if not ids.size:
-        yield (head[:-2] + ',\n  "records": []\n}\n').encode("ascii")
-        return
-    yield (head[:-2] + ',\n  "records": [\n').encode("ascii")
-    keys = sorted(RECORD_FIELDS)
-    cut = keys.index("graph_id")
-    before, after = keys[:cut], keys[cut + 1:]
-    timed = micros.min() != micros.max()
-    if timed:  # micros sorts right after graph_id, so each row writes its own after its id
-        after.remove("micros")
-    codes, rows = _bodies(columns, before + after)
-    # each body's text before and after its rows' graph ids
-    opening = _body_lines(columns, before, rows, "      {}: {},\n")
-    closing = _body_lines(columns, after, rows, ",\n      {}: {}")
     if isinstance(graph_ids, str):
-        # encode_basestring_ascii escapes one character at a time, so an id's
-        # text is the escaped prefix, the decimal index and a closing quote
-        id_open, id_close, names = encode_basestring_ascii(graph_ids)[:-1], '"', None
+        # neither format escapes or quotes a digit, and both escape a prefix
+        # one character at a time or quote the whole field: an id's text is
+        # the prefix's text around the decimal index
+        id_open, id_close = value_text(graph_ids + "0").rsplit("0", 1)
+        names = None
     else:
-        id_open, id_close = "", ""
-        names = np.array(
-            [encode_basestring_ascii(name).encode("ascii") for name in graph_ids], dtype=object
-        )
-    heads = [f'    {{\n{text}      "graph_id": {id_open}'.encode("ascii") for text in opening]
-    # the id's closing quote comes before micros where rows write their own
-    gap = f'{id_close},\n      "micros": '.encode("ascii")
+        id_open = id_close = ""
+        names = np.array([value_text(name).encode() for name in graph_ids], dtype=object)
+    # each slot's text before and after its row's own
+    slots = {"graph_id": (id_open, id_close)}
+    timed = micros.min() != micros.max()
     if timed:
-        id_close = ""
-    tails = [f"{id_close}{text}\n    }},\n".encode("ascii") for text in closing]
-    heads, tails = np.array(heads, dtype=object), np.array(tails, dtype=object)
-    width = 5 if timed else 3
+        slots["micros"] = ("", "")
+    codes, rows = _bodies(columns, [name for name in fields if name not in slots], violation)
+    # per stretch of fields between slots, each body's text: += appends to every body's
+    stretches = [np.full(rows.size, start, dtype=object)]
+    for i, name in enumerate(fields):
+        stretches[-1] += (sep if i else "") + key_text(name)
+        if name in slots:
+            stretches[-1] += slots[name][0]
+            stretches.append(np.full(rows.size, slots[name][1], dtype=object))
+            continue
+        values = _native(name, columns[name][rows])
+        table = {value: value_text(value) for value in set(values)}
+        stretches[-1] += np.array([table[value] for value in values], dtype=object)
+    stretches[-1] += end
+    heads, *tails = (
+        np.array([text.encode() for text in texts], dtype=object) for texts in stretches
+    )
+    width = 2 * len(slots) + 1
     for lo in range(0, ids.size, _BATCH_ROWS):
         hi = min(lo + _BATCH_ROWS, ids.size)
         batch, body = ids[lo:hi], codes[lo:hi]
@@ -823,32 +836,11 @@ def _json_text(head: str, columns: dict[str, np.ndarray], graph_ids: str | tuple
             pieces[0::width] = heads[body].tolist()
             pieces[1::width] = names[batch].tolist()
         if timed:
-            pieces[2::width] = [gap] * (hi - lo)
             pieces[3::width] = map(b"%d".__mod__, micros[lo:hi].tolist())
-        pieces[width - 1::width] = tails[body].tolist()
+        for slot, texts in enumerate(tails, 1):
+            pieces[2 * slot::width] = texts[body].tolist()
         text = b"".join(pieces)
-        # the last record closes the list and the document instead
-        yield text if hi < ids.size else text[:-2] + b"\n  ]\n}\n"
-
-
-def _csv_text(columns: dict[str, np.ndarray], graph_ids: str | tuple[str, ...]):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-
-    def flush() -> bytes:
-        text = buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
-        return text.encode("utf-8")
-
-    writer.writerow(CSV_COLUMNS)
-    yield flush()
-    ids = columns["graph_id"]
-    for lo in range(0, ids.size, _BATCH_ROWS):
-        # the csv writer writes None as the empty string
-        batch = (_native(name, columns[name][lo:lo + _BATCH_ROWS]) for name in CSV_COLUMNS[1:])
-        writer.writerows(zip(_id_texts(graph_ids, ids[lo:lo + _BATCH_ROWS]), *batch))
-        yield flush()
+        yield text if hi < ids.size else text[:-len(end)] + last_end.encode()
 
 
 def report_batches(report: SweepReport, fmt: str) -> Iterator[bytes]:
@@ -856,19 +848,25 @@ def report_batches(report: SweepReport, fmt: str) -> Iterator[bytes]:
 
     The JSON is exactly what json.dumps(doc, sort_keys=True, indent=2) writes,
     plus a newline, and so ASCII.  The CSV is what csv.writer writes, encoded
-    as UTF-8, which is ASCII for every report a sweep makes.  The format and
-    the columns are checked before the first batch is asked for.
+    as UTF-8, which is ASCII for every report a sweep makes.  Both render
+    their records through _rows.  The format and the columns are checked
+    before the first batch is asked for.
     """
-    if fmt not in ("json", "csv"):
+    if fmt not in _FORMATS:
         raise BadParams(f"unknown report format {fmt!r}")
     columns, graph_ids = report.columns, report.graph_ids
     _check_columns(columns, graph_ids)
+    violation = _violation_codes(columns["violation"])
     if fmt == "csv":
-        return _csv_text(columns, graph_ids)
-    head = json.dumps(
-        {"config": report.config, "aggregates": report.aggregates}, sort_keys=True, indent=2
-    )
-    return _json_text(head, columns, graph_ids)
+        opening = empty = ",".join(CSV_COLUMNS) + "\n"
+    else:
+        # the head ends with the closing "\n}"; "records" sorts after both keys
+        doc = {"config": report.config, "aggregates": report.aggregates}
+        head = json.dumps(doc, sort_keys=True, indent=2)[:-2]
+        opening, empty = head + ',\n  "records": [\n', head + ',\n  "records": []\n}\n'
+    if not columns["graph_id"].size:
+        return iter([empty.encode()])
+    return itertools.chain([opening.encode()], _rows(fmt, columns, graph_ids, violation))
 
 
 def emit_report(report: SweepReport, fmt: str, path: str) -> None:

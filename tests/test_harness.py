@@ -266,7 +266,7 @@ class TestReportEncoder:
         assert digest == "a8d657f640400ac7006c9679354194f962b25174697a08400aa7c01363a3c226"
 
     def test_exhaustive_n5_stable_csv_pinned(self):
-        # sha256 of the stable n=5 CSV as the per-record writer wrote it
+        # sha256 of the stable n=5 CSV as csv.writer writes its records row by row
         report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=5, stable=True))
         digest = hashlib.sha256(report_to_csv(report).encode("ascii")).hexdigest()
         assert digest == "9da2cb1e2d455807c281e36a4d95c3ecc22013bd0a35f37caee7a21ddd934b78"
@@ -544,6 +544,7 @@ class TestDecimalIds:
                 report = _prefix_report(ids, aggregate_only, timed)
                 assert [rec["graph_id"] for rec in report.records] == [f"exh5-{i}" for i in ids]
                 assert report_to_json(report) == _reference_json(report), (aggregate_only, timed)
+                assert report_to_csv(report) == _reference_csv(report), (aggregate_only, timed)
 
 
 class TestBodyCodes:
@@ -570,6 +571,8 @@ class TestBodyCodes:
         report = SweepReport(base.config, columns, base.aggregates, "exh3-")
         assert report_to_json(report) == _reference_json(report)
         assert calls == [3]
+        assert report_to_csv(report) == _reference_csv(report)
+        assert calls == [3, 3]
 
     def test_n5_bodies_come_from_the_table(self, monkeypatch):
         # 41 bodies in 59,049 rows: the key's span is below the row count
@@ -580,6 +583,39 @@ class TestBodyCodes:
 
         monkeypatch.setattr(harness, "_dense", no_sort)
         assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
+        assert _sha256(report_to_csv(report)) == N5_STABLE_CSV_SHA256
+
+
+# texts that csv.writer quotes (a comma, a quote, a newline) or leaves bare
+# (a lone carriage return, with lineterminator "\n"), and non-ASCII text
+AWKWARD_TEXTS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "caf\u00e9 \u2603", ""]
+
+
+class TestCsvFields:
+    @pytest.mark.parametrize("timed", [False, True])
+    @pytest.mark.parametrize("prefix", [*AWKWARD_TEXTS, None], ids=repr)
+    def test_awkward_texts_quote_like_the_reference(self, prefix, timed):
+        # prefix None names the ids: each awkward text alone, then each with
+        # an index; prefix ids step by 7 across the digit blocks, to 1,043
+        size = 150
+        columns = {name: np.zeros(size, dtype=np.int64) for name in harness.RECORD_FIELDS}
+        columns["n"] = np.arange(size) % 4
+        columns["finder_outcome"] = np.arange(size) % len(OUTCOME_TEXTS)
+        columns["oracle_L"] = np.arange(size) % 3 - 1  # null on a third of the rows
+        if timed:
+            columns["micros"] = 3 * np.arange(size)
+        texts = [None, *AWKWARD_TEXTS]
+        columns["violation"] = _objects([texts[i % len(texts)] for i in range(size)])
+        if prefix is None:
+            indexed = (f"{AWKWARD_TEXTS[i % len(AWKWARD_TEXTS)]}{i}" for i in range(size))
+            graph_ids = (*AWKWARD_TEXTS, *indexed)
+            columns["graph_id"] = np.array(random.Random(3).sample(range(size), size))
+        else:
+            graph_ids = prefix
+            columns["graph_id"] = 7 * np.arange(size)
+        report = SweepReport({"mode": "random"}, columns, AGGREGATES, graph_ids)
+        assert report_to_csv(report) == _reference_csv(report)
+        assert report_to_json(report) == _reference_json(report)
 
 
 # the stable n=5 JSON is 14.3 MB; written whole, emit_report peaked 28.6 MB above the report
@@ -619,6 +655,7 @@ def _sha256(text: str) -> str:
 
 
 N5_STABLE_SHA256 = "a8d657f640400ac7006c9679354194f962b25174697a08400aa7c01363a3c226"
+N5_STABLE_CSV_SHA256 = "9da2cb1e2d455807c281e36a4d95c3ecc22013bd0a35f37caee7a21ddd934b78"
 
 
 @cache
