@@ -20,12 +20,18 @@ as its graph_id, and report_batches checks the layout once and renders
 the columns, in JSON or CSV through one row loop, in batches of records,
 which emit_report writes as they come.
 
-Sweeps on more than one worker run on one pool per process, forked at the
-first such sweep and reused by the next ones while the worker count stays
-the same; it is terminated and joined when the count changes, when a sweep
-raises and at interpreter exit.  Pool workers see this module as it was
-when they forked, so a monkeypatch made after the first pooled sweep does
-not reach them.
+Sweeps on more than one worker run on one set of forked worker processes
+per process, forked at the first such sweep and reused by the next ones
+while the worker count stays the same; it is terminated and reaped when
+the count changes, when a worker has exited, when a sweep raises and at
+interpreter exit.  The parent's main thread drives the fan-out: it sends
+each worker runs of consecutive chunks, at most two at a time and each
+named by its first and last instance, over the worker's own duplex pipe,
+waits on the pipes with multiprocessing.connection.wait and takes the one
+reply per run in chunk order, raising a run's exception in that order.
+No thread is started.  A worker that exits mid-sweep raises IoFailure.
+Workers see this module as it was when they forked, so a monkeypatch
+made after the first pooled sweep does not reach them.
 """
 from __future__ import annotations
 
@@ -424,16 +430,26 @@ def _chunk_result(
     return fields, lo + flagged, texts
 
 
-def _pooled(task: tuple) -> tuple[_Chunk, dict]:
-    """(worker, chunk) run in a pool worker, its int arrays in the smallest dtype holding them.
+def _task(worker, cfg: SweepConfig, kind: str, lo: int, hi: int) -> tuple[_Chunk, dict]:
+    """Instances lo..hi-1, in a worker, as chunks joined into one _Chunk and aggregate.
 
-    At n=5 that sends a sixth of the int64 bytes to the parent, which then
-    kept less memory and collected faster; the parent's columns stay int64.
+    The chunks are cfg.chunk_size instances each, as _run_chunked cuts
+    them.  Their int arrays are sent in the smallest dtype holding them.  At
+    n=5 that sends a sixth of the int64 bytes to the parent, which then kept
+    less memory and collected faster; the parent's columns stay int64.
     """
-    worker, chunk = task
-    (fields, flagged, texts), agg = worker(chunk)
-    fields = {name: _narrow(column) for name, column in fields.items()}
-    return (fields, _narrow(flagged), texts), agg
+    agg = _new_agg()
+    parts = []
+    for start in range(lo, hi, cfg.chunk_size):
+        part, chunk_agg = worker((cfg, start, min(start + cfg.chunk_size, hi), kind))
+        parts.append(part)
+        _merge_agg(agg, chunk_agg)
+    fields = {
+        name: _narrow(np.concatenate([fields[name] for fields, _, _ in parts]))
+        for name in parts[0][0]
+    }
+    flagged = _narrow(np.concatenate([flagged for _, flagged, _ in parts]))
+    return (fields, flagged, [text for _, _, texts in parts for text in texts]), agg
 
 
 def _narrow(column: np.ndarray) -> np.ndarray:
@@ -522,33 +538,132 @@ def _config_dict(cfg: SweepConfig) -> dict:
     return doc
 
 
-# this process's worker pool as (pid, workers, pool); see _worker_pool
-_pool: tuple[int, int, multiprocessing.pool.Pool] | None = None
+# this process's workers as (pid, workers, processes, pipes), each pipe the
+# parent's end of one worker's duplex pipe; see _worker_pool
+_pool: tuple[int, int, list, list] | None = None
 
 
-def _worker_pool(workers: int) -> multiprocessing.pool.Pool:
-    """This process's pool of `workers` processes, forked at its first use and reused after.
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception a sweep worker raised, chained as its cause."""
 
-    A pool of another size is terminated and joined before the new one
-    forks.  The pool is keyed by pid, so a forked child never uses its
-    parent's pool.
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _serve(pipe, inherited: list) -> None:
+    """A worker's loop: receive a task, the arguments of _task, send its one reply, repeat.
+
+    The reply is (True, what _task returns, None) or (False, the exception
+    it raised, its traceback text); a reply that does not pickle is sent as
+    a RuntimeError naming it.  The worker first closes the parent's pipe
+    ends it inherited, so that its pipe reads end of file here once the
+    parent's end closes, and returns then.
+    """
+    import traceback  # only workers format tracebacks
+
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            task = pipe.recv()
+        except EOFError:
+            return
+        try:
+            reply = True, _task(*task), None
+        except Exception as exc:  # raised again in the parent
+            reply = False, exc, traceback.format_exc()
+        try:
+            pipe.send(reply)  # pickled whole before a byte is written
+        except OSError:  # the parent is gone
+            return
+        except Exception as exc:
+            error = RuntimeError(f"sweep worker reply {reply[1]!r:.200} does not pickle: {exc!r}")
+            pipe.send((False, error, traceback.format_exc()))
+
+
+def _worker_pool(workers: int) -> tuple[list, list]:
+    """This process's `workers` processes and their pipes, forked at first use and reused after.
+
+    A set of another size, or one with a worker that has exited, is dropped
+    before a new one forks.  The set is keyed by pid, so a forked child
+    never uses its parent's.  Workers are forked, not spawned, so that they
+    start with the modules and the order-below tables already loaded.
     """
     global _pool
     pid = os.getpid()
-    if _pool is None or _pool[:2] != (pid, workers):
+    if _pool is None or _pool[:2] != (pid, workers) or not all(p.is_alive() for p in _pool[2]):
         _drop_pool()
-        _pool = (pid, workers, multiprocessing.Pool(workers))
-    return _pool[2]
+        context = multiprocessing.get_context("fork")
+        _pool = (pid, workers, [], [])  # filled in place, so a failed fork drops those before it
+        for _ in range(workers):
+            pipe, child = context.Pipe()
+            process = context.Process(target=_serve, args=(child, [*_pool[3], pipe]), daemon=True)
+            process.start()
+            child.close()
+            _pool[2].append(process)
+            _pool[3].append(pipe)
+    return _pool[2], _pool[3]
 
 
 @atexit.register
 def _drop_pool() -> None:
-    """Terminate and join this process's pool; forget one inherited from a parent."""
+    """Terminate and reap this process's workers; forget a set inherited from a parent."""
     global _pool
     held, _pool = _pool, None
     if held is not None and held[0] == os.getpid():
-        held[2].terminate()
-        held[2].join()
+        for process in held[2]:
+            process.terminate()
+        for process, pipe in zip(held[2], held[3]):
+            process.join()
+            pipe.close()
+
+
+def _pipe_io(call, process, *args):
+    """call(*args) on a worker's pipe; end of file or an error there raises IoFailure."""
+    try:
+        return call(*args)
+    except (EOFError, OSError) as exc:
+        process.join(5)  # its pipe closed as it exited: this reaps it and reads its exit code
+        raise IoFailure(f"sweep worker {process.pid} exited with code {process.exitcode}") from exc
+
+
+def _fan_out(workers: int, tasks: list[tuple]) -> Iterator[tuple[_Chunk, dict]]:
+    """Each task's reply from this process's workers (_worker_pool), in task order.
+
+    Each worker holds at most two tasks, so it starts its next one while the
+    parent reads its reply.  A task is a few hundred bytes, so both fit in
+    the pipe and a send never waits on a worker that is itself sending.  The
+    parent waits on the pipes alone: no thread runs and nothing polls.  A
+    task's exception is raised when its turn comes, chained to the worker's
+    traceback, and a worker that exits raises IoFailure at once.
+    """
+    # imported here, as Pool was: a process that never fans out skips its 0.6 MB
+    from multiprocessing.connection import wait
+
+    processes, pipes = _worker_pool(workers)
+    process_of = dict(zip(pipes, processes))
+    held = {pipe: [] for pipe in pipes}  # each pipe's tasks in flight, oldest first
+    replies = {}
+    sent = 0
+
+    def send(pipe) -> None:
+        nonlocal sent
+        if sent < len(tasks):
+            _pipe_io(pipe.send, process_of[pipe], tasks[sent])
+            held[pipe].append(sent)
+            sent += 1
+
+    for pipe in pipes * 2:
+        send(pipe)
+    for i in range(len(tasks)):
+        while i not in replies:
+            for pipe in wait([pipe for pipe in pipes if held[pipe]]):
+                replies[held[pipe].pop(0)] = _pipe_io(pipe.recv, process_of[pipe])
+                send(pipe)
+        ok, reply, text = replies.pop(i)
+        if not ok:
+            raise reply from _WorkerTraceback(text)
+        yield reply
 
 
 def _run_chunked(
@@ -556,12 +671,15 @@ def _run_chunked(
 ) -> SweepReport:
     """Run instances 0..total-1 in chunks on cfg.workers processes, in chunk order.
 
-    Sweeps on more than one worker share this process's pool (_worker_pool):
-    it is forked at the first such sweep and reused while the worker count
-    stays the same, and it is dropped when the count changes, when an
-    exception leaves the collect loop and at exit.  Its workers see module
-    state as of their fork: a change made after that (a monkeypatch, say)
-    reaches only sweeps whose chunks run here, on one worker or in one chunk.
+    Sweeps of more than one chunk on more than one worker share this
+    process's workers (_worker_pool): they are forked at the first such
+    sweep and reused while the worker count stays the same, and they are
+    dropped when the count changes, when one has exited, when an exception
+    leaves the collect loop and at exit.  Such a sweep sends each worker
+    runs of consecutive chunks, two at a time, over its own pipe, and each
+    run comes back as one reply (_fan_out).  The workers see module state as
+    of their fork: a change made after that (a monkeypatch, say) reaches
+    only sweeps whose chunks run here, on one worker or in one chunk.
 
     The parent writes each chunk's arrays into its slice of report columns
     allocated once for all total rows, and its violation texts into a
@@ -570,16 +688,13 @@ def _run_chunked(
     column holds each kept row's instance index, and graph_ids, the
     report's one id shape, is passed through: no id text is built here.
     """
-    chunks = [
-        (cfg, lo, min(lo + cfg.chunk_size, total), kind) for lo in range(0, total, cfg.chunk_size)
-    ]
     agg = _new_agg()
     columns = _empty_fields(0 if cfg.aggregate_only else total)
     violation = columns.pop("violation")
     kept = [(columns, np.arange(0), [])]  # an aggregate_only sweep's chunks, after no rows
 
-    def collect(results) -> None:
-        for (_, lo, hi, _), ((fields, flagged, texts), part) in zip(chunks, results):
+    def collect(spans, results) -> None:
+        for (lo, hi), ((fields, flagged, texts), part) in zip(spans, results):
             if cfg.aggregate_only:
                 kept.append((fields, flagged, texts))
             else:
@@ -588,21 +703,20 @@ def _run_chunked(
                 violation[flagged] = texts
             _merge_agg(agg, part)
 
-    pooled = cfg.workers > 1 and len(chunks) > 1
-    if pooled:
-        # in chunk order, so the parent collects columns while the workers
-        # run; tasks of several chunks, by Pool.map's rule
-        batch = max(1, len(chunks) // (4 * cfg.workers))
-        tasks = [(worker, chunk) for chunk in chunks]
-        results = _worker_pool(cfg.workers).imap(_pooled, tasks, chunksize=batch)
-    else:
-        results = map(worker, chunks)
-    try:
-        collect(results)
-    except BaseException:
-        if pooled:  # the workers may still be running this sweep's tasks
+    if cfg.workers > 1 and total > cfg.chunk_size:
+        # runs of consecutive chunks, a quarter of an even share of them per
+        # worker, so the parent collects columns while the workers run; a
+        # task names its run, not its chunks, so it stays a few hundred bytes
+        run = cfg.chunk_size * max(1, -(-total // cfg.chunk_size) // (4 * cfg.workers))
+        spans = [(lo, min(lo + run, total)) for lo in range(0, total, run)]
+        try:
+            collect(spans, _fan_out(cfg.workers, [(worker, cfg, kind, *span) for span in spans]))
+        except BaseException:  # the workers may still be running this sweep's tasks
             _drop_pool()
-        raise
+            raise
+    else:
+        spans = [(lo, min(lo + cfg.chunk_size, total)) for lo in range(0, total, cfg.chunk_size)]
+        collect(spans, (worker((cfg, lo, hi, kind)) for lo, hi in spans))
     if cfg.aggregate_only:
         index = np.concatenate([flagged for _, flagged, _ in kept], dtype=np.int64)
         columns = {

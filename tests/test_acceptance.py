@@ -21,7 +21,7 @@ from altpaths.harness import (
 )
 from altpaths.rotation_engine import find_alternating_path, start_closure
 from _brute import brute_respectable_endpoints, is_respectable
-from _reports import report_to_csv, report_to_json
+from _reports import assert_same_text, report_to_csv, report_to_json
 
 
 def _announce(num: int, text: str) -> None:
@@ -167,8 +167,8 @@ class TestCriterion8Determinism:
         )
         r1 = run_theorem_sweep(SweepConfig(workers=1, chunk_size=25, **base))
         r2 = run_theorem_sweep(SweepConfig(workers=4, chunk_size=25, **base))
-        assert report_to_json(r1) == report_to_json(r2)
-        assert report_to_csv(r1) == report_to_csv(r2)
+        assert_same_text(report_to_json(r1), report_to_json(r2))
+        assert_same_text(report_to_csv(r1), report_to_csv(r2))
         r3 = run_theorem_sweep(SweepConfig(workers=2, chunk_size=40, **base))
-        assert report_to_json(r1) == report_to_json(r3)
+        assert_same_text(report_to_json(r1), report_to_json(r3))
         _announce(8, "stable reports byte-identical across reruns and worker counts")

@@ -4,9 +4,13 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import random
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from functools import cache
 
@@ -33,7 +37,7 @@ from altpaths.harness import (
 from altpaths.oracle import OracleBudget, longest_alt_path_exact
 from altpaths.rotation_engine import OUTCOME_TEXTS, find_alternating_path
 from _brute import brute_graph_from_code
-from _reports import report_to_csv, report_to_json
+from _reports import assert_same_text, report_to_csv, report_to_json
 
 
 def _blowup(**fields) -> SweepReport:
@@ -158,7 +162,7 @@ class TestReports:
         )
 
     def test_json_stable(self):
-        assert report_to_json(self._report()) == report_to_json(self._report())
+        assert_same_text(report_to_json(self._report()), report_to_json(self._report()))
 
     def test_csv_round_trip(self, tmp_path):
         report = self._report()
@@ -190,7 +194,7 @@ def _reference_json(report):
 
 class TestReportEncoder:
     def _assert_matches_reference(self, report):
-        assert report_to_json(report) == _reference_json(report)
+        assert_same_text(report_to_json(report), _reference_json(report))
 
     def test_exhaustive_theorem(self):
         self._assert_matches_reference(
@@ -230,7 +234,7 @@ class TestReportEncoder:
         report = SweepReport(base.config, columns, base.aggregates, base.graph_ids)
         text = report_to_json(report)
         assert text.isascii()
-        assert text == _reference_json(report)
+        assert_same_text(text, _reference_json(report))
 
     def test_record_off_template_raises(self):
         base = _blowup(t_range=(3, 3), b_range=(1, 1), stable=True)
@@ -247,8 +251,9 @@ class TestReportEncoder:
         ]
         for bad in bad_columns:
             report = SweepReport(base.config, bad, base.aggregates, base.graph_ids)
-            with pytest.raises(TypeError):
-                report_to_json(report)
+            for fmt in ("json", "csv"):
+                with pytest.raises(TypeError):
+                    harness.report_batches(report, fmt)  # before the first batch is asked for
 
     def test_records_are_a_copy(self):
         report = _blowup(t_range=(3, 3), b_range=(1, 2), stable=True)
@@ -257,7 +262,7 @@ class TestReportEncoder:
         records[0]["violation"] = "changed"
         records.pop()
         assert report.records[0]["violation"] is None and len(report.records) == 2
-        assert report_to_json(report) == text
+        assert_same_text(report_to_json(report), text)
 
     def test_exhaustive_n5_stable_pinned(self):
         # sha256 of the stable n=5 report as the json.dumps encoder wrote it
@@ -373,8 +378,8 @@ class TestTypedColumns:
         records = [dict(zip(harness.RECORD_FIELDS, row))
                    for row in zip(*(texts[name] for name in harness.RECORD_FIELDS))]
         assert report.records == records
-        assert report_to_json(report) == _reference_json(report)
-        assert report_to_csv(report) == _reference_csv(report)
+        assert_same_text(report_to_json(report), _reference_json(report))
+        assert_same_text(report_to_csv(report), _reference_csv(report))
 
     def _columns(self):
         base = _blowup(t_range=(3, 3), b_range=(1, 2), stable=True)
@@ -442,8 +447,8 @@ class TestTypedColumns:
         columns["finder_outcome"] = np.arange(len(OUTCOME_TEXTS))
         report = SweepReport(base.config, columns, base.aggregates, base.graph_ids)
         assert [rec["finder_outcome"] for rec in report.records] == list(OUTCOME_TEXTS)
-        assert report_to_json(report) == _reference_json(report)
-        assert report_to_csv(report) == _reference_csv(report)
+        assert_same_text(report_to_json(report), _reference_json(report))
+        assert_same_text(report_to_csv(report), _reference_csv(report))
 
     def test_only_the_renderers_check_the_layout(self, monkeypatch, tmp_path):
         report = _blowup(stable=True)
@@ -543,8 +548,9 @@ class TestDecimalIds:
             for timed in (False, True):
                 report = _prefix_report(ids, aggregate_only, timed)
                 assert [rec["graph_id"] for rec in report.records] == [f"exh5-{i}" for i in ids]
-                assert report_to_json(report) == _reference_json(report), (aggregate_only, timed)
-                assert report_to_csv(report) == _reference_csv(report), (aggregate_only, timed)
+                case = (aggregate_only, timed)
+                assert_same_text(report_to_json(report), _reference_json(report), case)
+                assert_same_text(report_to_csv(report), _reference_csv(report), case)
 
 
 class TestBodyCodes:
@@ -569,9 +575,9 @@ class TestBodyCodes:
         columns["graph_id"] = np.arange(3)
         columns.update({name: np.array(values) for name, values in spread.items()})
         report = SweepReport(base.config, columns, base.aggregates, "exh3-")
-        assert report_to_json(report) == _reference_json(report)
+        assert_same_text(report_to_json(report), _reference_json(report))
         assert calls == [3]
-        assert report_to_csv(report) == _reference_csv(report)
+        assert_same_text(report_to_csv(report), _reference_csv(report))
         assert calls == [3, 3]
 
     def test_n5_bodies_come_from_the_table(self, monkeypatch):
@@ -614,8 +620,8 @@ class TestCsvFields:
             graph_ids = prefix
             columns["graph_id"] = 7 * np.arange(size)
         report = SweepReport({"mode": "random"}, columns, AGGREGATES, graph_ids)
-        assert report_to_csv(report) == _reference_csv(report)
-        assert report_to_json(report) == _reference_json(report)
+        assert_same_text(report_to_csv(report), _reference_csv(report))
+        assert_same_text(report_to_json(report), _reference_json(report))
 
 
 # the stable n=5 JSON is 14.3 MB; written whole, emit_report peaked 28.6 MB above the report
@@ -741,7 +747,7 @@ class TestColumnarExhaustive:
 
     def test_non_stable_micros_time_the_finder(self):
         report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=4))
-        assert report_to_json(report) == _reference_json(report)
+        assert_same_text(report_to_json(report), _reference_json(report))
         finder_micros = []
         for rec in report.records:
             if max_k_for(rec["min_pseudo_semidegree"]) >= 2:
@@ -778,17 +784,64 @@ class TestColumnarExhaustive:
         _blowup(stable=True)
 
 
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception does not pickle")
+
+
+def _late_first_error(args):
+    """A chunk function whose first chunk raises last, after every other chunk has raised."""
+    if args[1] == 0:
+        time.sleep(0.5)
+        raise KeyError("first")
+    raise KeyError("later")
+
+
+def _unpicklable_error(args):
+    raise _Unpicklable("from a worker")
+
+
 def _n5_pooled(workers: int) -> tuple[SweepReport, list]:
     """A stable n=5 sweep on `workers` pool workers, and the pool's worker processes."""
     report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=5, stable=True, workers=workers))
-    pid, size, pool = harness._pool
-    assert (pid, size) == (os.getpid(), workers)
-    return report, list(pool._pool)
+    pid, size, processes, pipes = harness._pool
+    assert (pid, size) == (os.getpid(), workers) and len(processes) == len(pipes) == workers
+    return report, list(processes)
+
+
+def _run_script(code: str, **output) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter under -W error, with this package importable.
+
+    Its output is captured, unless `output` names stdout and stderr.
+    """
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    output = output or {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, text=True, timeout=120, **output
+    )
+
+
+def _running(pid: int) -> bool:
+    """Whether the process exists and has not exited (an orphan may stay a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _assert_gone(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 class TestWorkerPool:
     def test_sweeps_reuse_the_pool_until_the_count_changes(self):
+        threads = threading.active_count()
         first, workers = _n5_pooled(2)
+        assert threading.active_count() == threads
         second, again = _n5_pooled(2)
         assert [p.pid for p in again] == [p.pid for p in workers]
         for report in (first, second):
@@ -809,13 +862,43 @@ class TestWorkerPool:
         report, _ = _n5_pooled(2)
         assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
 
+    def test_errors_come_in_chunk_order_with_the_worker_traceback(self):
+        cfg = SweepConfig(mode="exhaustive", n=5, stable=True, workers=2)
+        with pytest.raises(KeyError, match="first") as raised:
+            harness._run_chunked(cfg, 3**10, _late_first_error, "theorem", "exh5-")
+        assert "in _late_first_error" in str(raised.value.__cause__)
+        assert harness._pool is None
+
+    def test_a_reply_that_does_not_pickle_raises_its_error(self):
+        _, workers = _n5_pooled(2)
+        cfg = SweepConfig(mode="exhaustive", n=5, stable=True, workers=2)
+        with pytest.raises(RuntimeError, match="from a worker.* does not pickle"):
+            harness._run_chunked(cfg, 3**10, _unpicklable_error, "theorem", "exh5-")
+        assert all(p.exitcode is not None for p in workers)
+
+    def test_a_task_is_a_few_hundred_bytes(self, monkeypatch):
+        # two tasks per worker must fit in its pipe's buffer: a send that
+        # waited there while the worker sent a large reply would never end
+        tasks = []
+
+        def stop(*args):
+            tasks.extend(args[-1])
+            raise InterruptedError
+
+        monkeypatch.setattr(harness, "_fan_out", stop)
+        cfg = SweepConfig(mode="exhaustive", n=6, chunk_size=7, workers=2, aggregate_only=True)
+        with pytest.raises(InterruptedError):
+            run_theorem_sweep(cfg)
+        assert 8 <= len(tasks) <= 9
+        assert max(len(pickle.dumps(task)) for task in tasks) < 1024
+
     def test_a_pool_of_another_pid_is_not_used(self):
         class Inherited:
             def __getattr__(self, name):
                 raise AssertionError(f"a parent's pool was used: {name}")
 
         harness._drop_pool()
-        harness._pool = (os.getppid(), 2, Inherited())
+        harness._pool = (os.getppid(), 2, Inherited(), Inherited())
         report, _ = _n5_pooled(2)
         assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
 
@@ -824,20 +907,81 @@ class TestWorkerPool:
             "from altpaths import harness\n"
             "cfg = harness.SweepConfig(mode='exhaustive', n=5, stable=True, workers=2)\n"
             "assert harness.run_theorem_sweep(cfg).aggregates['instances'] == 3**10\n"
-            "print(*(p.pid for p in harness._pool[2]._pool))\n"
+            "print(*(p.pid for p in harness._pool[2]))\n"
         )
-        src = os.path.dirname(os.path.dirname(harness.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-c", code],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = _run_script(code)
         assert (proc.returncode, proc.stderr) == (0, "")
         pids = [int(pid) for pid in proc.stdout.split()]
         assert len(pids) == 2
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        _assert_gone(pids)
+
+    def test_a_killed_parent_leaves_no_worker(self, tmp_path):
+        # each worker reads end of file on its pipe once the parent is gone
+        code = (
+            "import os, signal\n"
+            "from altpaths import harness\n"
+            "cfg = harness.SweepConfig(mode='exhaustive', n=5, stable=True, workers=2)\n"
+            "assert harness.run_theorem_sweep(cfg).aggregates['instances'] == 3**10\n"
+            "print(*(p.pid for p in harness._pool[2]), flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        # to a file, not a pipe, which a worker left behind would hold open
+        out = tmp_path / "output"
+        with open(out, "w") as f:
+            proc = _run_script(code, stdout=f, stderr=subprocess.STDOUT)
+        text = out.read_text()
+        assert proc.returncode == -signal.SIGKILL, text
+        pids = [int(pid) for pid in text.split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 30
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in pids if _running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert not left
+
+    def test_a_dead_worker_raises_and_leaves_no_worker(self):
+        # chunk 10 of 30 kills its worker, and the parent must not wait for its reply
+        code = (
+            "import hashlib, os, signal, time\n"
+            "from altpaths import errors, harness\n"
+            "def dying_chunk(args):\n"
+            "    if args[1] == 20000:\n"
+            "        os._exit(7)\n"
+            "    return harness._exhaustive_chunk(args)\n"
+            "cfg = harness.SweepConfig(mode='exhaustive', n=5, stable=True, workers=2)\n"
+            "harness.run_theorem_sweep(cfg)\n"
+            "pids = [p.pid for p in harness._pool[2]]\n"
+            "t0 = time.monotonic()\n"
+            "try:\n"
+            "    harness._run_chunked(cfg, 3**10, dying_chunk, 'theorem', 'exh5-')\n"
+            "except errors.IoFailure as exc:\n"
+            "    print(f'{time.monotonic() - t0:.3f}', exc, sep='\\n')\n"
+            "assert harness._pool is None\n"
+            "for pid in pids:\n"
+            "    try:\n"
+            "        os.kill(pid, 0)\n"
+            "    except ProcessLookupError:\n"
+            "        continue\n"
+            "    raise AssertionError(f'worker {pid} outlived the failed sweep')\n"
+            "# a worker killed between sweeps is replaced before the next one\n"
+            "harness.run_theorem_sweep(cfg)\n"
+            "killed = harness._pool[2][0]\n"
+            "os.kill(killed.pid, signal.SIGKILL)\n"
+            "killed.join()\n"
+            "report = harness.run_theorem_sweep(cfg)\n"
+            "assert killed not in harness._pool[2]\n"
+            "print(hashlib.sha256(b''.join(harness.report_batches(report, 'json'))).hexdigest())\n"
+            "print(*(p.pid for p in harness._pool[2]))\n"
+        )
+        proc = _run_script(code)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        seconds, message, digest, pids = proc.stdout.splitlines()
+        assert float(seconds) < 30
+        assert message.startswith("sweep worker ") and message.endswith(" exited with code 7")
+        assert digest == N5_STABLE_SHA256
+        _assert_gone(int(pid) for pid in pids.split())
 
 
 class TestSweepConfig:
