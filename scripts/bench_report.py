@@ -5,8 +5,8 @@ Runs the stable exhaustive n=5 theorem sweep (59,049 records) once and
 times `harness.report_batches` on it for each format, consuming every
 batch, for about two seconds a format (at least 10 renders) after one
 warm-up render.  Prints each format's median ms per render and its size
-in bytes, then one JSON line with the environment: cores, Python version
-and whether numba is importable.  Run with the package importable, for
+in bytes, then one JSON line with the environment: cores, Python and
+numpy versions and whether numba is importable.  Run with the package importable, for
 example
 
     PYTHONPATH=src python3 scripts/bench_report.py
@@ -33,6 +33,8 @@ import platform
 import statistics
 import sys
 import time
+
+import numpy
 
 from altpaths import harness
 
@@ -76,7 +78,10 @@ def environment() -> dict:
         numba = True
     except ImportError:
         numba = False
-    return {"cores": os.cpu_count(), "python": platform.python_version(), "numba": numba}
+    return {
+        "cores": os.cpu_count(), "python": platform.python_version(),
+        "numpy": numpy.__version__, "numba": numba,
+    }
 
 
 def alone() -> None:

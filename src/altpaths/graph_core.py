@@ -68,6 +68,19 @@ class OrientedGraph:
                 pseudo = positive
         return DegreeSummary(semi if self.n else None, pseudo if edges else None, edges)
 
+    @classmethod
+    def with_summary(
+        cls, n: int, out_masks: tuple[int, ...], in_masks: tuple[int, ...], summary: DegreeSummary
+    ) -> OrientedGraph:
+        """The graph with `summary`, which must be its own, as its degree_summary: none is counted.
+
+        For a caller that already holds the summary, as a sweep does from
+        degree_columns.
+        """
+        g = cls(n, out_masks, in_masks)
+        g.__dict__["degree_summary"] = summary  # where cached_property keeps its value
+        return g
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.out_masks[u] >> v) & 1)
 

@@ -12,13 +12,16 @@ degrees from degree_columns and L from alt_path_lengths, and runs the
 kind's check column by column.  Exhaustive chunks, which know their
 graphs by code, hand the driver L from oracle.lengths_from_minors instead,
 read off a table of every graph of the order below.  Only the theorem
-check builds graphs, for the finder where kmax >= 2.  Reports have one
-layout (SweepReport) from the driver to the file: the checks write the
-record-field columns themselves, a chunk returns them, the parent writes
-them into report columns allocated once, with each row's instance index
-as its graph_id, and report_batches checks the layout once and renders
-the columns, in JSON or CSV through one row loop, in batches of records,
-which emit_report writes as they come.
+check builds graphs, for the finder where kmax >= 2, each with the degree
+summary its row already holds.  Reports have one layout (SweepReport)
+from the driver to the file: the checks write the record-field columns
+themselves, a chunk returns them with only its non-null violation texts,
+and the parent joins the chunks' columns end to end in the int dtypes
+they come in, codes the violation texts into a table of the distinct
+ones and takes each row's instance index as its graph_id.
+report_batches checks the layout once and renders the columns, in JSON
+or CSV through one row loop, in batches of records, which emit_report
+writes as they come.
 
 Sweeps on more than one worker run on one set of forked worker processes
 per process, forked at the first such sweep and reused by the next ones
@@ -53,6 +56,7 @@ import numpy as np
 from .altpath import validate
 from .errors import BadParams, IoFailure, TooLarge, VacuousParams
 from .graph_core import (  # noqa: F401 - the benchmark's trace hooks look up the min_* names here
+    DegreeSummary,
     OrientedGraph,
     blowup_directed_cycle,
     decode_codes,
@@ -78,8 +82,8 @@ CSV_COLUMNS = [
 ]
 # every field of a report record, in the order a record dict lists them
 RECORD_FIELDS = (*CSV_COLUMNS, "violation")
-# the fields that may be null: None in a str field, -1 in an int field
-_NULLABLE = {"min_pseudo_semidegree", "min_semidegree", "oracle_L", "violation"}
+# the int fields that may be null, with -1; violation's null is its code 0
+_NULLABLE = {"min_pseudo_semidegree", "min_semidegree", "oracle_L"}
 # finder_outcome is an int field of codes into OUTCOME_TEXTS
 _OUTCOME_CODES = {text: code for code, text in enumerate(OUTCOME_TEXTS)}
 _OUTCOMES = np.array(OUTCOME_TEXTS, dtype=object)
@@ -131,16 +135,19 @@ class SweepConfig:
 class SweepReport:
     """A sweep's config, aggregates and records, in the layout _run_chunked makes.
 
-    columns maps each RECORD_FIELDS name to a one-dimensional array with one
-    value per record.  graph_id holds each record's instance index, and
-    graph_ids gives the ids' one shape: a str is the prefix of the decimal
-    index, a tuple of str the id of each index.  violation is an object
-    array of str with None for null.  Every other field is an int64 array;
-    in the nullable ones (the two degree fields and oracle_L) -1 stands for
-    null, and finder_outcome holds codes into rotation_engine.OUTCOME_TEXTS,
-    which records and the renderers write as their text.  records reads the
-    columns as they are; report_batches checks this layout once, before
-    its first batch.
+    columns maps each RECORD_FIELDS name to a one-dimensional int array with
+    one value per record.  graph_id is int64 and holds each record's
+    instance index, and graph_ids gives the ids' one shape: a str is the
+    prefix of the decimal index, a tuple of str the id of each index.
+    violation holds codes into violation_texts, the distinct texts, with 0
+    for null: code c is violation_texts[c - 1].  Every other field may have
+    any int dtype: a pooled sweep keeps each in the smallest one its
+    workers sent it in (uint8 or int16 at n=5), and an in-process one in
+    int64.  In the nullable ones (the two degree fields and oracle_L) -1
+    stands for null, and finder_outcome holds codes into
+    rotation_engine.OUTCOME_TEXTS.  records and the renderers write the
+    codes as their texts.  records reads the columns as they are;
+    report_batches checks this layout once, before its first batch.
 
     Both renderers, JSON and CSV, write rows through one loop that groups
     them by body, every field but graph_id (and micros when rows differ in
@@ -152,13 +159,15 @@ class SweepReport:
     adds the text of i // 1000, appended to the body texts once per run of
     rows with equal quotients, and every id takes the text of its remainder
     i % 1000 from one fixed table.  Names are escaped or quoted and encoded
-    once each.
+    once each.  The CSV has no violation field, so its renders never read
+    the violation codes.
     """
 
     config: dict
     columns: dict[str, np.ndarray]
     aggregates: dict
     graph_ids: str | tuple[str, ...]
+    violation_texts: tuple[str, ...]
 
     @property
     def records(self) -> list[dict]:
@@ -168,68 +177,66 @@ class SweepReport:
         """
         rows = zip(*(
             _id_texts(self.graph_ids, self.columns[name]) if name == "graph_id"
-            else _native(name, self.columns[name])
+            else _native(name, self.columns[name], self.violation_texts)
             for name in RECORD_FIELDS
         ))
         return [dict(zip(RECORD_FIELDS, row)) for row in rows]
 
 
-def _check_columns(columns: dict, graph_ids) -> None:
-    """Raise TypeError unless the columns and graph_ids have SweepReport's layout.
+def _is_texts(value) -> bool:
+    return isinstance(value, tuple) and all(isinstance(text, str) for text in value)
 
-    graph_ids neither a str nor a tuple of str, missing or extra fields,
-    unequal lengths, a column that is not a one-dimensional array of its
-    field's dtype, a negative int (below -1 where the field is nullable), a
-    finder_outcome code past OUTCOME_TEXTS and a graph_id past the names all
-    raise.  The renderers check violation's values next, in _violation_codes.
+
+def _check_columns(columns: dict, graph_ids, violation_texts) -> None:
+    """Raise TypeError unless the columns and tables have SweepReport's layout.
+
+    graph_ids neither a str nor a tuple of str, violation_texts not a tuple
+    of str, missing or extra fields, unequal lengths, a column that is not a
+    one-dimensional int array (int64 for graph_id), an int past int64, a
+    negative int (below -1 where the field is nullable), and a code or index
+    past its table (finder_outcome's OUTCOME_TEXTS, violation's texts,
+    graph_id's names) raise.
     """
-    if not isinstance(graph_ids, str) and not (
-        isinstance(graph_ids, tuple) and all(isinstance(text, str) for text in graph_ids)
-    ):
+    if not isinstance(graph_ids, str) and not _is_texts(graph_ids):
         raise TypeError(f"graph ids {graph_ids!r:.60} are neither a prefix nor a tuple of names")
+    if not _is_texts(violation_texts):
+        raise TypeError(f"violation texts {violation_texts!r:.60} are not a tuple of str")
     if columns.keys() != set(RECORD_FIELDS):
         raise TypeError(f"report columns {sorted(columns)} are not the record fields")
     lengths = {name: len(column) for name, column in columns.items()}
     if len(set(lengths.values())) > 1:
         raise TypeError(f"report columns have unequal lengths {lengths}")
+    # the fields whose values index a table: its length and what they are
+    tables = {
+        "finder_outcome": (len(_OUTCOMES), "a code past the outcomes"),
+        "violation": (len(violation_texts) + 1, "a code past the violation texts"),
+    }
+    if isinstance(graph_ids, tuple):
+        tables["graph_id"] = (len(graph_ids), "an index past the names")
     for name in RECORD_FIELDS:
         column = columns[name]
         if not isinstance(column, np.ndarray) or column.ndim != 1:
             raise TypeError(f"report column {name!r} is not a one-dimensional array")
-        if column.dtype != (object if name == "violation" else np.int64):
+        if column.dtype.kind not in "iu" or (name == "graph_id" and column.dtype != np.int64):
             raise TypeError(f"report column {name!r} has dtype {column.dtype}")
-        if name != "violation" and column.size:
-            if column.min() < (-1 if name in _NULLABLE else 0):
-                raise TypeError(f"report column {name!r} holds a negative int")
-            if name == "finder_outcome" and column.max() >= len(_OUTCOMES):
-                raise TypeError(f"report column {name!r} holds a code past the outcomes")
-            if name == "graph_id" and isinstance(graph_ids, tuple):
-                if column.max() >= len(graph_ids):
-                    raise TypeError(f"report column {name!r} holds an index past the names")
+        if not column.size:
+            continue
+        low, high = int(column.min()), int(column.max())
+        if low < (-1 if name in _NULLABLE else 0):
+            raise TypeError(f"report column {name!r} holds a negative int")
+        if high > np.iinfo(np.int64).max:
+            raise TypeError(f"report column {name!r} holds an int past int64")
+        if name in tables and high >= tables[name][0]:
+            raise TypeError(f"report column {name!r} holds {tables[name][1]}")
 
 
-def _violation_codes(column: np.ndarray) -> tuple[np.ndarray, int]:
-    """A violation column of dtype object coded as _codes codes an int column.
-
-    None is code 0, on most rows; only the other rows are looked up, and
-    TypeError is raised if one of them is not a str.
-    """
-    rows = np.flatnonzero(np.not_equal(column, None))
-    values = column[rows].tolist()
-    off = set(map(type, values)) - {str}
-    if off:
-        raise TypeError(f"report column 'violation' holds {sorted(t.__name__ for t in off)}")
-    index = {value: code for code, value in enumerate(dict.fromkeys(values), 1)}
-    codes = np.zeros(column.size, dtype=np.int64)
-    codes[rows] = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
-    return codes, len(index) + 1
-
-
-def _native(name: str, column: np.ndarray) -> list:
+def _native(name: str, column: np.ndarray, violation_texts: tuple[str, ...]) -> list:
     """A report column's values as int, str and None."""
     if name == "finder_outcome":
         return _OUTCOMES[column].tolist()
-    if column.dtype == object or name not in _NULLABLE:
+    if name == "violation":
+        return np.array([None, *violation_texts], dtype=object)[column].tolist()
+    if name not in _NULLABLE:
         return column.tolist()
     values = column.astype(object)
     values[column < 0] = None
@@ -286,20 +293,34 @@ def _flag(cols: dict, agg: dict, key: str, bad: np.ndarray, text: str, *values) 
     agg[key] += rows.size
 
 
+# the record fields that hold a DegreeSummary's fields, in its order
+_SUMMARY_FIELDS = ("min_semidegree", "min_pseudo_semidegree", "edges")
+
+
 def _theorem_check(cfg: SweepConfig, cols: dict, agg: dict, out_masks, in_masks, b) -> None:
-    """L >= kmax on every row, and a valid order-kmax path from the finder where kmax >= 2."""
+    """L >= kmax on every row, and a valid order-kmax path from the finder where kmax >= 2.
+
+    Each finder graph takes its degree summary from its row, which
+    degree_columns counted, so that the finder's condition_holds counts none.
+    """
     pseudo, length = cols["min_pseudo_semidegree"], cols["oracle_L"]
     kmax = np.where(pseudo > 0, max_k_for(pseudo), 0)
     _flag(cols, agg, "counterexamples", length < kmax, "counterexample:L={}<k={}", length, kmax)
     # find_alternating_path at k = 1 returns a one-vertex path after 0 rounds
     cols["finder_outcome"][kmax == 1] = _OUTCOME_CODES["found"]
+    rows = np.flatnonzero(kmax >= 2)
+    if not rows.size:  # as in most small chunks
+        return
     budget = EngineBudget(oracle=OracleBudget(max_n_subset_dp=cfg.max_n_subset_dp))
     timed = not cfg.stable
     n = out_masks.shape[1]
-    rows = np.flatnonzero(kmax >= 2)
     outs, ins = out_masks[rows].tolist(), in_masks[rows].tolist()
-    for i, row_out, row_in, k in zip(rows.tolist(), outs, ins, kmax[rows].tolist()):
-        g = OrientedGraph(n, tuple(row_out), tuple(row_in))
+    # kmax >= 2 needs an arc, so n > 0 and every row's summary is defined
+    summaries = map(DegreeSummary, *(cols[name][rows].tolist() for name in _SUMMARY_FIELDS))
+    for i, row_out, row_in, k, summary in zip(
+        rows.tolist(), outs, ins, kmax[rows].tolist(), summaries
+    ):
+        g = OrientedGraph.with_summary(n, tuple(row_out), tuple(row_in), summary)
         t0 = _now_micros() if timed else 0
         out = find_alternating_path(g, k, budget)
         ok = out.outcome == "found" and out.path.order == k and validate(g, out.path)
@@ -397,7 +418,7 @@ def _empty_fields(size: int) -> dict[str, np.ndarray]:
     }
 
 
-# a chunk's kept rows: one int64 array per record field after graph_id but
+# a chunk's kept rows: one int array per record field after graph_id but
 # violation, and the instance indexes and texts of the rows whose violation
 # is not null.  A full chunk keeps its rows lo..hi-1; an aggregate_only
 # chunk keeps exactly the rows it flags, so neither sends a row index.
@@ -434,9 +455,8 @@ def _task(worker, cfg: SweepConfig, kind: str, lo: int, hi: int) -> tuple[_Chunk
     """Instances lo..hi-1, in a worker, as chunks joined into one _Chunk and aggregate.
 
     The chunks are cfg.chunk_size instances each, as _run_chunked cuts
-    them.  Their int arrays are sent in the smallest dtype holding them.  At
-    n=5 that sends a sixth of the int64 bytes to the parent, which then kept
-    less memory and collected faster; the parent's columns stay int64.
+    them.  Their int arrays are sent in the smallest dtype holding them,
+    which the parent's report keeps: at n=5 a sixth of the int64 bytes.
     """
     agg = _new_agg()
     parts = []
@@ -681,53 +701,62 @@ def _run_chunked(
     of their fork: a change made after that (a monkeypatch, say) reaches
     only sweeps whose chunks run here, on one worker or in one chunk.
 
-    The parent writes each chunk's arrays into its slice of report columns
-    allocated once for all total rows, and its violation texts into a
-    violation column of None; an aggregate_only sweep, whose row count is
-    not known ahead, concatenates its kept rows instead.  The graph_id
-    column holds each kept row's instance index, and graph_ids, the
-    report's one id shape, is passed through: no id text is built here.
+    The parent keeps each reply as it comes and then joins the chunks'
+    arrays end to end, once per field, in the dtypes they came in: a pooled
+    sweep's are narrow (_task), an in-process one's int64.  It codes the
+    violation texts it received, the only per-row work it does, and only
+    on flagged rows: each distinct text gets the next code from 1, into the
+    report's violation_texts.  A full sweep's violation column is 0 but on
+    its flagged rows; an aggregate_only sweep keeps only flagged rows.  The
+    graph_id column holds each kept row's instance index, and graph_ids,
+    the report's one id shape, is passed through: no id text is built here.
     """
     agg = _new_agg()
-    columns = _empty_fields(0 if cfg.aggregate_only else total)
-    violation = columns.pop("violation")
-    kept = [(columns, np.arange(0), [])]  # an aggregate_only sweep's chunks, after no rows
+    chunks: list[_Chunk] = []
 
-    def collect(spans, results) -> None:
-        for (lo, hi), ((fields, flagged, texts), part) in zip(spans, results):
-            if cfg.aggregate_only:
-                kept.append((fields, flagged, texts))
-            else:
-                for name, column in fields.items():
-                    columns[name][lo:hi] = column
-                violation[flagged] = texts
+    def collect(results) -> None:
+        for chunk, part in results:
+            chunks.append(chunk)
             _merge_agg(agg, part)
 
     if cfg.workers > 1 and total > cfg.chunk_size:
         # runs of consecutive chunks, a quarter of an even share of them per
-        # worker, so the parent collects columns while the workers run; a
-        # task names its run, not its chunks, so it stays a few hundred bytes
+        # worker, so the parent takes replies while the workers run; a task
+        # names its run, not its chunks, so it stays a few hundred bytes
         run = cfg.chunk_size * max(1, -(-total // cfg.chunk_size) // (4 * cfg.workers))
         spans = [(lo, min(lo + run, total)) for lo in range(0, total, run)]
         try:
-            collect(spans, _fan_out(cfg.workers, [(worker, cfg, kind, *span) for span in spans]))
+            collect(_fan_out(cfg.workers, [(worker, cfg, kind, *span) for span in spans]))
         except BaseException:  # the workers may still be running this sweep's tasks
             _drop_pool()
             raise
     else:
         spans = [(lo, min(lo + cfg.chunk_size, total)) for lo in range(0, total, cfg.chunk_size)]
-        collect(spans, (worker((cfg, lo, hi, kind)) for lo, hi in spans))
+        collect(worker((cfg, lo, hi, kind)) for lo, hi in spans)
+    columns = {
+        name: _joined([fields[name] for fields, _, _ in chunks]) for name in RECORD_FIELDS[1:-1]
+    }
+    flagged = _joined([flagged for _, flagged, _ in chunks]).astype(np.int64, copy=False)
+    texts = {}  # each distinct violation text and its code
+    codes = [texts.setdefault(text, len(texts) + 1) for _, _, sent in chunks for text in sent]
+    codes = np.array(codes, dtype=np.min_scalar_type(len(texts)))
     if cfg.aggregate_only:
-        index = np.concatenate([flagged for _, flagged, _ in kept], dtype=np.int64)
-        columns = {
-            name: np.concatenate([fields[name] for fields, _, _ in kept], dtype=column.dtype)
-            for name, column in columns.items()
-        }
-        violation = np.array([text for _, _, texts in kept for text in texts], dtype=object)
+        index, violation = flagged, codes
     else:
-        index = np.arange(total, dtype=np.int64)
+        index, violation = np.arange(total, dtype=np.int64), np.zeros(total, dtype=codes.dtype)
+        violation[flagged] = codes
     columns = {"graph_id": index, **columns, "violation": violation}
-    return SweepReport(_config_dict(cfg), columns, agg, graph_ids)
+    return SweepReport(_config_dict(cfg), columns, agg, graph_ids, tuple(texts))
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays end to end, in the dtype that holds them all; one array is taken as it is.
+
+    Empty arrays are left out, so that they widen no dtype; all empty, or
+    none, make an empty array.
+    """
+    kept = [array for array in arrays if array.size] or arrays[:1] or [np.empty(0, np.int64)]
+    return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
 
 def _run_exhaustive(cfg: SweepConfig, kind: str) -> SweepReport:
@@ -816,26 +845,29 @@ def _dense(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _codes(column: np.ndarray) -> tuple[np.ndarray, int]:
-    """(codes, count): a code in 0..count-1 per row, equal exactly where the int values are."""
+    """(codes, count): an int64 code in 0..count-1 per row, equal exactly where the values are.
+
+    The column may have any int dtype; the codes are taken in int64, so
+    that no value wraps.
+    """
     low = int(column.min())
     count = int(column.max()) - low + 1
     if count > column.size:
         codes, first = _dense(column)
         return codes, first.size
-    return column - low, count
+    return np.subtract(column, low, dtype=np.int64), count
 
 
-def _bodies(columns: dict, keys: list[str], violation: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _bodies(columns: dict, keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(codes, rows): rows of equal values in the keys' columns share a code c, and rows[c] is one.
 
-    violation is the violation column's (codes, count).  The rows' keys
-    combine into one int per row below a span.  A span no larger than the
-    row count is coded from a table of the keys present; a larger one falls
-    back to _dense, which sorts.
+    The rows' keys combine into one int per row below a span.  A span no
+    larger than the row count is coded from a table of the keys present; a
+    larger one falls back to _dense, which sorts.
     """
     key, span = np.zeros(len(columns[keys[0]]), dtype=np.int64), 1
     for name in keys:
-        codes, count = violation if name == "violation" else _codes(columns[name])
+        codes, count = _codes(columns[name])
         if span * count > 2**62:
             key, first = _dense(key)
             span = first.size
@@ -896,7 +928,7 @@ _FORMATS = {
 }
 
 
-def _rows(fmt: str, columns: dict[str, np.ndarray], graph_ids, violation: tuple):
+def _rows(fmt: str, columns: dict[str, np.ndarray], graph_ids, violation_texts: tuple):
     """The records in the format, as bytes in batches of _BATCH_ROWS rows.
 
     A row's slots are its graph_id and, when rows differ in it, its micros;
@@ -920,7 +952,7 @@ def _rows(fmt: str, columns: dict[str, np.ndarray], graph_ids, violation: tuple)
     timed = micros.min() != micros.max()
     if timed:
         slots["micros"] = ("", "")
-    codes, rows = _bodies(columns, [name for name in fields if name not in slots], violation)
+    codes, rows = _bodies(columns, [name for name in fields if name not in slots])
     # per stretch of fields between slots, each body's text: += appends to every body's
     stretches = [np.full(rows.size, start, dtype=object)]
     for i, name in enumerate(fields):
@@ -929,7 +961,7 @@ def _rows(fmt: str, columns: dict[str, np.ndarray], graph_ids, violation: tuple)
             stretches[-1] += slots[name][0]
             stretches.append(np.full(rows.size, slots[name][1], dtype=object))
             continue
-        values = _native(name, columns[name][rows])
+        values = _native(name, columns[name][rows], violation_texts)
         table = {value: value_text(value) for value in set(values)}
         stretches[-1] += np.array([table[value] for value in values], dtype=object)
     stretches[-1] += end
@@ -968,9 +1000,8 @@ def report_batches(report: SweepReport, fmt: str) -> Iterator[bytes]:
     """
     if fmt not in _FORMATS:
         raise BadParams(f"unknown report format {fmt!r}")
-    columns, graph_ids = report.columns, report.graph_ids
-    _check_columns(columns, graph_ids)
-    violation = _violation_codes(columns["violation"])
+    columns, graph_ids, violation_texts = report.columns, report.graph_ids, report.violation_texts
+    _check_columns(columns, graph_ids, violation_texts)
     if fmt == "csv":
         opening = empty = ",".join(CSV_COLUMNS) + "\n"
     else:
@@ -980,7 +1011,7 @@ def report_batches(report: SweepReport, fmt: str) -> Iterator[bytes]:
         opening, empty = head + ',\n  "records": [\n', head + ',\n  "records": []\n}\n'
     if not columns["graph_id"].size:
         return iter([empty.encode()])
-    return itertools.chain([opening.encode()], _rows(fmt, columns, graph_ids, violation))
+    return itertools.chain([opening.encode()], _rows(fmt, columns, graph_ids, violation_texts))
 
 
 def emit_report(report: SweepReport, fmt: str, path: str) -> None:

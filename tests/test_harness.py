@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from altpaths import errors
 from altpaths.cli import main
 from altpaths import harness
-from altpaths.graph_core import blowup_directed_cycle, to_edgelist
+from altpaths.graph_core import OrientedGraph, blowup_directed_cycle, to_edgelist
 from altpaths.harness import (
     SweepConfig,
     SweepReport,
@@ -128,6 +128,13 @@ class TestBlowupSuite:
             assert rec["n"] == t * b
             assert rec["oracle_L"] == 2 * b
 
+    def test_empty_grid(self):
+        # no instance, so no chunk runs: the report has no records
+        report = _blowup(t_range=(4, 3), stable=True)
+        assert report.aggregates["instances"] == 0 and report.records == []
+        assert '"records": []' in report_to_json(report)
+        assert report_to_csv(report) == ",".join(harness.CSV_COLUMNS) + "\n"
+
     def test_rejects_other_modes(self):
         for mode in ("exhaustive", "random", "corollary", "oddcase"):
             with pytest.raises(errors.BadParams):
@@ -229,9 +236,8 @@ class TestReportEncoder:
 
     def test_string_escapes(self):
         base = _blowup(t_range=(3, 3), b_range=(1, 1), stable=True)
-        columns = _repeated(base, 2)
-        columns["violation"] = _objects([None, 'a"b\\c\nd\u00e9\u2603'])
-        report = SweepReport(base.config, columns, base.aggregates, base.graph_ids)
+        columns = dict(_repeated(base, 2), violation=[None, 'a"b\\c\nd\u00e9\u2603'])
+        report = _coded(base.config, columns, base.aggregates, base.graph_ids)
         text = report_to_json(report)
         assert text.isascii()
         assert_same_text(text, _reference_json(report))
@@ -250,7 +256,7 @@ class TestReportEncoder:
             dict(columns, rounds=np.array([0])),
         ]
         for bad in bad_columns:
-            report = SweepReport(base.config, bad, base.aggregates, base.graph_ids)
+            report = dataclasses.replace(base, columns=bad)
             for fmt in ("json", "csv"):
                 with pytest.raises(TypeError):
                     harness.report_batches(report, fmt)  # before the first batch is asked for
@@ -284,6 +290,8 @@ INT_FIELDS = [
     name for name in harness.RECORD_FIELDS
     if name not in {"graph_id", "finder_outcome", "violation"}
 ]
+# the largest values of int8, uint8 and int16
+TYPE_EDGES = [127, 255, 32767]
 
 
 @st.composite
@@ -298,8 +306,9 @@ def record_columns(draw):
     def column(values, **kw):
         return draw(st.lists(values, min_size=size, max_size=size, **kw))
 
-    # few small values, so that rows share bodies, and some past 32 bits
-    ints = st.one_of(st.integers(0, 3), st.integers(0, 2**62))
+    # few small values, so that rows share bodies, the largest of the
+    # narrow int dtypes, and some values past 32 bits
+    ints = st.one_of(st.integers(0, 3), st.sampled_from(TYPE_EDGES), st.integers(0, 2**62))
     text = st.one_of(st.sampled_from(["", "found", 'a"b\\c\nd\u00e9\u2603']), st.text(max_size=8))
     columns = {
         name: column(st.one_of(st.none(), ints) if name in NULLABLE else ints)
@@ -334,22 +343,51 @@ def _objects(values: list) -> np.ndarray:
     return array
 
 
-def _as_arrays(columns: dict) -> dict:
-    """Columns of int, str and None in the report layout.
+def _coded(config: dict, columns: dict, aggregates: dict, graph_ids) -> SweepReport:
+    """A report of the columns, whose violation is a sequence of str and None.
 
-    violation becomes an object array, finder_outcome an int64 array of
-    codes into OUTCOME_TEXTS, and graph_id and the int fields int64 arrays
-    with -1 for null.
+    The violation texts are coded as a sweep codes them: each distinct text
+    gets the next code from 1, in order of first appearance, and None is 0.
+    """
+    codes = {}
+    for text in columns["violation"]:
+        if text is not None:
+            codes.setdefault(text, len(codes) + 1)
+    violation = np.array([codes.get(text, 0) for text in columns["violation"]], dtype=np.int64)
+    columns = dict(columns, violation=violation)
+    return SweepReport(config, columns, aggregates, graph_ids, tuple(codes))
+
+
+def _as_arrays(columns: dict) -> dict:
+    """Columns of int, str and None in the report layout, but violation, which stays as it is.
+
+    finder_outcome becomes an int64 array of codes into OUTCOME_TEXTS, and
+    graph_id and the int fields int64 arrays with -1 for null.
     """
     arrays = {}
     for name, values in columns.items():
         if name == "finder_outcome":
             arrays[name] = np.array(list(map(OUTCOME_TEXTS.index, values)), dtype=np.int64)
         elif name == "violation":
-            arrays[name] = _objects(values)
+            arrays[name] = values
         else:
             arrays[name] = np.array([-1 if v is None else v for v in values], dtype=np.int64)
     return arrays
+
+
+def _narrowest(column: np.ndarray) -> np.ndarray:
+    """The int column in the first of int8, uint8, int16, ..., int64 that holds its values."""
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64):
+        limits = np.iinfo(dtype)
+        if not column.size or limits.min <= column.min() and column.max() <= limits.max:
+            return column.astype(dtype)
+    raise AssertionError(f"no int dtype holds {column!r}")
+
+
+def _narrowed(report: SweepReport) -> SweepReport:
+    """The report with each int column but graph_id in its _narrowest dtype, as a pooled sweep's."""
+    columns = {name: _narrowest(column) for name, column in report.columns.items()}
+    return dataclasses.replace(report, columns=dict(columns, graph_id=report.columns["graph_id"]))
 
 
 def _repeated(report, times: int) -> dict:
@@ -373,13 +411,20 @@ class TestTypedColumns:
     @settings(max_examples=100, deadline=None)
     def test_renderers_match_the_reference(self, drawn):
         config, graph_ids, columns = drawn
-        report = SweepReport(config, _as_arrays(columns), AGGREGATES, graph_ids)
+        report = _coded(config, _as_arrays(columns), AGGREGATES, graph_ids)
         texts = dict(columns, graph_id=_id_texts(graph_ids, columns["graph_id"]))
         records = [dict(zip(harness.RECORD_FIELDS, row))
                    for row in zip(*(texts[name] for name in harness.RECORD_FIELDS))]
         assert report.records == records
-        assert_same_text(report_to_json(report), _reference_json(report))
-        assert_same_text(report_to_csv(report), _reference_csv(report))
+        json_text, csv_text = report_to_json(report), report_to_csv(report)
+        assert_same_text(json_text, _reference_json(report))
+        assert_same_text(csv_text, _reference_csv(report))
+        # each int column but graph_id in the narrowest dtype that holds it,
+        # as a pooled sweep keeps them: the same records and bytes
+        narrow = _narrowed(report)
+        assert narrow.records == records
+        assert_same_text(report_to_json(narrow), json_text)
+        assert_same_text(report_to_csv(narrow), csv_text)
 
     def _columns(self):
         base = _blowup(t_range=(3, 3), b_range=(1, 2), stable=True)
@@ -398,10 +443,10 @@ class TestTypedColumns:
         ("micros", np.array([0, -1]), "negative int"),  # null where the field is not nullable
         ("graph_id", [0, 1], "not a one-dimensional array"),
         ("finder_outcome", np.array([1, -1]), "negative int"),
-        ("violation", _objects([None, b"x"]), r"holds \['bytes'\]"),
+        ("violation", _objects([None, "x"]), "dtype object"),  # texts, not codes
         ("edges", np.zeros((2, 1), dtype=np.int64), "not a one-dimensional array"),
         ("rounds", [0, 1], "not a one-dimensional array"),
-        ("n", np.array([5, 6], dtype=np.int32), "dtype int32"),
+        ("n", np.array([5, 6], dtype=np.float32), "dtype float32"),
         ("finder_outcome", np.array(["found", ""]), "dtype <U5"),
         ("graph_id", _objects(["blowup-3x1", "blowup-3x2"]), "dtype object"),  # texts, not indexes
         ("finder_outcome", np.array([1, len(OUTCOME_TEXTS)]), "code past the outcomes"),
@@ -409,6 +454,10 @@ class TestTypedColumns:
         ("graph_id", np.array([0, 1], dtype=np.int32), "dtype int32"),
         ("graph_id", np.array([0, -1]), "negative int"),
         ("graph_id", np.array([0, 2]), "index past the names"),  # the report names 2 ids
+        ("violation", np.array([0, 1]), "code past the violation texts"),  # the report has none
+        ("violation", np.array([0, -1], dtype=np.int8), "negative int"),
+        ("n", np.array([5, 2**63], dtype=np.uint64), "int past int64"),
+        ("graph_id", np.array([0, 1], dtype=np.uint8), "dtype uint8"),
     ]
 
     @pytest.mark.parametrize(
@@ -418,8 +467,7 @@ class TestTypedColumns:
     )
     def test_off_template_raises_in_both_renderers(self, tmp_path, name, bad, rule):
         base, columns = self._columns()
-        bad_columns = dict(columns, **{name: bad})
-        report = SweepReport(base.config, bad_columns, base.aggregates, base.graph_ids)
+        report = dataclasses.replace(base, columns=dict(columns, **{name: bad}))
         for render in (report_to_json, report_to_csv):
             with pytest.raises(TypeError, match=rule):
                 render(report)
@@ -435,17 +483,30 @@ class TestTypedColumns:
         ids=["list", "tuple-with-int", "none", "bytes"],
     )
     def test_bad_graph_ids_raise_in_both_renderers(self, graph_ids):
-        base, columns = self._columns()
-        report = SweepReport(base.config, columns, base.aggregates, graph_ids)
+        base, _ = self._columns()
+        report = dataclasses.replace(base, graph_ids=graph_ids)
         for render in (report_to_json, report_to_csv):
             with pytest.raises(TypeError, match="neither a prefix nor a tuple of names"):
+                render(report)
+
+    @pytest.mark.parametrize(
+        "texts",
+        [["x"], ("x", None), (b"x",), "x"],
+        ids=["list", "tuple-with-none", "bytes", "str"],
+    )
+    def test_bad_violation_texts_raise_in_both_renderers(self, texts):
+        # the table is checked whole, also where no row holds a code into it
+        base, _ = self._columns()
+        report = dataclasses.replace(base, violation_texts=texts)
+        for render in (report_to_json, report_to_csv):
+            with pytest.raises(TypeError, match="violation texts .* are not a tuple of str"):
                 render(report)
 
     def test_every_outcome_renders_like_the_reference(self):
         base = _blowup(t_range=(3, 3), b_range=(1, 1), stable=True)
         columns = _repeated(base, len(OUTCOME_TEXTS))
         columns["finder_outcome"] = np.arange(len(OUTCOME_TEXTS))
-        report = SweepReport(base.config, columns, base.aggregates, base.graph_ids)
+        report = dataclasses.replace(base, columns=columns)
         assert [rec["finder_outcome"] for rec in report.records] == list(OUTCOME_TEXTS)
         assert_same_text(report_to_json(report), _reference_json(report))
         assert_same_text(report_to_csv(report), _reference_csv(report))
@@ -454,7 +515,7 @@ class TestTypedColumns:
         report = _blowup(stable=True)
         records = report.records
 
-        def refuse(columns, graph_ids):
+        def refuse(*args):
             raise TypeError("layout checked")
 
         monkeypatch.setattr(harness, "_check_columns", refuse)
@@ -481,7 +542,7 @@ class TestTypedColumns:
         missing = {name: column for name, column in columns.items() if name != "micros"}
         short, extra = dict(columns, rounds=np.array([0])), dict(columns, extra=np.array([1, 1]))
         for bad in (short, missing, extra):
-            report = SweepReport(base.config, bad, base.aggregates, base.graph_ids)
+            report = dataclasses.replace(base, columns=bad)
             for render in (report_to_json, report_to_csv):
                 with pytest.raises(TypeError):
                     render(report)
@@ -529,9 +590,9 @@ def _prefix_report(ids: list[int], aggregate_only: bool, timed: bool) -> SweepRe
     columns["oracle_L"] = body - 1  # null in one body
     if timed:
         columns["micros"] = 7 * np.arange(size)
-    columns["violation"] = _objects(["skipped:TooLarge" if aggregate_only else None] * size)
+    columns["violation"] = ["skipped:TooLarge" if aggregate_only else None] * size
     config = {"mode": "exhaustive", "aggregate_only": aggregate_only}
-    return SweepReport(config, columns, AGGREGATES, "exh5-")
+    return _coded(config, columns, AGGREGATES, "exh5-")
 
 
 class TestDecimalIds:
@@ -574,11 +635,25 @@ class TestBodyCodes:
         columns = _repeated(base, 3)
         columns["graph_id"] = np.arange(3)
         columns.update({name: np.array(values) for name, values in spread.items()})
-        report = SweepReport(base.config, columns, base.aggregates, "exh3-")
+        report = dataclasses.replace(base, columns=columns, graph_ids="exh3-")
         assert_same_text(report_to_json(report), _reference_json(report))
         assert calls == [3]
         assert_same_text(report_to_csv(report), _reference_csv(report))
         assert calls == [3, 3]
+
+    def test_a_narrow_column_codes_without_wrapping(self):
+        # -1..127 in int8, in more rows than values, so coded from the table:
+        # 127 less the least value, -1, is past int8
+        base = _blowup(t_range=(3, 3), b_range=(1, 1), stable=True)
+        size = 2 * 129
+        columns = dict(_repeated(base, size), graph_id=np.arange(size))
+        columns["oracle_L"] = np.arange(size) % 129 - 1
+        wide = dataclasses.replace(base, columns=columns, graph_ids="exh3-")
+        narrow = _narrowed(wide)
+        assert narrow.columns["oracle_L"].dtype == np.int8
+        assert_same_text(report_to_json(wide), _reference_json(wide))
+        assert_same_text(report_to_json(narrow), report_to_json(wide))
+        assert_same_text(report_to_csv(narrow), report_to_csv(wide))
 
     def test_n5_bodies_come_from_the_table(self, monkeypatch):
         # 41 bodies in 59,049 rows: the key's span is below the row count
@@ -611,7 +686,7 @@ class TestCsvFields:
         if timed:
             columns["micros"] = 3 * np.arange(size)
         texts = [None, *AWKWARD_TEXTS]
-        columns["violation"] = _objects([texts[i % len(texts)] for i in range(size)])
+        columns["violation"] = [texts[i % len(texts)] for i in range(size)]
         if prefix is None:
             indexed = (f"{AWKWARD_TEXTS[i % len(AWKWARD_TEXTS)]}{i}" for i in range(size))
             graph_ids = (*AWKWARD_TEXTS, *indexed)
@@ -619,7 +694,7 @@ class TestCsvFields:
         else:
             graph_ids = prefix
             columns["graph_id"] = 7 * np.arange(size)
-        report = SweepReport({"mode": "random"}, columns, AGGREGATES, graph_ids)
+        report = _coded({"mode": "random"}, columns, AGGREGATES, graph_ids)
         assert_same_text(report_to_csv(report), _reference_csv(report))
         assert_same_text(report_to_json(report), _reference_json(report))
 
@@ -774,6 +849,23 @@ class TestColumnarExhaustive:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_finder_graphs_carry_their_rows_summary(self, monkeypatch, n):
+        # each finder row's summary comes from degree_columns, not a recount
+        find, seen = harness.find_alternating_path, []
+
+        def spy(g, k, budget=None):
+            seeded = g.__dict__.get("degree_summary")  # before the finder reads it
+            fresh = OrientedGraph(g.n, g.out_masks, g.in_masks).degree_summary
+            seen.append((seeded, fresh))
+            return find(g, k, budget)
+
+        monkeypatch.setattr(harness, "find_alternating_path", spy)
+        report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=n, stable=True))
+        kmax = [max_k_for(rec["min_pseudo_semidegree"]) for rec in report.records]
+        assert len(seen) == sum(k >= 2 for k in kmax) > 0
+        assert all(seeded == fresh for seeded, fresh in seen)
+
     def test_stable_sweeps_read_no_clock(self, monkeypatch):
         def clock():
             raise AssertionError("a stable sweep read the clock")
@@ -850,6 +942,16 @@ class TestWorkerPool:
         assert _sha256(report_to_json(third)) == N5_STABLE_SHA256
         assert not {p.pid for p in replaced} & {p.pid for p in workers}
         assert all(p.exitcode is not None for p in workers)
+
+    def test_the_pooled_report_is_compact(self):
+        # the parent keeps the workers' narrow columns and codes violations
+        report, _ = _n5_pooled(2)
+        for name, column in report.columns.items():
+            assert column.dtype != object, name
+            assert name == "graph_id" or column.dtype.itemsize <= 2, (name, column.dtype)
+        assert report.columns["graph_id"].dtype == np.int64
+        assert report.violation_texts == ()
+        assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
 
     def test_a_raising_chunk_drops_the_pool(self):
         _, workers = _n5_pooled(2)
