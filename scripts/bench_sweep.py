@@ -4,7 +4,7 @@
 Runs the stable exhaustive n=5 theorem sweep (59,049 instances) on worker
 processes at each (workers, chunk_size) of (2, 2000), (3, 2000) and
 (2, 7).  At each setting one warm-up sweep forks the workers; then sweeps
-are timed, for about two seconds (at least 10 sweeps).  Prints the median
+are timed, for about two seconds (at least 24 sweeps).  Prints the median
 wall time per sweep, the parent's median CPU time per sweep (every thread
 of this process: time.process_time), the parent's median minor page
 faults per sweep (ru_minflt of this process; the workers are not counted)
@@ -20,11 +20,13 @@ process beside this one, as scripts/bench_report.py does, and runs the
 same sweeps on its own workers.  At each setting the script asserts that
 both sides' reports render the same JSON bytes, then times one sweep of
 each side per alternation, the side that goes first switching each time,
-for about two seconds a side (at least 10 alternations) after one warm-up
-sweep each.  Each side's median wall and parent CPU ms and parent minor
-page faults per sweep and the share of alternations in which it was faster
-are printed.  The sides share one heap, so after the first setting freed
-pages are reused and both sides' fault counts can read 0.
+for about two seconds a side (at least 24 alternations; at (2, 7), 10
+let repeated runs flip which side was faster) after one warm-up sweep
+each.  Each side's median wall and parent CPU ms
+and parent minor page faults per sweep and the share of alternations in
+which it was faster are printed.  The sides share one heap, so after the
+first setting freed pages are reused and both sides' fault counts can
+read 0.
 
     PYTHONPATH=src python3 scripts/bench_sweep.py --against ../other/src
 """
@@ -39,6 +41,7 @@ from altpaths import harness
 from bench_report import environment, load_against
 
 SETTINGS = ((2, 2000), (3, 2000), (2, 7))
+MIN_ALTERNATIONS = 24
 
 
 def n5_sweep(module, workers: int, chunk_size: int):
@@ -85,7 +88,7 @@ def main() -> None:
         cpus = {side: [] for side in sides}
         faults = {side: [] for side in sides}
         wins = dict.fromkeys(sides, 0)
-        while len(walls["this"]) < 10 or min(map(sum, walls.values())) < 2.0:
+        while len(walls["this"]) < MIN_ALTERNATIONS or min(map(sum, walls.values())) < 2.0:
             order = list(sides) if len(walls["this"]) % 2 == 0 else list(sides)[::-1]
             for side in order:
                 wall, cpu, fault = sides[side][0]()

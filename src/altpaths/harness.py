@@ -47,6 +47,7 @@ import json
 import multiprocessing
 import os
 import random
+import stat
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -1014,11 +1015,31 @@ def report_batches(report: SweepReport, fmt: str) -> Iterator[bytes]:
     return itertools.chain([opening.encode()], _rows(fmt, columns, graph_ids, violation_texts))
 
 
+def _no_truncate(path: str, flags: int) -> int:
+    """open()'s opener, less O_TRUNC, so emit_report chooses where to cut the file."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def emit_report(report: SweepReport, fmt: str, path: str) -> None:
-    """Write the report_batches bytes as they come, so no whole document is held."""
+    """Write the report_batches bytes as they come, so no whole document is held.
+
+    A regular file is cut to the first batch's length, not to zero, before
+    anything is written: ext4 forces writeback at close of a file truncated
+    to zero (auto_da_alloc), which doubled the time to rewrite a report
+    written moments before.  The old file's tail is gone before the new
+    report's first byte is written, so the file never holds a mix of the
+    two: like a truncating open, an error or a killed process leaves a
+    prefix of the new report (killed between the cut and the first write,
+    the old file's first bytes).
+    Devices, pipes and FIFOs are not cut (ftruncate fails on them).
+    """
     batches = report_batches(report, fmt)
     try:
-        with open(path, "wb") as f:
+        with open(path, "wb", opener=_no_truncate) as f:
+            first = next(batches)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate(len(first))
+            f.write(first)
             for data in batches:
                 f.write(data)
     except OSError as exc:

@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -729,6 +730,114 @@ class TestEmitReport:
     def test_unknown_format_is_bad_params(self, tmp_path):
         with pytest.raises(errors.BadParams):
             emit_report(_blowup(stable=True), "xml", str(tmp_path / "r.xml"))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_an_existing_file_is_not_truncated_at_open(self, monkeypatch, tmp_path, fmt):
+        report = _blowup(stable=True)
+        path = tmp_path / f"r.{fmt}"
+        path.write_bytes(b"\xff" * 50_000)
+        batches, sizes = harness.report_batches, []
+
+        def recording(*args):
+            for data in batches(*args):
+                if not sizes:
+                    sizes.append(os.path.getsize(path))
+                yield data
+
+        monkeypatch.setattr(harness, "report_batches", recording)
+        emit_report(report, fmt, str(path))
+        assert sizes == [50_000]
+        assert path.read_bytes() == b"".join(batches(report, fmt))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_the_old_tail_is_gone_before_the_records_are_written(self, monkeypatch, tmp_path, fmt):
+        # a process killed mid-write leaves a prefix, never the new head over the old records
+        report = _blowup(stable=True)
+        path = tmp_path / f"r.{fmt}"
+        path.write_bytes(b"\xff" * 50_000)
+        batches, sizes = harness.report_batches, []
+
+        def recording(*args):
+            first, *rest = batches(*args)
+            yield first
+            sizes.append(os.path.getsize(path))
+            yield from rest
+
+        monkeypatch.setattr(harness, "report_batches", recording)
+        emit_report(report, fmt, str(path))
+        first = next(batches(report, fmt))
+        assert sizes and sizes[0] <= len(first)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("old_size", [0, "half", "longer", 3 * 2**20])
+    def test_written_over_any_file_it_is_the_renderers_bytes(self, tmp_path, fmt, old_size):
+        report = _blowup(stable=True)
+        expected = b"".join(harness.report_batches(report, fmt))
+        old_size = {"half": len(expected) // 2, "longer": len(expected) + 1}.get(old_size, old_size)
+        path, link = tmp_path / f"r.{fmt}", tmp_path / "hard-link"
+        path.write_bytes(b"\xff" * old_size)
+        path.chmod(0o640)
+        os.link(path, link)
+        before = os.stat(path)
+        emit_report(report, fmt, str(path))
+        after = os.stat(path)
+        assert path.read_bytes() == link.read_bytes() == expected
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (
+            before.st_ino, before.st_mode, 2
+        )
+
+    def test_a_new_file_has_the_mode_open_gives_it(self, tmp_path):
+        emit_report(_blowup(stable=True), "json", str(tmp_path / "r.json"))
+        open(tmp_path / "plain", "wb").close()
+        assert os.stat(tmp_path / "r.json").st_mode == os.stat(tmp_path / "plain").st_mode
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_batches_that_raise_leave_what_was_written(self, monkeypatch, tmp_path, fmt):
+        report = _blowup(stable=True)
+        first = next(harness.report_batches(report, fmt))
+        path = tmp_path / f"r.{fmt}"
+        path.write_bytes(b"\xff" * 50_000)
+
+        def failing(*args):
+            yield first
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(harness, "report_batches", failing)
+        with pytest.raises(errors.IoFailure, match="disk went away"):
+            emit_report(report, fmt, str(path))
+        assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_failed_write_leaves_what_reached_the_file(self, tmp_path, fmt):
+        # writes at or past RLIMIT_FSIZE fail with EFBIG (Python ignores SIGXFSZ),
+        # here while the buffered report is flushed over a longer old file
+        report = _blowup(stable=True)
+        expected = b"".join(harness.report_batches(report, fmt))
+        path = tmp_path / f"r.{fmt}"
+        path.write_bytes(b"\xff" * 50_000)
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (len(expected) // 2, limits[1]))
+        try:
+            with pytest.raises(errors.IoFailure):
+                emit_report(report, fmt, str(path))
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+        assert path.read_bytes() == expected[: len(expected) // 2]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_devices_are_written_and_not_cut(self, fmt):
+        report = _blowup(stable=True)
+        if os.path.exists("/dev/null"):  # ftruncate fails on it with EINVAL
+            emit_report(report, fmt, "/dev/null")
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        report = _blowup(stable=True)
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"\xff" * 50_000)
+        link.symlink_to(target)
+        emit_report(report, "json", str(link))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == report_to_json(report).encode("ascii")
 
 
 def _sha256(text: str) -> str:
