@@ -1,124 +1,126 @@
 #!/usr/bin/env python3
 """Milliseconds per pooled stable n=5 sweep, and the parent's CPU and page faults per sweep.
 
-Runs the stable exhaustive n=5 theorem sweep (59,049 instances) on worker
-processes at each (workers, chunk_size) of (2, 2000), (3, 2000) and
-(2, 7).  At each setting one warm-up sweep forks the workers; then sweeps
-are timed, for about two seconds (at least 24 sweeps).  Prints the median
-wall time per sweep, the parent's median CPU time per sweep (every thread
-of this process: time.process_time), the parent's median minor page
-faults per sweep (ru_minflt of this process; the workers are not counted)
-and the sweep's JSON size, then one JSON line with the environment: cores,
-Python and numpy versions and whether numba is importable.  Run with the
+Each side runs the stable exhaustive n=5 theorem sweep (59,049 instances)
+on worker processes at each (workers, chunk_size) of (2, 2000), (3, 2000)
+and (2, 7).  At each setting the script asserts that every side's report
+renders the same JSON bytes (which also forks the workers), then times
+the sweeps.  The CPU time and the minor page faults are this process's
+(`time.process_time`, every thread, and `ru_minflt`); the workers are not
+counted.  With two sides the sides share one heap, so after the first
+setting freed pages are reused and both sides' fault counts can read 0.
+
+Two more rows time what a user's run costs, each side in a new process
+with its own src on PYTHONPATH:
+
+- fresh process: `python -m altpaths.cli sweep --mode exhaustive --n 5
+  --stable --workers 2 --out NEW`, where NEW does not exist when the run
+  starts and is removed after it;
+- fresh process, split: the same sweep and JSON emit in a child that
+  reads the monotonic clock between its steps, which splits the wall
+  time into interpreter start and imports, the sweep (which forks the
+  workers), the emit, and the exit (which stops the workers).
+
+With PYTHONDONTWRITEBYTECODE set, a package without up-to-date bytecode
+is compiled from source in every new process, and the import counts it.
+
+Each row runs through `bench_report.alternate`, which describes the
+procedure and the output; each runs at least 24 rounds.  Run with the
 package importable, for example
 
-    PYTHONPATH=src python3 scripts/bench_sweep.py
-
-With --against SRC, where SRC is the directory holding another checkout's
-`altpaths` package (its `src`), that package is loaded into the same
-process beside this one, as scripts/bench_report.py does, and runs the
-same sweeps on its own workers.  At each setting the script asserts that
-both sides' reports render the same JSON bytes, then times one sweep of
-each side per alternation, the side that goes first switching each time,
-for about two seconds a side (at least 24 alternations; at (2, 7), 10
-let repeated runs flip which side was faster) after one warm-up sweep
-each.  Each side's median wall and parent CPU ms
-and parent minor page faults per sweep and the share of alternations in
-which it was faster are printed.  The sides share one heap, so after the
-first setting freed pages are reused and both sides' fault counts can
-read 0.
-
-    PYTHONPATH=src python3 scripts/bench_sweep.py --against ../other/src
+    PYTHONPATH=src python3 scripts/bench_sweep.py [--against ../other/src]
 """
-import argparse
-import json
 import os
-import resource
-import statistics
+import subprocess
+import sys
+import tempfile
 import time
+from functools import partial
 
-from altpaths import harness
-from bench_report import environment, load_against
+from bench_report import SECONDS, alternate, finish, sample, show, sides, src_of
 
 SETTINGS = ((2, 2000), (3, 2000), (2, 7))
-MIN_ALTERNATIONS = 24
+ROUNDS = 24
+
+SWEEP = ["sweep", "--mode", "exhaustive", "--n", "5", "--stable", "--workers", "2", "--out"]
+
+# the CLI's sweep and emit, printing the monotonic clock after imports, sweep and emit
+SPLIT = """\
+import sys, time
+from altpaths import cli
+imported = time.perf_counter()
+cfg = cli.harness.SweepConfig(mode="exhaustive", n=5, stable=True, workers=2)
+report = cli.harness.run_theorem_sweep(cfg)
+swept = time.perf_counter()
+cli.harness.emit_report(report, "json", sys.argv[1])
+print(imported, swept, time.perf_counter())
+"""
+
+SPLIT_READINGS = (
+    ("ms", 1000), ("start_import_ms", 1000), ("sweep_ms", 1000), ("emit_ms", 1000),
+    ("exit_ms", 1000),
+)
 
 
-def n5_sweep(module, workers: int, chunk_size: int):
-    """sweep() -> (wall s, parent CPU s, parent minor faults) of one pooled stable n=5 sweep."""
-    cfg = module.SweepConfig(
+def n5_sweep(harness, workers: int, chunk_size: int):
+    """(sweep, document): one pooled stable n=5 sweep, and its report's JSON bytes."""
+    cfg = harness.SweepConfig(
         mode="exhaustive", n=5, stable=True, workers=workers, chunk_size=chunk_size
     )
 
-    def sweep() -> tuple[float, float, int]:
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        wall, cpu = time.perf_counter(), time.process_time()
-        module.run_theorem_sweep(cfg)
-        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-        return wall, cpu, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-
     def document() -> bytes:
-        report = module.run_theorem_sweep(cfg)
         return b"".join(
             batch if isinstance(batch, bytes) else batch.encode("ascii")
-            for batch in module.report_batches(report, "json")
+            for batch in harness.report_batches(harness.run_theorem_sweep(cfg), "json")
         )
 
-    return sweep, document
+    return partial(harness.run_theorem_sweep, cfg), document
+
+
+def fresh(package, split: bool, path: str):
+    """call() -> the readings of one run in a new process with package's src on PYTHONPATH."""
+    if split:
+        command = [sys.executable, "-c", SPLIT, path]
+    else:
+        command = [sys.executable, "-m", "altpaths.cli", *SWEEP, path]
+    env = {**os.environ, "PYTHONPATH": src_of(package)}
+
+    def call() -> tuple[float, ...]:
+        start = time.perf_counter()
+        out = subprocess.run(
+            command, env=env, cwd=os.path.dirname(path), capture_output=True, check=True
+        ).stdout
+        end = time.perf_counter()
+        os.remove(path)
+        if not split:
+            return (end - start,)
+        imported, swept, emitted = map(float, out.split())
+        return end - start, imported - start, swept - imported, emitted - swept, end - emitted
+
+    return call
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    ap.add_argument("--against", metavar="SRC", help="another checkout's src directory")
-    args = ap.parse_args()
-    modules = {"this": harness}
-    if args.against:
-        modules["against"] = load_against(args.against)
+    packages = sides(__doc__)
     rows = []
     for workers, chunk_size in SETTINGS:
-        sides = {side: n5_sweep(module, workers, chunk_size) for side, module in modules.items()}
-        documents = {side: document() for side, (_, document) in sides.items()}  # forks the workers
-        if len(set(documents.values())) > 1:
-            raise SystemExit(
-                f"workers={workers} chunk_size={chunk_size}: the sides render different bytes"
-            )
-        walls = {side: [] for side in sides}
-        cpus = {side: [] for side in sides}
-        faults = {side: [] for side in sides}
-        wins = dict.fromkeys(sides, 0)
-        while len(walls["this"]) < MIN_ALTERNATIONS or min(map(sum, walls.values())) < 2.0:
-            order = list(sides) if len(walls["this"]) % 2 == 0 else list(sides)[::-1]
-            for side in order:
-                wall, cpu, fault = sides[side][0]()
-                walls[side].append(wall)
-                cpus[side].append(cpu)
-                faults[side].append(fault)
-            if len(sides) > 1:
-                wins[min(sides, key=lambda side: walls[side][-1])] += 1
-        count = len(walls["this"])
-        row = {
-            "workers": workers, "chunk_size": chunk_size,
-            "bytes": len(documents["this"]), "sweeps": count,
+        setting = f"workers={workers} chunk_size={chunk_size}"
+        sweeps = {
+            side: n5_sweep(package.harness, workers, chunk_size)
+            for side, package in packages.items()
         }
-        line = f"workers={workers} chunk_size={chunk_size:5d}"
-        for side in sides:
-            wall_ms = 1000 * statistics.median(walls[side])
-            cpu_ms = 1000 * statistics.median(cpus[side])
-            minflt = statistics.median(faults[side])
-            row[f"{side}_ms"], row[f"{side}_parent_cpu_ms"] = round(wall_ms, 2), round(cpu_ms, 2)
-            row[f"{side}_parent_minflt"] = minflt
-            line += f"  {side} {wall_ms:8.2f} ms, parent CPU {cpu_ms:7.2f} ms, {minflt:6.0f} faults"
-            if len(sides) > 1:
-                row[f"{side}_wins"] = round(wins[side] / count, 3)
-                line += f" ({wins[side]}/{count} faster)"
-        print(f"{line}  {len(documents['this'])} bytes, {count} sweeps a side")
-        rows.append(row)
-    doc = {"environment": environment(), "settings": rows}
-    if args.against:
-        doc = {"against": os.path.abspath(args.against), **doc}
-    print(json.dumps(doc))
+        documents = {side: document() for side, (_, document) in sweeps.items()}
+        if len(set(documents.values())) > 1:
+            raise SystemExit(f"{setting}: the sides render different bytes")
+        calls = {side: partial(sample, sweep) for side, (sweep, _) in sweeps.items()}
+        row = show(setting, alternate(calls, ROUNDS, SECONDS))
+        rows.append({"bytes": len(documents["this"]), **row})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "n5.json")
+        for label, split in (("fresh process", False), ("fresh process, split", True)):
+            calls = {side: fresh(package, split, path) for side, package in packages.items()}
+            rows.append(show(label, alternate(calls, ROUNDS, SECONDS), SPLIT_READINGS))
+    finish(packages, rows)
 
 
 if __name__ == "__main__":

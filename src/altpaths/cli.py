@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 counterexample found (report still written),
-2 usage error, 3 budget or IO failure.
+2 usage error, 3 budget or IO failure, including a sweep that ran out of
+memory.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import json
 import sys
 
 from . import harness
-from .errors import AltPathError, IoFailure, TooLarge, VacuousParams
+from .errors import AltPathError, IoFailure, TooLarge
 from .graph_core import (
     blowup_directed_cycle,
     load_graph,
@@ -162,15 +163,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (IoFailure, TooLarge) as exc:
+    except (IoFailure, TooLarge, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (VacuousParams, AltPathError) as exc:
+    except AltPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -1408,6 +1408,16 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["aggregates"]["instances"] == 27
 
+    def test_sweep_out_of_memory_is_budget_failure(self, monkeypatch, capsys):
+        # exit 1 means a counterexample, so an allocation that fails must not map to it
+        def run_theorem_sweep(cfg):
+            raise MemoryError("Unable to allocate 20.8 TiB")
+
+        monkeypatch.setattr(harness, "run_theorem_sweep", run_theorem_sweep)
+        assert main(["sweep", "--mode", "exhaustive", "--n", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 20.8 TiB\n" and not captured.out
+
     def test_sweep_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--mode", "nope"])
