@@ -1,5 +1,5 @@
 """Whole report documents, joined from the batches that emit_report writes."""
-from altpaths.harness import report_batches
+from altpaths.report import report_batches
 
 
 def report_to_json(report) -> str:

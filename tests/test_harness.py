@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import altpaths.report
 from altpaths import errors
 from altpaths.cli import main
-from altpaths import harness
+from altpaths import fanout, harness
 from altpaths.graph_core import OrientedGraph, blowup_directed_cycle, to_edgelist
 from altpaths.harness import (
     SweepConfig,
@@ -519,7 +520,7 @@ class TestTypedColumns:
         def refuse(*args):
             raise TypeError("layout checked")
 
-        monkeypatch.setattr(harness, "_check_columns", refuse)
+        monkeypatch.setattr(altpaths.report, "_check_columns", refuse)
         assert report.records == records
         for fmt in ("json", "csv"):
             with pytest.raises(TypeError, match="layout checked"):
@@ -532,9 +533,9 @@ class TestTypedColumns:
     def test_renderers_check_once_per_report(self, monkeypatch):
         report = _blowup(stable=True)
         expected = report_to_json(report), report_to_csv(report)
-        check, calls = harness._check_columns, []
-        monkeypatch.setattr(harness, "_check_columns", lambda *args: calls.append(check(*args)))
-        monkeypatch.setattr(harness, "_BATCH_ROWS", 2)  # 9 records in 5 batches
+        check, calls = altpaths.report._check_columns, []
+        monkeypatch.setattr(altpaths.report, "_check_columns", lambda *args: calls.append(check(*args)))
+        monkeypatch.setattr(altpaths.report, "_BATCH_ROWS", 2)  # 9 records in 5 batches
         assert (report_to_json(report), report_to_csv(report)) == expected
         assert len(calls) == 2
 
@@ -605,7 +606,7 @@ class TestDecimalIds:
             ids.reverse()
         elif order == "shuffled":
             random.Random(5).shuffle(ids)
-        monkeypatch.setattr(harness, "_BATCH_ROWS", batch_rows)
+        monkeypatch.setattr(altpaths.report, "_BATCH_ROWS", batch_rows)
         for aggregate_only in (False, True):
             for timed in (False, True):
                 report = _prefix_report(ids, aggregate_only, timed)
@@ -625,13 +626,13 @@ class TestBodyCodes:
         ids=["value-span", "key-span"],
     )
     def test_a_wide_span_renders_through_the_sort(self, monkeypatch, spread):
-        dense, calls = harness._dense, []
+        dense, calls = altpaths.report._dense, []
 
         def counted(values):
             calls.append(values.size)
             return dense(values)
 
-        monkeypatch.setattr(harness, "_dense", counted)
+        monkeypatch.setattr(altpaths.report, "_dense", counted)
         base = _blowup(t_range=(3, 3), b_range=(1, 1), stable=True)
         columns = _repeated(base, 3)
         columns["graph_id"] = np.arange(3)
@@ -663,7 +664,7 @@ class TestBodyCodes:
         def no_sort(values):
             raise AssertionError("the n=5 bodies were coded by a sort")
 
-        monkeypatch.setattr(harness, "_dense", no_sort)
+        monkeypatch.setattr(altpaths.report, "_dense", no_sort)
         assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
         assert _sha256(report_to_csv(report)) == N5_STABLE_CSV_SHA256
 
@@ -736,7 +737,7 @@ class TestEmitReport:
         report = _blowup(stable=True)
         path = tmp_path / f"r.{fmt}"
         path.write_bytes(b"\xff" * 50_000)
-        batches, sizes = harness.report_batches, []
+        batches, sizes = altpaths.report.report_batches, []
 
         def recording(*args):
             for data in batches(*args):
@@ -744,7 +745,7 @@ class TestEmitReport:
                     sizes.append(os.path.getsize(path))
                 yield data
 
-        monkeypatch.setattr(harness, "report_batches", recording)
+        monkeypatch.setattr(altpaths.report, "report_batches", recording)
         emit_report(report, fmt, str(path))
         assert sizes == [50_000]
         assert path.read_bytes() == b"".join(batches(report, fmt))
@@ -755,7 +756,7 @@ class TestEmitReport:
         report = _blowup(stable=True)
         path = tmp_path / f"r.{fmt}"
         path.write_bytes(b"\xff" * 50_000)
-        batches, sizes = harness.report_batches, []
+        batches, sizes = altpaths.report.report_batches, []
 
         def recording(*args):
             first, *rest = batches(*args)
@@ -763,7 +764,7 @@ class TestEmitReport:
             sizes.append(os.path.getsize(path))
             yield from rest
 
-        monkeypatch.setattr(harness, "report_batches", recording)
+        monkeypatch.setattr(altpaths.report, "report_batches", recording)
         emit_report(report, fmt, str(path))
         first = next(batches(report, fmt))
         assert sizes and sizes[0] <= len(first)
@@ -802,7 +803,7 @@ class TestEmitReport:
             yield first
             raise OSError("disk went away")
 
-        monkeypatch.setattr(harness, "report_batches", failing)
+        monkeypatch.setattr(altpaths.report, "report_batches", failing)
         with pytest.raises(errors.IoFailure, match="disk went away"):
             emit_report(report, fmt, str(path))
         assert path.read_bytes() == first
@@ -946,7 +947,7 @@ class TestColumnarExhaustive:
             "import sys\n"
             "from altpaths import harness\n"
             "cfg = harness.SweepConfig(mode='exhaustive', n=5, stable=True)\n"
-            "columns, agg = harness._exhaustive_chunk((cfg, 0, 2000, 'theorem'))\n"
+            "columns, agg = harness._exhaustive_chunk(cfg, 'theorem', 0, 2000)\n"
             "assert agg['frontier'] == {'1': 2, '2': 4}, agg\n"
             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
         )
@@ -990,22 +991,22 @@ class _Unpicklable(Exception):
         raise TypeError("this exception does not pickle")
 
 
-def _late_first_error(args):
+def _late_first_error(cfg, kind, lo, hi):
     """A chunk function whose first chunk raises last, after every other chunk has raised."""
-    if args[1] == 0:
+    if lo == 0:
         time.sleep(0.5)
         raise KeyError("first")
     raise KeyError("later")
 
 
-def _unpicklable_error(args):
+def _unpicklable_error(cfg, kind, lo, hi):
     raise _Unpicklable("from a worker")
 
 
 def _n5_pooled(workers: int) -> tuple[SweepReport, list]:
     """A stable n=5 sweep on `workers` pool workers, and the pool's worker processes."""
     report = run_theorem_sweep(SweepConfig(mode="exhaustive", n=5, stable=True, workers=workers))
-    pid, size, processes, pipes = harness._pool
+    pid, size, processes, pipes = fanout._pool
     assert (pid, size) == (os.getpid(), workers) and len(processes) == len(pipes) == workers
     return report, list(processes)
 
@@ -1068,7 +1069,7 @@ class TestWorkerPool:
         # the kind is looked up in the workers, so the KeyError comes back from them
         with pytest.raises(KeyError):
             harness._run_chunked(cfg, 3**10, harness._exhaustive_chunk, "nope", "exh5-")
-        assert harness._pool is None
+        assert fanout._pool is None
         assert all(p.exitcode is not None for p in workers)
         report, _ = _n5_pooled(2)
         assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
@@ -1078,7 +1079,7 @@ class TestWorkerPool:
         with pytest.raises(KeyError, match="first") as raised:
             harness._run_chunked(cfg, 3**10, _late_first_error, "theorem", "exh5-")
         assert "in _late_first_error" in str(raised.value.__cause__)
-        assert harness._pool is None
+        assert fanout._pool is None
 
     def test_a_reply_that_does_not_pickle_raises_its_error(self):
         _, workers = _n5_pooled(2)
@@ -1096,7 +1097,7 @@ class TestWorkerPool:
             tasks.extend(args[-1])
             raise InterruptedError
 
-        monkeypatch.setattr(harness, "_fan_out", stop)
+        monkeypatch.setattr(fanout, "_fan_out", stop)
         cfg = SweepConfig(mode="exhaustive", n=6, chunk_size=7, workers=2, aggregate_only=True)
         with pytest.raises(InterruptedError):
             run_theorem_sweep(cfg)
@@ -1108,17 +1109,17 @@ class TestWorkerPool:
             def __getattr__(self, name):
                 raise AssertionError(f"a parent's pool was used: {name}")
 
-        harness._drop_pool()
-        harness._pool = (os.getppid(), 2, Inherited(), Inherited())
+        fanout._drop_pool()
+        fanout._pool = (os.getppid(), 2, Inherited(), Inherited())
         report, _ = _n5_pooled(2)
         assert _sha256(report_to_json(report)) == N5_STABLE_SHA256
 
     def test_exit_leaves_no_worker(self):
         code = (
-            "from altpaths import harness\n"
+            "from altpaths import fanout, harness\n"
             "cfg = harness.SweepConfig(mode='exhaustive', n=5, stable=True, workers=2)\n"
             "assert harness.run_theorem_sweep(cfg).aggregates['instances'] == 3**10\n"
-            "print(*(p.pid for p in harness._pool[2]))\n"
+            "print(*(p.pid for p in fanout._pool[2]))\n"
         )
         proc = _run_script(code)
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -1130,10 +1131,10 @@ class TestWorkerPool:
         # each worker reads end of file on its pipe once the parent is gone
         code = (
             "import os, signal\n"
-            "from altpaths import harness\n"
+            "from altpaths import fanout, harness\n"
             "cfg = harness.SweepConfig(mode='exhaustive', n=5, stable=True, workers=2)\n"
             "assert harness.run_theorem_sweep(cfg).aggregates['instances'] == 3**10\n"
-            "print(*(p.pid for p in harness._pool[2]), flush=True)\n"
+            "print(*(p.pid for p in fanout._pool[2]), flush=True)\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n"
         )
         # to a file, not a pipe, which a worker left behind would hold open
@@ -1156,20 +1157,20 @@ class TestWorkerPool:
         # chunk 10 of 30 kills its worker, and the parent must not wait for its reply
         code = (
             "import hashlib, os, signal, time\n"
-            "from altpaths import errors, harness\n"
-            "def dying_chunk(args):\n"
-            "    if args[1] == 20000:\n"
+            "from altpaths import errors, fanout, harness\n"
+            "def dying_chunk(cfg, kind, lo, hi):\n"
+            "    if lo == 20000:\n"
             "        os._exit(7)\n"
-            "    return harness._exhaustive_chunk(args)\n"
+            "    return harness._exhaustive_chunk(cfg, kind, lo, hi)\n"
             "cfg = harness.SweepConfig(mode='exhaustive', n=5, stable=True, workers=2)\n"
             "harness.run_theorem_sweep(cfg)\n"
-            "pids = [p.pid for p in harness._pool[2]]\n"
+            "pids = [p.pid for p in fanout._pool[2]]\n"
             "t0 = time.monotonic()\n"
             "try:\n"
             "    harness._run_chunked(cfg, 3**10, dying_chunk, 'theorem', 'exh5-')\n"
             "except errors.IoFailure as exc:\n"
             "    print(f'{time.monotonic() - t0:.3f}', exc, sep='\\n')\n"
-            "assert harness._pool is None\n"
+            "assert fanout._pool is None\n"
             "for pid in pids:\n"
             "    try:\n"
             "        os.kill(pid, 0)\n"
@@ -1178,13 +1179,13 @@ class TestWorkerPool:
             "    raise AssertionError(f'worker {pid} outlived the failed sweep')\n"
             "# a worker killed between sweeps is replaced before the next one\n"
             "harness.run_theorem_sweep(cfg)\n"
-            "killed = harness._pool[2][0]\n"
+            "killed = fanout._pool[2][0]\n"
             "os.kill(killed.pid, signal.SIGKILL)\n"
             "killed.join()\n"
             "report = harness.run_theorem_sweep(cfg)\n"
-            "assert killed not in harness._pool[2]\n"
+            "assert killed not in fanout._pool[2]\n"
             "print(hashlib.sha256(b''.join(harness.report_batches(report, 'json'))).hexdigest())\n"
-            "print(*(p.pid for p in harness._pool[2]))\n"
+            "print(*(p.pid for p in fanout._pool[2]))\n"
         )
         proc = _run_script(code)
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
