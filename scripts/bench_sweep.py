@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Milliseconds per pooled stable n=5 sweep, and the parent's CPU and page faults per sweep.
+"""Milliseconds per pooled stable sweep, and the parent's CPU and page faults per sweep.
 
 Each side runs the stable exhaustive n=5 theorem sweep (59,049 instances)
 on worker processes at each (workers, chunk_size) of (2, 2000), (3, 2000)
-and (2, 7).  At each setting the script asserts that every side's report
-renders the same JSON bytes (which also forks the workers), then times
-the sweeps.  The CPU time and the minor page faults are this process's
-(`time.process_time`, every thread, and `ru_minflt`); the workers are not
-counted.  With two sides the sides share one heap, so after the first
-setting freed pages are reused and both sides' fault counts can read 0.
+and (2, 7), whose tasks cost about the same, and a stable random theorem
+sweep of 600 instances of orders 10 to 17 at workers=2 and chunk_size=20,
+whose tasks differ in cost with their orders.  At each setting the script
+asserts that every side's report renders the same JSON bytes (which also
+forks the workers), then times the sweeps.  The CPU time and the minor
+page faults are this process's (`time.process_time`, every thread, and
+`ru_minflt`); the workers are not counted.  With two sides the sides share
+one heap, so after the first setting freed pages are reused and both
+sides' fault counts can read 0.
 
 Two more rows time what a user's run costs, each side in a new process
 with its own src on PYTHONPATH:
@@ -39,7 +42,17 @@ from functools import partial
 
 from bench_report import SECONDS, alternate, finish, sample, show, sides, src_of
 
-SETTINGS = ((2, 2000), (3, 2000), (2, 7))
+# each pooled leg's label and the SweepConfig fields of its stable sweep
+SETTINGS = (
+    *(
+        (f"workers={w} chunk_size={c}", dict(mode="exhaustive", n=5, workers=w, chunk_size=c))
+        for w, c in ((2, 2000), (3, 2000), (2, 7))
+    ),
+    (
+        "random n=10..17",
+        dict(mode="random", n_range=(10, 17), samples=600, workers=2, chunk_size=20),
+    ),
+)
 ROUNDS = 24
 
 SWEEP = ["sweep", "--mode", "exhaustive", "--n", "5", "--stable", "--workers", "2", "--out"]
@@ -62,11 +75,9 @@ SPLIT_READINGS = (
 )
 
 
-def n5_sweep(harness, workers: int, chunk_size: int):
-    """(sweep, document): one pooled stable n=5 sweep, and its report's JSON bytes."""
-    cfg = harness.SweepConfig(
-        mode="exhaustive", n=5, stable=True, workers=workers, chunk_size=chunk_size
-    )
+def pooled_sweep(harness, fields: dict):
+    """(sweep, document): one pooled stable sweep of these config fields, and its JSON bytes."""
+    cfg = harness.SweepConfig(stable=True, **fields)
 
     def document() -> bytes:
         return b"".join(
@@ -103,12 +114,8 @@ def fresh(package, split: bool, path: str):
 def main() -> None:
     packages = sides(__doc__)
     rows = []
-    for workers, chunk_size in SETTINGS:
-        setting = f"workers={workers} chunk_size={chunk_size}"
-        sweeps = {
-            side: n5_sweep(package.harness, workers, chunk_size)
-            for side, package in packages.items()
-        }
+    for setting, fields in SETTINGS:
+        sweeps = {side: pooled_sweep(package.harness, fields) for side, package in packages.items()}
         documents = {side: document() for side, (_, document) in sweeps.items()}
         if len(set(documents.values())) > 1:
             raise SystemExit(f"{setting}: the sides render different bytes")

@@ -6,8 +6,9 @@ with kmax >= 2, keeping only violating records; prints the aggregate
 summary, then the elapsed time and instances per second on stderr, and
 exits 1 on any counterexample or finder failure.  L comes from a table
 of all 59,049 order-5 graphs that each worker fills once.  With
---workers 2 on a 2-core x86-64 machine (Python 3.11, numpy 2.4) the sweep
-took 5.3-6.9 s as printed in ten runs, 2,080,000-2,720,000 instances/s.
+--workers 2 on a 2-core x86-64 machine (Python 3.11.7, numpy 2.4.6), ten
+runs printed 4.1-5.0 s (median 4.45 s), 2,860,000-3,510,000 instances/s,
+and took 4.3-5.3 s (median 4.65 s) from process start to exit.
 """
 import argparse
 import json

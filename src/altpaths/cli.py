@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 counterexample found (report still written),
 2 usage error, 3 budget or IO failure, including a sweep that ran out of
-memory.
+memory and a sweep worker that exited mid-sweep.
 """
 from __future__ import annotations
 

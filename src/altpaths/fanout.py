@@ -4,13 +4,13 @@ A process holds at most one set of workers, forked at its first fan-out
 and reused by the next ones while the worker count stays the same; it is
 terminated and reaped when the count changes, when a worker has exited,
 when a fan-out raises and at interpreter exit.  The parent's main thread
-drives the fan-out: it sends each worker tasks, at most two at a time,
-over the worker's own duplex pipe, waits on the pipes with
-multiprocessing.connection.wait and takes the one reply per task in task
-order, raising a task's exception in that order.  No thread is started.
-A worker that exits mid-fan-out raises IoFailure.  Workers see the
-modules as they were when they forked, so a monkeypatch made after the
-first fan-out does not reach them.
+drives the fan-out by one fixed schedule: task i runs on worker i % W,
+each worker holds at most two tasks in its own duplex pipe, and the
+parent reads the one reply per task in task order, straight off that
+worker's pipe, raising a task's exception in that order.  No thread is
+started.  A worker that exits raises IoFailure when its turn comes.
+Workers see the modules as they were when they forked, so a monkeypatch
+made after the first fan-out does not reach them.
 """
 from __future__ import annotations
 
@@ -113,45 +113,37 @@ def _pipe_io(call, process, *args):
 def _fan_out(workers: int, fn: Callable, tasks: list[tuple]) -> list:
     """fn(*args) for each argument tuple in tasks, run on this process's workers, in task order.
 
-    Each worker holds at most two tasks, so it starts its next one while the
-    parent reads its reply.  A task must pickle to a few hundred bytes, so
-    that both fit in the pipe and a send never waits on a worker that is
-    itself sending.  The parent waits on the pipes alone: no thread runs
-    and nothing polls.  A task's exception is raised when its turn comes,
-    chained to the worker's traceback, and a worker that exits raises
-    IoFailure at once.  An exception that leaves here drops the workers
-    (_drop_pool), which may still be running this fan-out's tasks.  The
-    results come back as one list, not one by one, so no caller can leave
-    a fan-out half read with its tasks still in the workers.
+    Task i runs on worker i % workers.  Each worker's first two tasks are
+    sent up front, and once the parent has read task i's reply it sends that
+    worker task i + 2 * workers, so each worker starts its next task while
+    the parent reads its reply.  The schedule suits tasks of about equal
+    cost, as _run_chunked's runs of chunks are: a slow task stalls the other
+    workers once they have run the two tasks they hold.  A task must pickle
+    to a few hundred bytes, so that both of a worker's fit in its pipe and a
+    send never waits on a worker that is itself sending.  A task's exception
+    is raised when its turn comes, chained to the worker's traceback.  A
+    worker that exits raises IoFailure when its turn comes, once the parent
+    has read the replies to the tasks before the one it was running, which
+    the other workers already hold.  An exception that leaves here drops the
+    workers (_drop_pool), which may still be running this fan-out's tasks.
+    The results come back as one list, not one by one, so no caller can
+    leave a fan-out half read with its tasks still in the workers.
     """
-    # imported here, as Pool was: a process that never fans out skips its 0.6 MB
-    from multiprocessing.connection import wait
-
     processes, pipes = _worker_pool(workers)
-    process_of = dict(zip(pipes, processes))
-    held = {pipe: [] for pipe in pipes}  # each pipe's tasks in flight, oldest first
-    replies = {}
-    sent = 0
-
-    def send(pipe) -> None:
-        nonlocal sent
-        if sent < len(tasks):
-            _pipe_io(pipe.send, process_of[pipe], (fn, tasks[sent]))
-            held[pipe].append(sent)
-            sent += 1
-
+    results = []
     try:
-        for pipe in pipes * 2:
-            send(pipe)
-        for i in range(len(tasks)):
-            while i not in replies:
-                for pipe in wait([pipe for pipe in pipes if held[pipe]]):
-                    replies[held[pipe].pop(0)] = _pipe_io(pipe.recv, process_of[pipe])
-                    send(pipe)
-            ok, reply, text = replies[i]
-            if not ok:
-                raise reply from _WorkerTraceback(text)
+        # step i reads the reply to task i - 2 * workers and sends task i,
+        # both on worker i % workers
+        for i in range(len(tasks) + 2 * workers):
+            process, pipe = processes[i % workers], pipes[i % workers]
+            if i >= 2 * workers:
+                ok, reply, text = _pipe_io(pipe.recv, process)
+                if not ok:
+                    raise reply from _WorkerTraceback(text)
+                results.append(reply)
+            if i < len(tasks):
+                _pipe_io(pipe.send, process, (fn, tasks[i]))
     except BaseException:
         _drop_pool()
         raise
-    return [replies[i][1] for i in range(len(tasks))]
+    return results

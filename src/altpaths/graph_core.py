@@ -278,8 +278,7 @@ def _digit_tables(n: int, minors: bool = False) -> tuple[np.ndarray, ...]:
 def decode_codes(n: int, codes, minors: bool = False) -> tuple[np.ndarray, ...]:
     """(B, n) int64 out/in mask arrays of order-n base-3 codes.
 
-    Digit order is pair_order, digit values absent/forward/backward.  Codes
-    of orders whose code range outgrows int64 are decoded as Python ints.
+    Digit order is pair_order, digit values absent/forward/backward.
 
     With minors, two more (B, n) int64 arrays follow, both read in the
     labels of G - w, G without vertex w, whose vertices above w move down
@@ -287,7 +286,7 @@ def decode_codes(n: int, codes, minors: bool = False) -> tuple[np.ndarray, ...]:
     2x for an arc from w to x and bit 2x + 1 for an arc from x to w.  The
     minor codes must fit int64, which holds up to n = 10.
     """
-    rest = np.array(codes, dtype=np.int64 if num_oriented(n) <= 1 << 63 else object)
+    rest = np.asarray(codes, dtype=np.int64)
     # built vertex-major, so each vertex's values are one contiguous row; and
     # one array per kind of value, as one array of all four made each call
     # fault in its pages afresh

@@ -6,6 +6,7 @@ import ast
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from altpaths import fanout
@@ -20,10 +21,28 @@ def _run_script(code: str) -> subprocess.CompletedProcess:
     )
 
 
+def _slow_first_large(i: int, size: int) -> bytes:
+    """size bytes of i's low byte, task 0 a quarter second late."""
+    if i == 0:
+        time.sleep(0.25)
+    return bytes([i % 256]) * size
+
+
 class TestFanOut:
     def test_any_function_runs_in_task_order(self):
-        tasks = [(7, 2), (9, 4), (5, 5), (0, 3)]
-        assert fanout._fan_out(2, divmod, tasks) == [divmod(*args) for args in tasks]
+        # more tasks than workers, fewer, and none
+        for tasks in ([(7, 2), (9, 4), (5, 5), (0, 3)], [(9, 4)], []):
+            assert fanout._fan_out(2, divmod, tasks) == [divmod(*args) for args in tasks]
+
+    def test_replies_larger_than_the_pipe_come_in_task_order(self):
+        # each reply outgrows the socket buffer, so the workers after task 0
+        # block sending theirs until the parent, held up by task 0, reads them
+        size = 2**21
+        replies = fanout._fan_out(2, _slow_first_large, [(i, size) for i in range(7)])
+        assert [reply == bytes([i]) * size for i, reply in enumerate(replies)] == [True] * 7
+        pids = [process.pid for process in fanout._pool[2]]
+        assert fanout._fan_out(2, divmod, [(7, 2)] * 5) == [(3, 1)] * 5
+        assert [process.pid for process in fanout._pool[2]] == pids
 
 
 PACKAGE = Path(fanout.__file__).parent

@@ -209,9 +209,11 @@ class TestColumnDecoder:
                 assert row_stars[w] == star
 
     def test_codes_beyond_int64(self):
-        # order 10 has 3^45 > 2^63 codes
-        codes = [0, num_oriented(10) - 1, *_sample_codes(10, 20, 10)]
+        # order 10 has 3^45 > 2^63 codes: those that fit int64 decode, the others are refused
+        codes = [0, 2**63 - 1, *(code % 2**63 for code in _sample_codes(10, 20, 10))]
         assert _decoded(10, codes) == [brute_graph_from_code(10, code) for code in codes]
+        with pytest.raises(OverflowError):
+            decode_codes(10, [num_oriented(10) - 1])
 
 
 class TestBlowup:
