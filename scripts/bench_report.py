@@ -12,7 +12,7 @@ did for it.  The files sit in a temporary directory, which tempfile
 picks (TMPDIR, else /tmp), so the emit leg measures that directory's
 filesystem as well.
 
-This module also holds what the three bench scripts share.  Each runs
+This module also holds what the bench scripts share.  Each runs
 every leg through `alternate`, on one side, this checkout's `altpaths`,
 or with --against SRC on two: SRC is the directory holding another
 checkout's `altpaths` package (its `src`), which `load_against` loads
@@ -32,6 +32,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -100,6 +101,16 @@ def sides(doc: str) -> dict:
 
 def src_of(package) -> str:
     return os.path.dirname(package.__path__[0])
+
+
+def in_child(package, args: list, cwd: str | None = None) -> tuple[float, float, str]:
+    """(start, end, stdout) of `python *args`, a new process with package's src on PYTHONPATH."""
+    env = {**os.environ, "PYTHONPATH": src_of(package)}
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, check=True, text=True
+    ).stdout
+    return start, time.perf_counter(), out
 
 
 def sample(call) -> tuple[float, float, int]:

@@ -34,13 +34,10 @@ package importable, for example
     PYTHONPATH=src python3 scripts/bench_sweep.py [--against ../other/src]
 """
 import os
-import subprocess
-import sys
 import tempfile
-import time
 from functools import partial
 
-from bench_report import SECONDS, alternate, finish, sample, show, sides, src_of
+from bench_report import SECONDS, alternate, finish, in_child, sample, show, sides
 
 # each pooled leg's label and the SweepConfig fields of its stable sweep
 SETTINGS = (
@@ -90,18 +87,10 @@ def pooled_sweep(harness, fields: dict):
 
 def fresh(package, split: bool, path: str):
     """call() -> the readings of one run in a new process with package's src on PYTHONPATH."""
-    if split:
-        command = [sys.executable, "-c", SPLIT, path]
-    else:
-        command = [sys.executable, "-m", "altpaths.cli", *SWEEP, path]
-    env = {**os.environ, "PYTHONPATH": src_of(package)}
+    args = ["-c", SPLIT, path] if split else ["-m", "altpaths.cli", *SWEEP, path]
 
     def call() -> tuple[float, ...]:
-        start = time.perf_counter()
-        out = subprocess.run(
-            command, env=env, cwd=os.path.dirname(path), capture_output=True, check=True
-        ).stdout
-        end = time.perf_counter()
+        start, end, out = in_child(package, args, cwd=os.path.dirname(path))
         os.remove(path)
         if not split:
             return (end - start,)

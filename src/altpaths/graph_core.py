@@ -6,10 +6,11 @@ no loops and at most one of (u,v), (v,u) for every pair.
 """
 from __future__ import annotations
 
+import io
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from functools import cached_property, lru_cache, partial
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -99,7 +100,17 @@ It covers the graphs with thousands of vertices that the finder is meant
 for; the exact oracle stops at 22 vertices and the sweeps at a few dozen.
 An order-n graph's masks take up to n**2 / 4 bytes, 64 MB at the limit, and
 the packed rows they are built from half that again, so a two-line file
-cannot ask for more memory than that.
+cannot ask for more memory than that.  A longer file adds its arcs, 16
+bytes each and twice that while they are joined, and the temporaries of
+one block of EDGELIST_BLOCK_BYTES.
+"""
+
+EDGELIST_BLOCK_BYTES = 1 << 18
+"""Bytes the edge-list reader reads at a time.
+
+It cuts what it reads just after a line break, so each block holds whole
+lines, and a line longer than this extends its block.  The temporaries
+of one block take about 16 times its bytes.
 """
 
 
@@ -333,49 +344,95 @@ def degree_columns(
 # --- file formats ---------------------------------------------------------
 
 
-# Byte classes of the edge-list reader.  Its separators and line breaks are
-# the ASCII ones of Python's str.split and str.splitlines.
+# Byte classes of the edge-list reader, as a bytes.translate table.  Its
+# separators and line breaks are the ASCII ones of Python's str.split and
+# str.splitlines.
 _SEP, _BREAK, _DIGIT, _SIGN, _OTHER = range(5)
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[list(b" \t\x1f")] = _SEP
-_BYTE_CLASS[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = _BREAK
-_BYTE_CLASS[list(b"0123456789")] = _DIGIT
-_BYTE_CLASS[list(b"+-")] = _SIGN
+_BREAKS = b"\n\r\x0b\x0c\x1c\x1d\x1e"
+_BYTE_CLASS = bytes(
+    _SEP if b in b" \t\x1f" else _BREAK if b in _BREAKS else _DIGIT if b in b"0123456789"
+    else _SIGN if b in b"+-" else _OTHER
+    for b in range(256)
+)
 # an endpoint is decoded from its last 18 digits; a non-zero digit before
 # them makes it 10**18, out of range for any order
 _EXACT_DIGITS = 18
 
 
-def parse_edgelist(text: str | bytes) -> OrientedGraph:
+def parse_edgelist(text: str | bytes | Iterable[bytes]) -> OrientedGraph:
     """ASCII decimal `u v` lines, spaces/tabs, LF/CRLF, `#` comments, optional first `n=<order>`.
 
-    The order, given or implied, is at most MAX_EDGELIST_ORDER.  A malformed
-    line raises FormatError naming the first one; a faulty arc, the error of
+    text is the whole edge list, read EDGELIST_BLOCK_BYTES at a time, or
+    its bytes in consecutive chunks, as load_graph passes them.  The order,
+    given or implied, is at most MAX_EDGELIST_ORDER.  A malformed line
+    raises FormatError naming the first one, at once; an endpoint that
+    needs an order above the limit, after the last block, as a malformed
+    line later in the file comes first; a faulty arc, the error of
     from_edge_list naming the first one in file order.
     """
-    arcs, n = _edgelist_columns(text.encode() if isinstance(text, str) else text)
-    return from_edge_list(arcs, n)
+    if isinstance(text, str):
+        text = text.encode()
+    chunks = text
+    if isinstance(text, bytes):
+        chunks = iter(partial(io.BytesIO(text).read, EDGELIST_BLOCK_BYTES), b"")
+    return from_edge_list(*_edgelist_columns(chunks))
 
 
-def _edgelist_columns(data: bytes) -> tuple[np.ndarray, int | None]:
-    """(m, 2) arcs and header order of an edge list, read in one pass over its bytes."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    kind = _BYTE_CLASS[buf]
-    breaks = kind == _BREAK
-    # a CRLF is one line break, at its CR; its LF then separates like a space
-    after_cr = np.flatnonzero(buf[:-1] == ord("\r")) + 1
-    breaks[after_cr] &= buf[after_cr] != ord("\n")
-    starts, ends, nondigit = _tokens(buf, kind, breaks)
-    n, first = _check_lines(data, kind, breaks, starts, ends, nondigit)
-    values = _decimals(buf, starts[first:], ends[first:])
-    if n is None and values.size and values.max() >= MAX_EDGELIST_ORDER:
-        token = first + int(np.argmax(values >= MAX_EDGELIST_ORDER))
-        endpoint = data[starts[token] : ends[token]].decode()
-        raise FormatError(
-            f"line {_lineno(breaks, starts[token])}: endpoint {endpoint} "
-            f"needs an order above the limit {MAX_EDGELIST_ORDER}"
-        )
-    return values.reshape(-1, 2), n
+def _edgelist_columns(chunks: Iterable[bytes]) -> tuple[np.ndarray, int | None]:
+    """(m, 2) arcs and header order of the edge list in chunks, read block by block."""
+    n = None
+    line = 1  # the file line that the next block starts on
+    seen = False  # whether a line before the block holds a token
+    columns = [np.empty(0, dtype=np.int64)]
+    too_large = None
+    for data in _line_blocks(chunks):
+        buf = np.frombuffer(data, dtype=np.uint8)
+        kind = np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
+        breaks = kind == _BREAK
+        # a CRLF is one line break, at its CR; its LF then separates like a space
+        after_cr = np.flatnonzero(buf[:-1] == ord("\r")) + 1
+        breaks[after_cr] &= buf[after_cr] != ord("\n")
+        starts, ends, nondigit = _tokens(buf, kind, breaks)
+        header, first = _check_lines(data, kind, breaks, starts, ends, nondigit, line, seen)
+        if header is not None:
+            n = header
+        values = _decimals(buf, starts[first:], ends[first:])
+        if n is None and too_large is None and values.max(initial=0) >= MAX_EDGELIST_ORDER:
+            token = first + int(np.argmax(values >= MAX_EDGELIST_ORDER))
+            endpoint = data[starts[token] : ends[token]].decode()
+            too_large = FormatError(
+                f"line {_lineno(breaks, starts[token], line)}: endpoint {endpoint} "
+                f"needs an order above the limit {MAX_EDGELIST_ORDER}"
+            )
+        columns.append(values)
+        seen = seen or len(starts) > 0
+        line += int(np.count_nonzero(breaks))
+    if too_large is not None:
+        raise too_large
+    return np.concatenate(columns).reshape(-1, 2), n
+
+
+def _line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The bytes of chunks, in blocks cut just after line breaks.
+
+    Each cut follows the last line break before the final byte read so far,
+    which tells whether a CR is the first half of a CRLF: no cut falls
+    between the two, and a line longer than a chunk extends its block.
+    """
+    rest = b""
+    for chunk in chunks:
+        data = rest + chunk
+        # LF first, so that the rarer breaks are looked for only after the last LF
+        cut, stop = 0, len(data) - 1
+        for byte in _BREAKS:
+            cut = max(cut, data.rfind(byte, cut, stop) + 1)
+        if cut and data[cut - 1 : cut + 1] == b"\r\n":
+            cut += 1
+        if cut:
+            yield data[:cut]
+        rest = data[cut:]
+    if rest:
+        yield rest
 
 
 def _tokens(
@@ -397,8 +454,9 @@ def _tokens(
     return bounds[0::2], bounds[1::2], np.flatnonzero(in_token & (kind != _DIGIT))
 
 
-def _lineno(breaks: np.ndarray, position: int) -> int:
-    return 1 + int(np.count_nonzero(breaks[:position]))
+def _lineno(breaks: np.ndarray, position: int, line: int) -> int:
+    """File line of a block's byte at position, the block starting on file line `line`."""
+    return line + int(np.count_nonzero(breaks[:position]))
 
 
 def _check_lines(
@@ -408,10 +466,14 @@ def _check_lines(
     starts: np.ndarray,
     ends: np.ndarray,
     nondigit: np.ndarray,
+    line: int,
+    seen: bool,
 ) -> tuple[int | None, int]:
-    """Header order (None without a header) and first arc token of a well-formed edge list.
+    """Header order (None without a header) and first arc token of a well-formed block.
 
-    Raises FormatError naming the first malformed line.
+    The block starts on file line `line`, and `seen` says whether a line
+    before it holds a token, so that no header may follow.  Raises
+    FormatError naming the first malformed line.
     """
     opens_line = np.ones(len(starts), dtype=bool)
     if len(starts) > 1:
@@ -427,8 +489,8 @@ def _check_lines(
 
     n = None
     edge_lines = 0
-    if len(line_first) and line_text(0).startswith("n="):
-        n = _header_order(_lineno(breaks, starts[0]), line_text(0))
+    if not seen and len(line_first) and line_text(0).startswith("n="):
+        n = _header_order(_lineno(breaks, starts[0], line), line_text(0))
         edge_lines = 1
     # every later line holds two decimals, each with at most a leading sign
     token = np.searchsorted(starts, nondigit, side="right") - 1
@@ -439,8 +501,8 @@ def _check_lines(
         np.flatnonzero(line_tokens[edge_lines:] != 2) + edge_lines,
     ]
     if bad_lines.size:
-        line = int(bad_lines.min())
-        raise _line_fault(_lineno(breaks, starts[line_first[line]]), line_text(line))
+        bad = int(bad_lines.min())
+        raise _line_fault(_lineno(breaks, starts[line_first[bad]], line), line_text(bad))
     return n, int(line_first[edge_lines]) if edge_lines < len(line_first) else len(starts)
 
 
@@ -527,16 +589,35 @@ def parse_digraph6(line: str) -> OrientedGraph:
 
 
 def load_graph(path: str, fmt: str = "edgelist") -> OrientedGraph:
+    """The graph in the file at path, read EDGELIST_BLOCK_BYTES at a time.
+
+    A non-ASCII byte anywhere in the file is named before any other fault.
+    """
+    if fmt not in ("edgelist", "digraph6"):
+        raise BadParams(f"unknown format {fmt!r}")
     with open(path, "rb") as f:
-        data = f.read()
-    if not data.isascii():
-        offset = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
-        raise FormatError(f"{path}: non-ASCII byte at offset {offset}")
-    if fmt == "edgelist":
-        return parse_edgelist(data)
-    if fmt == "digraph6":
-        for line in data.decode("ascii").splitlines():
-            if line.strip():
-                return parse_digraph6(line)
-        raise FormatError(f"no digraph6 line in {path}")
-    raise BadParams(f"unknown format {fmt!r}")
+        chunks = _ascii_chunks(f, path)
+        if fmt == "digraph6":
+            line = None
+            for block in _line_blocks(chunks):
+                line = line or next((t for t in block.decode().splitlines() if t.strip()), None)
+            if line is None:
+                raise FormatError(f"no digraph6 line in {path}")
+            return parse_digraph6(line)
+        try:
+            return parse_edgelist(chunks)
+        except FormatError:
+            for _ in chunks:  # a non-ASCII byte later in the file is named instead
+                pass
+            raise
+
+
+def _ascii_chunks(f: BinaryIO, path: str) -> Iterator[bytes]:
+    """The rest of f, EDGELIST_BLOCK_BYTES at a time; a non-ASCII byte raises FormatError."""
+    offset = 0
+    while chunk := f.read(EDGELIST_BLOCK_BYTES):
+        if not chunk.isascii():
+            at = offset + int(np.argmax(np.frombuffer(chunk, dtype=np.uint8) >= 0x80))
+            raise FormatError(f"{path}: non-ASCII byte at offset {at}")
+        offset += len(chunk)
+        yield chunk

@@ -1,14 +1,16 @@
-"""The alternation loop and the loader that scripts/bench_*.py share."""
+"""The alternation loop and the loader that scripts/bench_*.py share, and bench_load's legs."""
 import sys
 from pathlib import Path
 
 import pytest
 
+import altpaths
 from altpaths import harness
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
 
+import bench_load  # noqa: E402
 from bench_report import alternate, load_against  # noqa: E402
 
 
@@ -76,3 +78,11 @@ def test_load_against_renders_this_packages_bytes(against):
     ]
     assert documents[0] == documents[1]
     assert b'"instances": 729' in documents[0]
+
+
+def test_bench_load_legs_run_one_round(tmp_path):
+    path = str(tmp_path / "g.el")
+    assert bench_load.write_edge_list(path, n=60) > 0
+    for label, calls, readings in bench_load.legs({"this": altpaths}, path):
+        values = calls["this"]()
+        assert len(values) == len(readings) and all(value > 0 for value in values), label

@@ -1,13 +1,15 @@
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altpaths import errors
+from altpaths import errors, graph_core
 from altpaths.graph_core import (
+    EDGELIST_BLOCK_BYTES,
     MAX_EDGELIST_ORDER,
     DegreeSummary,
     bits,
@@ -16,6 +18,7 @@ from altpaths.graph_core import (
     decode_codes,
     degree_columns,
     from_edge_list,
+    load_graph,
     min_pseudo_semidegree,
     min_semidegree,
     num_oriented,
@@ -284,6 +287,55 @@ class TestEnumeration:
         assert g3.edges() == [(0, 2)]
 
 
+# a fault over ten thousand lines down, after comment and blank lines
+LONG_FILE_FAULT = (
+    "n=10001\n"
+    + "".join(f"{i} {i + 1}\n" + "# c\n\n" * (i % 7 == 0) for i in range(10_000))
+    + "7 7 7\n",
+    errors.FormatError,
+    "line 12860: expected 'u v', got '7 7 7'",
+)
+
+# (text, error, message) of edge lists whose first fault the reader names
+FIRST_FAULTS = [
+    # graph faults name the first faulty arc in file order
+    ("n=3\n0 1\n2 2\n", errors.LoopEdge, "loop at vertex 2"),
+    ("0 1\n1 2\n0 1\n", errors.DuplicateEdge, "edge (0,1) repeated"),
+    ("0 1\n1 2\n1 0\n", errors.TwoCycle, "both (1,0) and (0,1) present"),
+    ("n=3\n0 1\n1 3\n", errors.BadParams, "edge (1,3) out of range for n=3"),
+    ("n=3\n0 -1\n", errors.BadParams, "edge (0,-1) out of range for n=3"),
+    ("0 1\n2 2\n0 1\n", errors.LoopEdge, "loop at vertex 2"),
+    ("0 1\n1 0\n0 0\n", errors.TwoCycle, "both (1,0) and (0,1) present"),
+    ("n=3\n0 1\n0 1\n0 5\n", errors.DuplicateEdge, "edge (0,1) repeated"),
+    ("n=3\n0 5\n1 1\n", errors.BadParams, "edge (0,5) out of range for n=3"),
+    # format faults name the first faulty line, before any graph fault
+    ("n=3\n0 x\n", errors.FormatError, "line 2: non-integer endpoint in '0 x'"),
+    ("0 1\n2\n", errors.FormatError, "line 2: expected 'u v', got '2'"),
+    ("0 1\n\n1 2 0  # c\n", errors.FormatError, "line 3: expected 'u v', got '1 2 0'"),
+    ("0 1\nn=3\n", errors.FormatError, "line 2: header must come first"),
+    ("n=3\nn=3\n", errors.FormatError, "line 2: header must come first"),
+    ("# c\nn=x\n", errors.FormatError, "line 2: bad header 'n=x'"),
+    ("n=-3\n", errors.FormatError, "line 1: negative order in 'n=-3'"),
+    ("0 0\n1 x\n", errors.FormatError, "line 2: non-integer endpoint in '1 x'"),
+    ("0 1\r\n\r\n1\t2 3\r\n", errors.FormatError, "line 3: expected 'u v', got '1\\t2 3'"),
+    LONG_FILE_FAULT,
+    # faults after the first few lines, so in a later block when blocks are small
+    ("n=9\n0 1\n1 2\n2 3\n3 4\n4 x\n5 6 7\n", errors.FormatError,
+     "line 6: non-integer endpoint in '4 x'"),
+    ("0 20000\n1 2\n2 3\n# c\n3 x\n", errors.FormatError,
+     "line 5: non-integer endpoint in '3 x'"),
+    ("n=6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 5\n1 0\n", errors.LoopEdge, "loop at vertex 5"),
+    ("n=5\n0 1\n1 2\n2 3\n3 4\n4 0\n2 1\n0 1\n", errors.TwoCycle,
+     "both (2,1) and (1,2) present"),
+    ("# a comment preamble\n#\n\n# and more\nn=3\n0 1\nn=3\n", errors.FormatError,
+     "line 7: header must come first"),
+    ("# a comment preamble\n\nn=x\n", errors.FormatError, "line 3: bad header 'n=x'"),
+    ("0 1\r1 2\r\r2 x\r", errors.FormatError, "line 4: non-integer endpoint in '2 x'"),
+    ("0 1\x0b1 2\x0c2 3\x1c3 4\x1d4 5\x1e5 x\n", errors.FormatError,
+     "line 6: non-integer endpoint in '5 x'"),
+]
+
+
 class TestEdgelistFormat:
     def test_roundtrip(self):
         g = blowup_directed_cycle(3, 2)
@@ -310,38 +362,7 @@ class TestEdgelistFormat:
             parse_edgelist("n=-3\n")
         assert parse_edgelist("n=0\n").n == 0
 
-    @pytest.mark.parametrize(
-        "text, exc, names",
-        [
-            # graph faults name the first faulty arc in file order
-            ("n=3\n0 1\n2 2\n", errors.LoopEdge, "loop at vertex 2"),
-            ("0 1\n1 2\n0 1\n", errors.DuplicateEdge, "edge (0,1) repeated"),
-            ("0 1\n1 2\n1 0\n", errors.TwoCycle, "both (1,0) and (0,1) present"),
-            ("n=3\n0 1\n1 3\n", errors.BadParams, "edge (1,3) out of range for n=3"),
-            ("n=3\n0 -1\n", errors.BadParams, "edge (0,-1) out of range for n=3"),
-            ("0 1\n2 2\n0 1\n", errors.LoopEdge, "loop at vertex 2"),
-            ("0 1\n1 0\n0 0\n", errors.TwoCycle, "both (1,0) and (0,1) present"),
-            ("n=3\n0 1\n0 1\n0 5\n", errors.DuplicateEdge, "edge (0,1) repeated"),
-            ("n=3\n0 5\n1 1\n", errors.BadParams, "edge (0,5) out of range for n=3"),
-            # format faults name the first faulty line, before any graph fault
-            ("n=3\n0 x\n", errors.FormatError, "line 2: non-integer endpoint in '0 x'"),
-            ("0 1\n2\n", errors.FormatError, "line 2: expected 'u v', got '2'"),
-            ("0 1\n\n1 2 0  # c\n", errors.FormatError, "line 3: expected 'u v', got '1 2 0'"),
-            ("0 1\nn=3\n", errors.FormatError, "line 2: header must come first"),
-            ("n=3\nn=3\n", errors.FormatError, "line 2: header must come first"),
-            ("# c\nn=x\n", errors.FormatError, "line 2: bad header 'n=x'"),
-            ("n=-3\n", errors.FormatError, "line 1: negative order in 'n=-3'"),
-            ("0 0\n1 x\n", errors.FormatError, "line 2: non-integer endpoint in '1 x'"),
-            ("0 1\r\n\r\n1\t2 3\r\n", errors.FormatError, "line 3: expected 'u v', got '1\\t2 3'"),
-            (
-                "n=10001\n"
-                + "".join(f"{i} {i + 1}\n" + "# c\n\n" * (i % 7 == 0) for i in range(10_000))
-                + "7 7 7\n",
-                errors.FormatError,
-                "line 12860: expected 'u v', got '7 7 7'",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("text, exc, names", FIRST_FAULTS)
     def test_error_names_first_fault(self, text, exc, names):
         with pytest.raises(exc) as info:
             parse_edgelist(text)
@@ -361,6 +382,9 @@ class TestEdgelistFormat:
             ("n=5\n0 1\n", 5, [(0, 1)]),
             ("n= 4\n+3 0\n002 1\n", 4, [(2, 1), (3, 0)]),
             ("n=5\n0 " + "0" * 30 + "1\n", 5, [(0, 1)]),
+            ("# a comment preamble\n#\n\n# and more\nn=3\n0 1\n1 2\n", 3, [(0, 1), (1, 2)]),
+            ("n=4\r0 1\r\r1 2\r2 3", 4, [(0, 1), (1, 2), (2, 3)]),
+            ("n=3\n0" + " " * 20 + "1\t# a comment\n1 2\n", 3, [(0, 1), (1, 2)]),
         ],
     )
     def test_accepted_inputs(self, text, n, arcs):
@@ -378,6 +402,10 @@ class TestEdgelistFormat:
                 "line 2: endpoint 1000000000 needs an order above the limit 16384",
             ),
             ("\n16384 0\n", "line 2: endpoint 16384 needs an order above the limit 16384"),
+            (
+                "0 1\n1 2\n2 3\n# c\n3 20000\n4 30000\n",
+                "line 5: endpoint 20000 needs an order above the limit 16384",
+            ),
         ],
     )
     def test_order_limit(self, text, names):
@@ -401,6 +429,73 @@ class TestEdgelistFormat:
         # an endpoint of more than 18 significant digits is named as 10**18
         with pytest.raises(errors.BadParams, match=r"^edge \(0,1000000000000000000\) out of range"):
             parse_edgelist("n=5\n0 1" + "0" * 30 + "\n")
+
+    @pytest.mark.parametrize(
+        "data, offset",
+        [
+            (b"n=3\n0 1\n1 2 # caf\xc3\xa9\n", 17),
+            # named before the bad header and the malformed line that come first
+            (b"n=x\n0 1\n\x80", 8),
+            (b"n=3\n0 x\n1 2\n\xff", 12),
+        ],
+    )
+    def test_non_ascii_byte_names_its_offset(self, tmp_path, data, offset):
+        path = tmp_path / "g.el"
+        path.write_bytes(data)
+        with pytest.raises(errors.FormatError) as info:
+            load_graph(str(path))
+        assert str(info.value) == f"{path}: non-ASCII byte at offset {offset}"
+
+
+class TestEdgelistFormatInSmallBlocks(TestEdgelistFormat):
+    """Every TestEdgelistFormat case again, with the reader's blocks 1 to 16 bytes long.
+
+    The reads then cut tokens, CRLF pairs, comments and the header, and the
+    blocks hold one or a few lines.  The case whose fault is over ten
+    thousand lines down reads that many blocks at each budget, so it runs
+    only under `slow`.
+    """
+
+    @pytest.fixture(autouse=True, params=range(1, 17))
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(graph_core, "EDGELIST_BLOCK_BYTES", request.param)
+
+    @pytest.mark.parametrize(
+        "text, exc, names",
+        [
+            pytest.param(*case, marks=pytest.mark.slow) if case == LONG_FILE_FAULT else case
+            for case in FIRST_FAULTS
+        ],
+    )
+    def test_error_names_first_fault(self, text, exc, names):
+        super().test_error_names_first_fault(text, exc, names)
+
+
+def test_load_memory_is_bounded_by_the_block_and_the_arcs(tmp_path):
+    # a random 700-vertex graph at p = 1/2: about 122k arcs in a 1 MB file
+    n = 700
+    rng = np.random.default_rng(5)
+    u, v = np.triu_indices(n, 1)
+    forward = rng.random(u.size) < 0.5
+    arcs = np.column_stack((np.where(forward, u, v), np.where(forward, v, u)))
+    arcs = arcs[rng.random(u.size) < 0.5]
+    # formatted in one block, each endpoint as three zero-padded digits
+    lines = np.full((len(arcs), 8), ord(" "), dtype=np.uint8)
+    lines[:, [0, 1, 2, 4, 5, 6]] = (arcs[:, :, None] // [100, 10, 1] % 10).reshape(-1, 6) + ord("0")
+    lines[:, 7] = ord("\n")
+    path = tmp_path / "g.el"
+    path.write_bytes(f"n={n}\n".encode() + lines.tobytes())
+    tracemalloc.start()
+    try:
+        g = load_graph(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == from_edge_list(arcs, n)
+    # one block's temporaries, about 16 times its bytes, and the arcs at 16
+    # bytes each, twice over while they are joined; reading the whole file
+    # at once took about 13 times the file, 13 MB here
+    assert peak < 16 * EDGELIST_BLOCK_BYTES + 32 * len(arcs) + (1 << 20)
 
 
 class TestDigraph6:
@@ -429,6 +524,17 @@ class TestDigraph6:
         line = "&" + chr(63 + 2) + chr(63 + 0b100000)
         with pytest.raises(errors.LoopEdge):
             parse_digraph6(line)
+
+    @pytest.mark.parametrize("budget", [1, 3, EDGELIST_BLOCK_BYTES])
+    def test_load_reads_the_first_non_blank_line(self, tmp_path, monkeypatch, budget):
+        monkeypatch.setattr(graph_core, "EDGELIST_BLOCK_BYTES", budget)
+        path = tmp_path / "g.d6"
+        # the second line is too short for its order, so reading it would raise
+        path.write_bytes(b"\n  \r\n>>digraph6<<&" + bytes([63 + 2, 63 + 0b010000]) + b"\r\n&B?\n")
+        assert load_graph(str(path), "digraph6").edges() == [(0, 1)]
+        path.write_bytes(b"\n \r\n")
+        with pytest.raises(errors.FormatError, match="no digraph6 line"):
+            load_graph(str(path), "digraph6")
 
 
 class TestInvariantProperties:
